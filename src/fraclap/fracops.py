@@ -8,6 +8,7 @@ C(1,s) = 4^s Gamma(1/2+s) / (sqrt(pi) |Gamma(-s)|) so that it matches the
 multiplier route.
 """
 
+import threading
 import warnings
 
 import numpy as np
@@ -268,43 +269,108 @@ def line_convolve(f, g):
     return Field(f.grid, out)
 
 
+# The interpolant fits its cubic spline lazily, in blocks of this many fine
+# intervals; each block's fit reaches this many extra nodes past the block.
+# A cubic spline's response to its end conditions decays like
+# (2 - sqrt 3)^k ~ 0.27^k over k nodes, so 48 nodes of margin make a windowed
+# fit equal to the global not-a-knot spline up to round-off.
+_BLOCK = 256
+_MARGIN = 48
+
+
 def line_interpolant(f, refine=4):
     """Callable evaluating a line field anywhere, via spectral refinement.
 
-    Zero-pads the spectrum by `refine`, builds a cubic spline through the
-    oversampled values, and falls back to the tail model outside the grid.
-    Good to ~1e-9 for smooth well-resolved fields.
+    Zero-pads the spectrum by `refine`, interpolates the oversampled values
+    with the not-a-knot cubic spline through all of them, and falls back to
+    the tail model outside the node range. Good to ~1e-9 for smooth
+    well-resolved fields.
+
+    Nyquist rule: the grid's Nyquist coefficient is split half and half
+    between the frequencies +n/2 and -n/2, so that mode refines to the
+    cosine through the samples, cos(pi (x + L - h/2) / h), and the
+    interpolant reproduces every sample at the field's own nodes.
+
+    The spline is fitted only where it is evaluated: the first query in a
+    block of fine intervals fits that block, and the interpolant keeps the
+    coefficients for later calls, so the cost follows the queries, not the
+    grid.
     """
     if not isinstance(f.grid, LineGrid):
         raise TypeError("expected a line field")
-    n = f.grid.n_points
-    n_fine = refine * n
-    spec = f.spectrum()
-    out = np.zeros((n_fine, f.m), dtype=complex)
-    out[: n // 2] = spec[: n // 2]
-    out[-(n // 2):] = spec[-(n // 2):]
-    fine = np.real(np.fft.ifft(out * refine, axis=0))
-    # the refined nodes interleave: x_k = -L + (k + 1/2) h/refine - offset
-    # np.fft places them at -L + k h / refine + h/2 shifted by the original
-    # half-cell; reconstruct explicitly.
-    L, h = f.grid.half_width, f.grid.h
-    x_fine = -L + 0.5 * h + np.arange(n_fine) * (h / refine)
-    x_fine = np.where(x_fine > L, x_fine - 2 * L, x_fine)
-    order = np.argsort(x_fine)
-    x_sorted = x_fine[order]
-    spline = CubicSpline(x_sorted, fine[order], axis=0)
-    tail = f.tail
-    lo, hi = x_sorted[0], x_sorted[-1]
+    return _LineInterpolant(f, refine)
 
-    def evaluate(pts):
+
+class _LineInterpolant:
+    """The lazily fitted spline behind `line_interpolant`.
+
+    Calls may come from several threads; a lock guards the coefficient
+    table while a call fills and reads it.
+    """
+
+    def __init__(self, f, refine):
+        n = f.grid.n_points
+        n_fine = refine * n
+        pad = np.zeros((n_fine // 2 + 1, f.m), dtype=complex)
+        pad[: n // 2 + 1] = np.fft.rfft(f.samples, axis=0)
+        if refine > 1:
+            pad[n // 2] *= 0.5
+        pad *= refine
+        # refined node k sits at -L + h/2 + k h/refine; the last
+        # (refine - 1) // 2 of them lie beyond L and wrap around to the
+        # front, so a roll puts the fine values in increasing node order
+        n_wrap = (refine - 1) // 2
+        self._values = np.roll(np.fft.irfft(pad, n_fine, axis=0), n_wrap, axis=0)
+        self._dx = f.grid.h / refine
+        self._lo = -f.grid.half_width + 0.5 * f.grid.h - n_wrap * self._dx
+        self._hi = self._lo + (n_fine - 1) * self._dx
+        self._tail = f.tail
+        n_blocks = -(-(n_fine - 1) // _BLOCK)
+        self._slot = np.full(n_blocks, -1, dtype=np.intp)
+        self._coef = np.empty((0, 4, f.m))
+        self._lock = threading.Lock()
+
+    def _fit(self, blocks):
+        """Fit the blocks among `blocks` that have no coefficients yet.
+
+        Each new block gets a window of fine values reaching _MARGIN nodes
+        past it, moved inward at the ends of the grid so that the window's
+        not-a-knot end is the global spline's there. The nodes are uniform,
+        so all windows share one set of relative nodes and a single spline
+        fit takes them as columns.
+        """
+        todo = np.zeros(len(self._slot), dtype=bool)
+        todo[blocks] = True
+        new = np.flatnonzero(todo & (self._slot < 0))
+        if len(new) == 0:
+            return
+        n_fine, m = self._values.shape
+        width = min(_BLOCK + 2 * _MARGIN + 1, n_fine)
+        start = np.clip(new * _BLOCK - _MARGIN, 0, n_fine - width)
+        windows = self._values[np.arange(width)[:, None] + start]
+        spline = CubicSpline(self._dx * np.arange(width), windows.reshape(width, -1), axis=0)
+        c = spline.c.reshape(4, width - 1, len(new), m)
+        # intervals past the last node land on the window's last interval;
+        # no query reads them
+        local = np.minimum((new * _BLOCK - start)[:, None] + np.arange(_BLOCK), width - 2)
+        rows = c[:, local, np.arange(len(new))[:, None]]
+        self._slot[new] = len(self._coef) // _BLOCK + np.arange(len(new))
+        self._coef = np.concatenate([self._coef, rows.transpose(1, 2, 0, 3).reshape(-1, 4, m)])
+
+    def __call__(self, pts):
         pts = np.atleast_1d(np.asarray(pts, dtype=float))
-        res = np.empty((len(pts), f.m))
-        inside = (pts >= lo) & (pts <= hi)
-        res[inside] = spline(pts[inside])
-        if np.any(~inside):
-            if tail is None:
+        res = np.empty((len(pts), self._values.shape[1]))
+        inside = (pts >= self._lo) & (pts <= self._hi)
+        p = pts[inside]
+        i = np.clip(np.floor((p - self._lo) / self._dx).astype(np.intp), 0, len(self._values) - 2)
+        block = i // _BLOCK
+        with self._lock:
+            self._fit(block)
+            c = self._coef[self._slot[block] * _BLOCK + i % _BLOCK]
+        t = (p - (self._lo + i * self._dx))[:, None]
+        res[inside] = ((c[:, 0] * t + c[:, 1]) * t + c[:, 2]) * t + c[:, 3]
+        if not np.all(inside):
+            if self._tail is None:
                 raise ValueError("evaluation outside the grid needs a tail model")
-            res[~inside] = tail.eval(pts[~inside])
+            res[~inside] = self._tail.eval(pts[~inside])
         return res
-
-    return evaluate

@@ -8,9 +8,11 @@ cell-centered so that x = 0 (and +-1) never lands on a node; profiles like
 import struct
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.special import roots_legendre
 
 __all__ = [
     "LineGrid",
@@ -22,6 +24,7 @@ __all__ = [
     "odd_part",
     "resample",
     "line_integral",
+    "gauss_legendre",
     "save_csv",
     "load_csv",
     "save_binary",
@@ -290,6 +293,19 @@ def line_integral(f, tail_corrected=True):
         L = f.grid.half_width
         total = total + (t.coef_pos + t.coef_neg) * L ** (1.0 - t.power) / (t.power - 1.0)
     return total if total.size > 1 else float(total[0])
+
+
+@lru_cache(maxsize=64)
+def gauss_legendre(n):
+    """Gauss-Legendre nodes and weights on [-1, 1], exact to degree 2n - 1.
+
+    Computed once per n and shared by every caller, so both arrays are
+    read-only.
+    """
+    x, w = roots_legendre(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 # ---------------------------------------------------------------------------

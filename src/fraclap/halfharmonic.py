@@ -18,7 +18,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import norms
-from .geometry import CircleGrid, Field
+from .geometry import CircleGrid, Field, gauss_legendre
 
 
 @dataclass(frozen=True)
@@ -322,11 +322,11 @@ def _bubble_quarter_lap(w_eval, w_inf, center, scale):
     """
     r_max = 1.0e6
     lam = scale
-    xa, wa = np.polynomial.legendre.leggauss(24)
+    xa, wa = gauss_legendre(24)
     n_seg_b = 34
-    xb, wb = np.polynomial.legendre.leggauss(8)
+    xb, wb = gauss_legendre(8)
     n_seg, per_seg = 28, 10
-    xc, wc = np.polynomial.legendre.leggauss(per_seg)
+    xc, wc = gauss_legendre(per_seg)
 
     def apply(xs):
         xs = np.asarray(xs, dtype=float)
@@ -457,7 +457,7 @@ def bubbling_experiment(u: Field, a_sequence: Sequence[float],
         w_inf = w_eval(np.array([1.0e30]))[0]
         quarter = _bubble_quarter_lap(w_eval, w_inf, center, scale)
 
-        gl_x, gl_w = np.polynomial.legendre.leggauss(nodes_per_annulus)
+        gl_x, gl_w = gauss_legendre(nodes_per_annulus)
         dists, weights, bounds = [], [], []
         for inner, outer in annuli:
             mid, half = 0.5 * (outer + inner), 0.5 * (outer - inner)

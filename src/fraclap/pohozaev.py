@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .geometry import CircleGrid, Field, LineGrid
+from .geometry import CircleGrid, Field, LineGrid, gauss_legendre
 from . import fracops
 
 _FLOOR = 1e-14
@@ -52,7 +51,7 @@ class PohozaevReport:
 
 
 def _gl_nodes(n, a, b):
-    xi, wg = leggauss(n)
+    xi, wg = gauss_legendre(n)
     half = 0.5 * (b - a)
     return a + half * (xi + 1.0), half * wg
 

@@ -1,17 +1,21 @@
 """Fractional Laplacians, Riesz transform, Poisson kernels, convolution."""
 
+import sys
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
 from fraclap.fracops import (frac_laplacian_circle, frac_laplacian_line_quadrature,
                              frac_laplacian_line_spectral, inverse_quarter_laplacian,
                              line_convolve, line_interpolant, poisson_kernel_circle,
                              poisson_kernel_circle_printed, poisson_kernel_line,
                              riesz_transform, singular_constant)
-from fraclap.geometry import (CircleGrid, LineGrid, TailModel, even_part,
+from fraclap.geometry import (CircleGrid, Field, LineGrid, TailModel, even_part,
                               field_from_function, odd_part)
 
 
@@ -167,6 +171,128 @@ def test_line_interpolant_accuracy_and_tail():
     assert np.max(np.abs(u(xs)[:, 0] - 1.0 / (1.0 + xs ** 2))) < 1e-9
     far = np.array([55.0, -90.0])
     assert np.allclose(u(far)[:, 0], 1.0 / far ** 2)
+
+
+def _refined_reference(f, refine):
+    """Global not-a-knot spline through the zero-pad-refined samples.
+
+    The Nyquist coefficient goes to frequency -n/2 alone and the real part
+    is kept, which is the half-split cosine rule. Returns the spline and its
+    sorted nodes.
+    """
+    n, L, h = f.grid.n_points, f.grid.half_width, f.grid.h
+    spec = f.spectrum()
+    out = np.zeros((refine * n, f.m), dtype=complex)
+    out[: n // 2] = spec[: n // 2]
+    out[-(n // 2):] = spec[-(n // 2):]
+    fine = np.real(np.fft.ifft(out, axis=0)) * refine
+    x = -L + 0.5 * h + np.arange(refine * n) * (h / refine)
+    x[x > L] -= 2.0 * L
+    order = np.argsort(x)
+    return CubicSpline(x[order], fine[order], axis=0), x[order]
+
+
+@pytest.mark.parametrize("refine", [4, 8])
+def test_line_interpolant_matches_global_spline(refine):
+    # m = 2 like the pohozaev line fixture; calls overlap and repeat, so
+    # coefficient blocks fitted by one call are reused by the next
+    g = LineGrid(30.0, 2 ** 10)
+    x = g.nodes()
+    tail = TailModel.even(2.0, [1.0, 0.0], m=2)
+    rng = np.random.default_rng(3)
+    # the noise column puts energy up to the Nyquist frequency, where a fit
+    # that ends too close to its blocks would be visibly off the global one
+    f = Field(g, np.stack([1.0 / (1.0 + x * x), rng.normal(size=g.n_points)], axis=1),
+              tail=tail)
+    spline, nodes = _refined_reference(f, refine)
+    lo, hi = nodes[0], nodes[-1]
+    scattered = rng.uniform(lo, hi, 300)
+    wrapped = nodes[: (refine - 1) // 2]
+    assert np.all(wrapped < x[0])
+    edges = np.array([lo, hi, 0.5 * (lo + nodes[1]), x[0], x[-1]])
+    beyond = np.array([-31.0, 30.0 + 0.5 * g.h, 45.0, -1e4])
+    tol = 1e-13 * np.max(np.abs(f.samples))
+
+    u = line_interpolant(f, refine=refine)
+    # the first call fits a few scattered blocks; the midpoints of every fine
+    # interval then reuse those and fit the blocks between them
+    midpoints = 0.5 * (nodes[1:] + nodes[:-1])
+    calls = [scattered[:4], midpoints, scattered[:100],
+             np.concatenate([scattered[50:], wrapped, edges]),
+             np.concatenate([beyond, scattered[::7]])]
+    for pts in calls:
+        got = u(pts)
+        inside = (pts >= lo) & (pts <= hi)
+        assert np.max(np.abs(got[inside] - spline(pts[inside]))) <= tol
+        assert np.array_equal(got[~inside], tail.eval(pts[~inside]))
+    assert np.array_equal(u(scattered[:100]), u(scattered)[:100])
+
+
+def test_line_interpolant_nyquist_rule():
+    # a field holding the Nyquist mode: the samples come back at the field's
+    # own nodes, and the refined nodes in between carry the half-split cosine
+    g = LineGrid(10.0, 64)
+    x = g.nodes()
+    alt = (-1.0) ** np.arange(g.n_points)
+    smooth = np.cos(3.0 * np.pi * (x + g.half_width) / g.half_width)
+    f = Field(g, np.stack([alt, smooth + 0.5 * alt], axis=1))
+    refine = 4
+    u = line_interpolant(f, refine=refine)
+    assert np.max(np.abs(u(x) - f.samples)) <= 1e-12
+    between = (x[:-1, None] + g.h / refine * np.arange(1, refine)[None, :]).ravel()
+    nyq = np.cos(np.pi * (between - x[0]) / g.h)
+    want = np.stack([nyq, np.cos(3.0 * np.pi * (between + g.half_width) / g.half_width)
+                     + 0.5 * nyq], axis=1)
+    assert np.max(np.abs(u(between) - want)) <= 1e-12
+
+
+def test_line_interpolant_shared_between_threads():
+    # threads that fit blocks of one interpolant at once must see the
+    # values a single thread gets; each round starts a fresh interpolant
+    g = LineGrid(30.0, 2 ** 12)
+    f = _lorentzian_field(g)
+    rng = np.random.default_rng(8)
+    batches = [rng.uniform(-30.0, 30.0, 40) for _ in range(8)]
+    want = [line_interpolant(f)(b) for b in batches]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            shared = line_interpolant(f)
+            got = [None] * len(batches)
+
+            def work(k):
+                got[k] = shared(batches[k])
+
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(batches))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            for a, b in zip(got, want):
+                assert a is not None and np.array_equal(a, b)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_line_interpolant_memory_follows_queries():
+    # a 2^20 build plus stereo-style queries; a global 4M-node spline would
+    # hold several hundred MB of coefficients and sort keys
+    g = LineGrid(10000.0, 1 << 20)
+    f = _lorentzian_field(g)
+    th = CircleGrid(2048).nodes()
+    speed = 1.0 + np.sin(th)
+    pts = np.cos(th[speed > 1e-12]) / speed[speed > 1e-12]
+    tracemalloc.start()
+    try:
+        u = line_interpolant(f, refine=4)
+        vals = u(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(vals[:, 0] - 1.0 / (1.0 + pts ** 2))) < 1e-9
+    assert peak < 300e6
 
 
 @given(k=st.integers(1, 10), s=st.sampled_from([0.25, 0.5]))

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraclap.geometry import (CircleGrid, Field, LineGrid, TailModel,
-                              even_part, field_from_function, line_integral,
-                              load_binary, load_csv, odd_part, resample,
-                              save_binary, save_csv)
+                              even_part, field_from_function, gauss_legendre,
+                              line_integral, load_binary, load_csv, odd_part,
+                              resample, save_binary, save_csv)
 
 
 def test_line_grid_nodes_symmetric():
@@ -136,6 +136,27 @@ def test_resample_line_spline_accuracy():
     out = resample(f, tgt)
     want = np.exp(-tgt.nodes() ** 2)
     assert np.max(np.abs(out.samples[:, 0] - want)) < 1e-6
+
+
+@pytest.mark.parametrize("n", [8, 24, 400, 2000])
+def test_gauss_legendre_exact_on_monomials(n):
+    x, w = gauss_legendre(n)
+    assert len(x) == len(w) == n
+    power = np.ones(n)
+    for degree in range(2 * n):
+        exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+        # a few ulps per node of accumulated rounding
+        assert abs(np.sum(w * power) - exact) <= 5e-16 * n
+        power *= x
+
+
+def test_gauss_legendre_cached_read_only():
+    x, w = gauss_legendre(24)
+    again = gauss_legendre(24)
+    assert again[0] is x and again[1] is w
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_resample_line_tail_extension():
