@@ -22,7 +22,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -102,6 +102,8 @@ class RunContext:
     seed: int
     threads: int
     config_hash: str
+    # run-health entries a runner adds to the report's meta, outside results
+    meta: dict = field(default_factory=dict)
 
 
 def _coerce(opt: Option, raw, where: str):
@@ -468,6 +470,7 @@ def _run_flow(opts, ctx):
 
     states = halfharmonic.gradient_flow(u0, dist, tol=tol, max_iter=max_iter)
     last = states[-1]
+    ctx.meta.update(stalled=last.stalled, backtracks=last.backtracks)
     energies = np.array([s.energy for s in states])
     violations = int(np.sum(np.diff(energies) > 0.0))
     energy_gap = abs(last.energy - 2.0 * np.pi)
@@ -834,6 +837,7 @@ def _main(argv: Optional[Sequence[str]]) -> int:
             "seed": seed,
             "threads": threads,
             "wall_clock_s": round(time.time() - started, 3),
+            **ctx.meta,
         },
         "results": results,
     }

@@ -327,7 +327,10 @@ class _LineInterpolant:
         self._tail = f.tail
         n_blocks = -(-(n_fine - 1) // _BLOCK)
         self._slot = np.full(n_blocks, -1, dtype=np.intp)
+        # fitted blocks fill the table's first _n_fitted * _BLOCK rows; its
+        # capacity doubles as blocks arrive, up to the whole grid's
         self._coef = np.empty((0, 4, f.m))
+        self._n_fitted = 0
         self._lock = threading.Lock()
 
     def _fit(self, blocks):
@@ -354,8 +357,14 @@ class _LineInterpolant:
         # no query reads them
         local = np.minimum((new * _BLOCK - start)[:, None] + np.arange(_BLOCK), width - 2)
         rows = c[:, local, np.arange(len(new))[:, None]]
-        self._slot[new] = len(self._coef) // _BLOCK + np.arange(len(new))
-        self._coef = np.concatenate([self._coef, rows.transpose(1, 2, 0, 3).reshape(-1, 4, m)])
+        used, need = self._n_fitted * _BLOCK, (self._n_fitted + len(new)) * _BLOCK
+        if need > len(self._coef):
+            grown = np.empty((min(max(need, 2 * len(self._coef)), len(self._slot) * _BLOCK), 4, m))
+            grown[:used] = self._coef[:used]
+            self._coef = grown
+        self._coef[used:need] = rows.transpose(1, 2, 0, 3).reshape(-1, 4, m)
+        self._slot[new] = self._n_fitted + np.arange(len(new))
+        self._n_fitted += len(new)
 
     def __call__(self, pts):
         pts = np.atleast_1d(np.asarray(pts, dtype=float))

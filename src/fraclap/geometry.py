@@ -25,6 +25,7 @@ __all__ = [
     "resample",
     "line_integral",
     "gauss_legendre",
+    "rfft_frequencies",
     "save_csv",
     "load_csv",
     "save_binary",
@@ -153,7 +154,8 @@ class Field:
     """Sampled m-component field on a grid. Samples shape (n_points, m).
 
     Immutable by convention: operations return new Fields. The spectrum is the
-    plain FFT of the samples along axis 0, cached after first use.
+    plain FFT of the samples along axis 0 and rfft its real-input half; each
+    is computed on first use, then cached read-only.
     """
 
     def __init__(self, grid, samples, tail=None):
@@ -169,6 +171,7 @@ class Field:
         self.samples.flags.writeable = False
         self.tail = tail
         self._spectrum = None
+        self._rfft = None
 
     @property
     def m(self):
@@ -179,6 +182,12 @@ class Field:
             self._spectrum = np.fft.fft(self.samples, axis=0)
             self._spectrum.flags.writeable = False
         return self._spectrum
+
+    def rfft(self):
+        if self._rfft is None:
+            self._rfft = np.fft.rfft(self.samples, axis=0)
+            self._rfft.flags.writeable = False
+        return self._rfft
 
     def with_samples(self, samples, tail=None):
         return Field(self.grid, samples, tail if tail is not None else self.tail)
@@ -306,6 +315,23 @@ def gauss_legendre(n):
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
+
+
+@lru_cache(maxsize=64)
+def rfft_frequencies(grid):
+    """Nonnegative frequencies of the rfft bins of a field on grid.
+
+    Mode numbers 0..n/2 on the circle, angular frequencies on the line. The
+    last bin is the unpaired Nyquist mode (n is even on both grids). Shared
+    per grid, so the array is read-only.
+    """
+    n = grid.n_points
+    if isinstance(grid, CircleGrid):
+        freq = np.arange(n // 2 + 1, dtype=float)
+    else:
+        freq = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.h)
+    freq.flags.writeable = False
+    return freq
 
 
 # ---------------------------------------------------------------------------

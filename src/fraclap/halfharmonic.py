@@ -3,10 +3,11 @@ gradient flow into a constraining target, and the concentration ("neck")
 experiment for Moebius-composed minimizers.
 
 The canonical experiment domain is the circle; line-side diagnostics go
-through the stereographic transfer.  Targets are described by a field of
-tangent projectors (PlaneDistribution); the unit sphere instance additionally
-carries a retraction (radial renormalization), which is what makes the flow
-available.  For a general projector field only the residual evaluators work.
+through the stereographic transfer.  Targets are described by their
+tangent-plane projections (PlaneDistribution); the unit sphere instance
+additionally carries a retraction (radial renormalization), which is what
+makes the flow available.  For a general target only the residual
+evaluators work.
 """
 
 from __future__ import annotations
@@ -18,53 +19,73 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import norms
-from .geometry import CircleGrid, Field, gauss_legendre
+from .geometry import CircleGrid, Field, gauss_legendre, rfft_frequencies
 
 
 @dataclass(frozen=True)
 class PlaneDistribution:
-    """Projector field z -> P_T(z) on R^m plus a Lipschitz bound.
+    """Tangent-plane field z -> T_z of a target in R^m plus a Lipschitz bound.
 
-    projector must accept points of shape (..., m) and return matrices of
-    shape (..., m, m).  retraction (optional) maps ambient points back onto
-    the target; without it gradient_flow refuses to run.  constraint_distance
-    (optional) gives the pointwise distance to the target and backs the
-    off-target input checks.
+    tangent(z, v) returns P_T(z) v, the projection of v onto the tangent
+    plane at z, for arrays of shape (..., m) that broadcast against each
+    other; it never forms the (..., m, m) matrices.  retraction (optional)
+    maps ambient points back onto the target; without it gradient_flow
+    refuses to run.  constraint_distance (optional) gives the pointwise
+    distance to the target and backs the off-target input checks.
     """
 
-    projector: Callable[[np.ndarray], np.ndarray]
+    tangent: Callable[[np.ndarray, np.ndarray], np.ndarray]
     lipschitz_bound: float
     retraction: Optional[Callable[[np.ndarray], np.ndarray]] = None
     constraint_distance: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
+    def projector(self, z):
+        """Matrices P_T(z) of shape (..., m, m), from tangent applied to the
+        identity columns."""
+        z = np.asarray(z, dtype=float)
+        # row j of the tangent result is P_T(z) e_j, column j of the matrix
+        return np.swapaxes(self.tangent(z[..., None, :], np.eye(z.shape[-1])), -1, -2)
+
+
+def _dot(a, b):
+    """Row dot products over the last axis."""
+    ab = a * b
+    # a product with ones beats numpy's reductions over a short last axis
+    return ab @ np.ones(ab.shape[-1])
+
 
 def sphere_distribution(m: int = 2) -> PlaneDistribution:
-    """Unit sphere in R^m: P_N(z) = z z^T / |z|^2, retraction z / |z|."""
+    """Unit sphere in R^m: P_T(z) v = v - z (z.v) / |z|^2, retraction z / |z|."""
 
-    def projector(z):
+    def tangent(z, v):
         z = np.asarray(z, dtype=float)
-        nrm2 = np.sum(z ** 2, axis=-1)[..., None, None]
-        outer = z[..., :, None] * z[..., None, :]
-        return np.eye(z.shape[-1]) - outer / nrm2
+        v = np.asarray(v, dtype=float)
+        return v - z * (_dot(z, v) / _dot(z, z))[..., None]
 
     def retraction(z):
         z = np.asarray(z, dtype=float)
-        return z / np.linalg.norm(z, axis=-1, keepdims=True)
+        return z / np.sqrt(_dot(z, z))[..., None]
 
     def constraint_distance(z):
         z = np.asarray(z, dtype=float)
-        return np.abs(np.linalg.norm(z, axis=-1) - 1.0)
+        return np.abs(np.sqrt(_dot(z, z)) - 1.0)
 
-    return PlaneDistribution(projector, 2.0, retraction, constraint_distance)
+    return PlaneDistribution(tangent, 2.0, retraction, constraint_distance)
 
 
 @dataclass(frozen=True)
 class FlowState:
+    """One recorded flow state.  backtracks counts the step halvings of the
+    whole run so far; stalled marks a final state whose step fell below
+    1e-14 without an Armijo decrease."""
+
     u: Field
     energy: float
     el_residual_norm: float
     step: float
     iteration: int
+    backtracks: int
+    stalled: bool
 
 
 @dataclass(frozen=True)
@@ -108,33 +129,15 @@ def _check_on_target(u, dist, tol=1e-6):
             "field is off the target by %.3e (tolerance %.0e)" % (worst, tol))
 
 
-def _project_tangent(dist, base, vec):
-    mats = dist.projector(base)
-    return np.einsum("...ij,...j->...i", mats, vec)
-
-
 def _half_laplacian_samples(u):
-    if u.is_circle():
-        n = u.grid.n_points
-        mult = np.abs(np.fft.rfftfreq(n, d=1.0 / n))
-    else:
-        n = u.grid.n_points
-        mult = np.abs(2.0 * np.pi * np.fft.rfftfreq(n, d=u.grid.h))
-    spec = np.fft.rfft(u.samples, axis=0)
-    return np.fft.irfft(mult[:, None] * spec, n=n, axis=0)
+    spec = rfft_frequencies(u.grid)[:, None] * u.rfft()
+    return np.fft.irfft(spec, n=u.grid.n_points, axis=0)
 
 
 def _derivative_samples(u):
-    n = u.grid.n_points
-    if u.is_circle():
-        freq = np.fft.rfftfreq(n, d=1.0 / n)
-    else:
-        freq = 2.0 * np.pi * np.fft.rfftfreq(n, d=u.grid.h)
-    spec = np.fft.rfft(u.samples, axis=0)
-    spec = 1j * freq[:, None] * spec
-    if n % 2 == 0:
-        spec[-1] = 0.0  # the unpaired Nyquist mode has no odd derivative
-    return np.fft.irfft(spec, n=n, axis=0)
+    spec = 1j * rfft_frequencies(u.grid)[:, None] * u.rfft()
+    spec[-1] = 0.0  # the unpaired Nyquist mode (n is even) has no odd derivative
+    return np.fft.irfft(spec, n=u.grid.n_points, axis=0)
 
 
 def el_residual(u: Field, dist: PlaneDistribution) -> Field:
@@ -144,20 +147,19 @@ def el_residual(u: Field, dist: PlaneDistribution) -> Field:
     node norm is the headline residual used by the flow and the experiments.
     """
     _check_on_target(u, dist)
-    tang = _project_tangent(dist, u.samples, _half_laplacian_samples(u))
-    return u.with_samples(tang)
+    return u.with_samples(dist.tangent(u.samples, _half_laplacian_samples(u)))
 
 
 def horizontality_residual(u: Field, dist: PlaneDistribution) -> Field:
     """Normal part of the spectral derivative, P_N(u) u'."""
     _check_on_target(u, dist)
     du = _derivative_samples(u)
-    normal = du - _project_tangent(dist, u.samples, du)
+    normal = du - dist.tangent(u.samples, du)
     return u.with_samples(normal)
 
 
 def _max_node_norm(samples):
-    return float(np.max(np.sqrt(np.sum(samples ** 2, axis=1))))
+    return float(np.sqrt(np.max(_dot(samples, samples))))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +178,17 @@ def gradient_flow(u0: Field, dist: PlaneDistribution, tol: float = 1e-6,
     steps.  The energy is nonincreasing across accepted steps by
     construction.  Returns the recorded states; the last entry is always the
     final state, and non-convergence shows up as el_residual_norm > tol
-    there rather than as an exception.
+    there rather than as an exception, with stalled set when the step size
+    ran out before the residual reached tol.
+
+    Growing the step keeps tau near the largest one the Armijo test
+    accepts, so some of its decisions turn on round-off.  The iteration
+    count therefore depends on the rounding of the energy and the gradient:
+    a change in their floating-point evaluation order, or a perturbation of
+    u0 at 1e-15, moves it by several percent.
+
+    Each candidate costs one rfft (its energy); an accepted candidate reuses
+    that transform for its gradient, which costs one irfft.
     """
     if dist.retraction is None:
         raise ValueError("gradient_flow needs a retraction; this target "
@@ -186,26 +198,27 @@ def gradient_flow(u0: Field, dist: PlaneDistribution, tol: float = 1e-6,
     h = u.grid.h
 
     def tangential_gradient(fld):
-        return _project_tangent(dist, fld.samples, _half_laplacian_samples(fld))
+        return dist.tangent(fld.samples, _half_laplacian_samples(fld))
 
     e = energy(u)
     gt = tangential_gradient(u)
     res = _max_node_norm(gt)
     tau = step0
-    states = [FlowState(u, e, res, tau, 0)]
+    backtracks = 0
+    stalled = False
+    states = [FlowState(u, e, res, tau, 0, backtracks, stalled)]
 
     it = 0
     for it in range(1, max_iter + 1):
         if res <= tol:
             break
         grad_sq = h * float(np.sum(gt ** 2))
-        stalled = False
         while True:
-            cand = dist.retraction(u.samples - tau * gt)
-            cand_field = u.with_samples(cand)
+            cand_field = u.with_samples(dist.retraction(u.samples - tau * gt))
             e_new = energy(cand_field)
             if e_new <= e - armijo * 2.0 * tau * grad_sq:
                 break
+            backtracks += 1
             tau *= 0.5
             if tau < 1e-14:
                 stalled = True  # descent direction exhausted at this precision
@@ -217,9 +230,9 @@ def gradient_flow(u0: Field, dist: PlaneDistribution, tol: float = 1e-6,
         res = _max_node_norm(gt)
         tau = min(tau * step_grow, step_max)
         if it % record_every == 0 or res <= tol:
-            states.append(FlowState(u, e, res, tau, it))
+            states.append(FlowState(u, e, res, tau, it, backtracks, stalled))
     if states[-1].iteration != it:
-        states.append(FlowState(u, e, res, tau, it))
+        states.append(FlowState(u, e, res, tau, it, backtracks, stalled))
     return states
 
 
@@ -228,7 +241,10 @@ def gradient_check(u: Field, dist: PlaneDistribution, w: Optional[Field] = None,
     """Directional-derivative check of the flow's gradient.
 
     Compares the analytic derivative 2 <P_T(u) (-D)^{1/2} u, w> against the
-    centered difference of E(retract(u + eps w)).  Returns (analytic, fd).
+    centered difference (E(u+) - E(u-)) / (2 eps), u+- = retract(u +- eps w).
+    The difference is taken as the bilinear form of u+ - u- with u+ + u-,
+    so it does not lose the digits that two nearby energies share.  Returns
+    (analytic, fd).
     """
     if dist.retraction is None:
         raise ValueError("gradient_check needs a retraction")
@@ -240,16 +256,17 @@ def gradient_check(u: Field, dist: PlaneDistribution, w: Optional[Field] = None,
         spec[1:kmax + 1] = (rng.standard_normal((kmax, u.m))
                             + 1j * rng.standard_normal((kmax, u.m)))
         raw = np.fft.irfft(spec, n=n, axis=0)
-        tang = _project_tangent(dist, u.samples, raw)
+        tang = dist.tangent(u.samples, raw)
         tang /= np.sqrt(u.grid.h * np.sum(tang ** 2))
         w = u.with_samples(tang)
     h = u.grid.h
-    gt = _project_tangent(dist, u.samples, _half_laplacian_samples(u))
+    gt = dist.tangent(u.samples, _half_laplacian_samples(u))
     analytic = 2.0 * h * float(np.sum(gt * w.samples))
-    e_plus = energy(u.with_samples(dist.retraction(u.samples + eps * w.samples)))
-    e_minus = energy(u.with_samples(dist.retraction(u.samples - eps * w.samples)))
-    fd = (e_plus - e_minus) / (2.0 * eps)
-    return analytic, fd
+    plus = dist.retraction(u.samples + eps * w.samples)
+    minus = dist.retraction(u.samples - eps * w.samples)
+    diff = norms.sobolev_half_inner(u.with_samples(plus - minus),
+                                    u.with_samples(plus + minus))
+    return analytic, diff / (2.0 * eps)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,11 @@ gets its Frobenius norm.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .geometry import CircleGrid, Field, LineGrid
+from .geometry import CircleGrid, Field, LineGrid, rfft_frequencies
 
 __all__ = [
     "Region",
@@ -22,6 +23,7 @@ __all__ = [
     "lorentz_21_samples",
     "lorentz_2inf_samples",
     "sobolev_half_seminorm",
+    "sobolev_half_inner",
     "gagliardo_seminorm_sq",
 ]
 
@@ -118,15 +120,39 @@ def lorentz_2inf(f, region=None):
 def sobolev_half_seminorm(f):
     """L2 norm of the quarter-Laplacian image, by the spectral route."""
     if isinstance(f.grid, CircleGrid):
-        n = f.grid.n_points
-        coeffs = f.spectrum() / n
-        k = np.abs(f.grid.mode_numbers())
-        return float(np.sqrt(2.0 * np.pi * np.sum(k[:, None] * np.abs(coeffs) ** 2)))
+        return float(np.sqrt(sobolev_half_inner(f, f)))
     xi = np.abs(f.grid.frequencies())
     spec = f.spectrum()
     n = f.grid.n_points
     # Parseval for the periodized field: h/n sum |xi| |spec|^2
     return float(np.sqrt(f.grid.h / n * np.sum(xi[:, None] * np.abs(spec) ** 2)))
+
+
+@lru_cache(maxsize=64)
+def _rfft_weights(grid):
+    # Parseval on the rfft: each bin 0 < k < n/2 stands for the pair +-k,
+    # bin 0 and the Nyquist bin for themselves
+    n = grid.n_points
+    scale = 2.0 * np.pi / n ** 2 if isinstance(grid, CircleGrid) else grid.h / n
+    w = 2.0 * scale * rfft_frequencies(grid)
+    w[-1] *= 0.5
+    w.flags.writeable = False
+    return w
+
+
+def sobolev_half_inner(f, g):
+    """Symmetric bilinear form with sobolev_half_inner(f, f) equal to the
+    squared seminorm, sum |xi| Re(F conj G) over the periodized spectra.
+
+    Being symmetric, it gives E(a) - E(b) = sobolev_half_inner(a - b, a + b);
+    evaluated that way, the difference of two nearby energies keeps its
+    relative precision instead of cancelling.
+    """
+    if f.grid != g.grid:
+        raise ValueError("fields live on different grids")
+    a, b = f.rfft(), g.rfft()
+    w = _rfft_weights(f.grid)
+    return float(np.sum(w @ (a.real * b.real + a.imag * b.imag)))
 
 
 def gagliardo_seminorm_sq(f, subsample=1):

@@ -170,6 +170,26 @@ def test_flow_default_recipe(capsys):
     assert res["el_residual"] <= 1e-5
 
 
+def test_flow_health_goes_to_meta(capsys):
+    code, out, _ = _run(capsys, ["flow", "--n-modes", "16", "--tol", "1e-20"])
+    assert code == 1  # flow-converged fails
+    rep = _report(out)
+    assert rep["meta"]["stalled"] is True
+    assert rep["meta"]["backtracks"] > 0
+    assert not {"stalled", "backtracks"} & set(rep["results"])
+    code, out, _ = _run(capsys, ["flow", "--n-modes", "16"])
+    assert code == 0 and _report(out)["meta"]["stalled"] is False
+
+
+def test_flow_gradient_check_on_a_tiny_derivative(capsys):
+    # the analytic derivative is 1.2e-5 here; two energies differenced
+    # directly lose about 1e-5 of it, relative, to cancellation
+    code, out, _ = _run(capsys, ["flow", "--n-modes", "128", "--perturbation", "0.2",
+                                 "--seed", "339994981"])
+    assert code == 0
+    assert _report(out)["results"]["gradient_fd_rel"] <= 1e-5
+
+
 def test_flow_initial_field_roundtrip(tmp_path, capsys):
     path = tmp_path / "u0.csv"
     save_csv(field_from_function(CircleGrid(32),

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fraclap.geometry import (CircleGrid, Field, LineGrid, TailModel,
                               even_part, field_from_function, gauss_legendre,
                               line_integral, load_binary, load_csv, odd_part,
-                              resample, save_binary, save_csv)
+                              resample, rfft_frequencies, save_binary, save_csv)
 
 
 def test_line_grid_nodes_symmetric():
@@ -78,6 +78,18 @@ def test_field_validation():
     f = Field(g, np.ones(16))
     with pytest.raises(ValueError):
         f.samples[0] = 2.0  # fields are read-only
+
+
+def test_field_rfft_cached_read_only():
+    f = field_from_function(CircleGrid(8), lambda t: np.stack([np.cos(t), np.sin(2 * t)]))
+    spec = f.rfft()
+    assert spec is f.rfft()
+    assert not spec.flags.writeable
+    assert np.array_equal(spec, np.fft.rfft(f.samples, axis=0))
+    assert np.array_equal(rfft_frequencies(CircleGrid(8)), np.arange(9.0))
+    line = LineGrid(2.0, 16)
+    assert np.allclose(rfft_frequencies(line), np.abs(line.frequencies()[:9]), rtol=1e-15)
+    assert not rfft_frequencies(line).flags.writeable
 
 
 def test_field_arithmetic_and_parts():

@@ -1,11 +1,14 @@
 """Constrained gradient flow, Moebius composition, neck diagnostics."""
 
+import collections
+
 import numpy as np
 import pytest
 
 from fraclap.geometry import CircleGrid, LineGrid, field_from_function
-from fraclap.halfharmonic import (bubbling_experiment, el_residual, energy,
-                                  gradient_check, gradient_flow,
+from fraclap.halfharmonic import (PlaneDistribution, bubbling_experiment,
+                                  el_residual, energy, gradient_check,
+                                  gradient_flow, horizontality_residual,
                                   mobius_compose, sphere_distribution)
 
 
@@ -38,6 +41,20 @@ def test_sphere_distribution_operations():
     assert np.max(np.abs(radial)) < 1e-14
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_sphere_tangent_is_the_projector(m):
+    d = sphere_distribution(m)
+    rng = np.random.default_rng(m)
+    z = d.retraction(rng.standard_normal((64, m)))
+    v = rng.uniform(-1.0, 1.0, (64, m))
+    p = d.projector(z)
+    assert p.shape == (64, m, m)
+    assert np.max(np.abs(d.tangent(z, v) - np.einsum("nij,nj->ni", p, v))) <= 1e-15
+    assert np.max(np.abs(np.einsum("nij,nj->ni", p, z))) <= 1e-15
+    # off the target the projection still uses the direction of z only
+    assert np.max(np.abs(d.tangent(3.0 * z, v) - d.tangent(z, v))) <= 1e-15
+
+
 def test_energy_of_degree_maps():
     g = CircleGrid(64)
     assert np.isclose(energy(_identity_map(g)), 2 * np.pi, rtol=1e-12)
@@ -49,6 +66,19 @@ def test_identity_is_critical():
     g = CircleGrid(64)
     res = el_residual(_identity_map(g), sphere_distribution(2))
     assert np.max(np.abs(res.samples)) < 1e-12
+
+
+def test_horizontality_residual_is_the_normal_derivative():
+    g = CircleGrid(64)
+    u = _identity_map(g)
+    # maps into the sphere have tangent derivatives: the normal part is round-off
+    sphere_res = horizontality_residual(u, sphere_distribution(2)).samples
+    assert np.max(np.abs(sphere_res)) < 1e-12
+    # against the x-axis as target, the normal part of u' = (-sin, cos) is (0, cos)
+    axis = PlaneDistribution(lambda z, v: v * np.array([1.0, 0.0]), 0.0)
+    res = horizontality_residual(u, axis).samples
+    want = np.stack([np.zeros(g.n_points), np.cos(g.nodes())], axis=1)
+    assert np.max(np.abs(res - want)) < 1e-12
 
 
 def test_flow_relaxes_to_identity_energy():
@@ -64,6 +94,42 @@ def test_flow_relaxes_to_identity_energy():
     assert np.max(np.abs(norms_final - 1.0)) < 1e-12
     iters = [s.iteration for s in states]
     assert iters == sorted(iters) and iters[0] == 0
+    assert not final.stalled
+
+
+def test_flow_reports_a_stall():
+    # no residual reaches 1e-20: the step size runs out first
+    states = gradient_flow(_perturbed_identity(CircleGrid(n_modes=16)),
+                           sphere_distribution(2), tol=1e-20)
+    final = states[-1]
+    assert final.stalled and final.step < 1e-14
+    assert final.el_residual_norm > 1e-20 and final.iteration < 20000
+    assert not any(s.stalled for s in states[:-1])
+    counts = [s.backtracks for s in states]
+    assert counts == sorted(counts) and counts[-1] > 0
+
+
+def test_flow_step_costs_one_fft_pair(monkeypatch):
+    u0 = _perturbed_identity(CircleGrid(n_modes=64), amp=0.2, seed=3)
+    calls = collections.Counter()
+
+    def counted(name):
+        fn = getattr(np.fft, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(name))
+    final = gradient_flow(u0, sphere_distribution(2), tol=1e-12, max_iter=60)[-1]
+    assert final.iteration == 60 and not final.stalled and final.backtracks > 0
+    # every candidate, accepted or not, costs the rfft of its energy; an
+    # accepted one (and the start) reuses it and adds the gradient's irfft
+    assert calls["rfft"] == 1 + final.iteration + final.backtracks
+    assert calls["irfft"] == 1 + final.iteration
+    assert calls["fft"] == calls["ifft"] == 0
 
 
 def test_flow_rejects_off_target_start():

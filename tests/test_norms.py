@@ -9,7 +9,7 @@ from fraclap.geometry import (CircleGrid, LineGrid, TailModel, Field,
 from fraclap.norms import (Region, gagliardo_seminorm_sq, lorentz_21,
                            lorentz_21_samples, lorentz_2inf,
                            lorentz_2inf_samples, lp_norm,
-                           sobolev_half_seminorm)
+                           sobolev_half_inner, sobolev_half_seminorm)
 
 
 def _indicator(grid, half):
@@ -104,6 +104,37 @@ def test_sobolev_half_circle_single_mode():
     for k in (1, 4, 9):
         f = field_from_function(g, lambda t: np.cos(k * t))
         assert np.isclose(sobolev_half_seminorm(f), np.sqrt(np.pi * k), rtol=1e-12)
+
+
+def test_sobolev_half_circle_matches_complex_fft_formula():
+    # the rfft route against 2 pi sum_k |k| |c_k|^2 over the full spectrum,
+    # where the Nyquist mode appears once
+    g = CircleGrid(32)
+    n = g.n_points
+    rng = np.random.default_rng(11)
+    nyquist = (-1.0) ** np.arange(n)  # cos(n/2 t) at the nodes, energy pi n
+    cases = [Field(g, rng.standard_normal((n, m))) for m in (1, 2, 3)]
+    cases.append(Field(g, np.stack([nyquist, np.cos(3 * g.nodes())], axis=1)))
+    for f in cases:
+        c = np.fft.fft(f.samples, axis=0) / n
+        k = np.abs(np.fft.fftfreq(n, d=1.0 / n))
+        ref = np.sqrt(2 * np.pi * np.sum(k[:, None] * np.abs(c) ** 2))
+        assert abs(sobolev_half_seminorm(f) - ref) <= 1e-14 * ref
+    assert np.isclose(sobolev_half_seminorm(Field(g, nyquist)), np.sqrt(np.pi * n),
+                      rtol=1e-14)
+
+
+@pytest.mark.parametrize("grid", [CircleGrid(32), LineGrid(20.0, 128)])
+def test_sobolev_half_inner_polarizes_the_energy(grid):
+    rng = np.random.default_rng(4)
+    a = Field(grid, rng.standard_normal((grid.n_points, 2)))
+    b = Field(grid, rng.standard_normal((grid.n_points, 2)))
+    ea, eb = sobolev_half_seminorm(a) ** 2, sobolev_half_seminorm(b) ** 2
+    assert np.isclose(sobolev_half_inner(a, a), ea, rtol=1e-13)
+    assert sobolev_half_inner(a, b) == pytest.approx(sobolev_half_inner(b, a), rel=1e-14)
+    assert np.isclose(sobolev_half_inner(a - b, a + b), ea - eb, rtol=1e-12)
+    with pytest.raises(ValueError):
+        sobolev_half_inner(a, Field(CircleGrid(8), np.zeros(16)))
 
 
 def test_sobolev_half_shift_invariant_on_line():
