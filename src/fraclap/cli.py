@@ -35,13 +35,11 @@ from . import fracops
 from . import halfharmonic
 from . import norms
 from . import pohozaev
-from . import stereo
 from .acceptance import CheckResult
 from .geometry import (
     CircleGrid,
     Field,
     LineGrid,
-    TailModel,
     load_binary,
     load_csv,
 )
@@ -173,23 +171,6 @@ def _require(condition: bool, message: str):
         raise ConfigError(message)
 
 
-def _identity_map(grid: CircleGrid) -> Field:
-    th = grid.nodes()
-    return Field(grid, np.stack([np.cos(th), np.sin(th)], axis=1))
-
-
-def _perturbed_identity(grid: CircleGrid, amplitude: float, seed: int) -> Field:
-    th = grid.nodes()
-    rng = np.random.default_rng(seed)
-    bump = sum(rng.normal() * np.cos(m * th + rng.uniform(0.0, 2.0 * np.pi))
-               for m in range(1, 6))
-    bump = amplitude * bump / np.max(np.abs(bump))
-    tangent = np.stack([-np.sin(th), np.cos(th)], axis=1)
-    raw = np.stack([np.cos(th), np.sin(th)], axis=1) + bump[:, None] * tangent
-    raw /= np.linalg.norm(raw, axis=1)[:, None]
-    return Field(grid, raw)
-
-
 def _check(check_id, passed, value, target, expect_pass=True, note="", details=None):
     return CheckResult(check_id, bool(passed), float(value), target,
                        expect_pass=expect_pass, note=note, details=details or {})
@@ -257,17 +238,9 @@ def _run_norms(opts, ctx):
         _require(inner > 0.0, "norms: inner radius must be positive")
         _require(all(r > inner for r in outers),
                  "norms: every outer radius must exceed the inner radius")
-        grid = LineGrid(2000.0, 1 << 17)
-        _require(max(outers) <= grid.half_width,
+        _require(max(outers) <= 2000.0,
                  "norms: outer radius beyond the pinned grid half-width 2000")
-        x = grid.nodes()
-        f = Field(grid, (np.abs(x) ** -0.5)[:, None])
-        table = []
-        for big_r in outers:
-            region = norms.Region.annulus(grid, 0.0, inner, big_r)
-            table.append((inner, big_r, norms.lp_norm(f, 2.0, region),
-                          norms.lorentz_21(f, region), norms.lorentz_2inf(f, region),
-                          float(np.sqrt(2.0 * np.log(big_r / inner)))))
+        table = acceptance.inverse_sqrt_annuli(inner, outers)
         header = ("inner", "outer", "l2", "l21", "l2inf", "sqrt_2_log_ratio")
         rows = np.array(table)
         payload = {"profile": "inverse-sqrt", "inner": inner,
@@ -307,16 +280,15 @@ def _run_pohozaev(opts, ctx):
         grid = CircleGrid(n_modes=512)
         th = grid.nodes()
         if preset == "identity-map":
-            u = _identity_map(grid)
+            u = halfharmonic.identity_map(grid)
         elif preset == "degree-2":
             u = Field(grid, np.stack([np.cos(2 * th), np.sin(2 * th)], axis=1))
         else:
             a = opts["a"]
             _require(-1.0 < a < 1.0, "pohozaev: mobius parameter needs |a| < 1")
-            u = halfharmonic.mobius_compose(_identity_map(grid), a)
+            u = halfharmonic.mobius_compose(halfharmonic.identity_map(grid), a)
         rep = pohozaev.residual_circle(u)
-        gap = abs(float(np.linalg.norm(rep.u_plus)) - float(np.linalg.norm(rep.u_minus)))
-        dot = abs(float(np.dot(rep.u_plus, rep.u_minus)))
+        gap, dot = acceptance.moment_balance(rep)
         payload = {"geometry": "circle", "preset": preset,
                    "u_plus": [float(v) for v in rep.u_plus],
                    "u_minus": [float(v) for v in rep.u_minus],
@@ -335,16 +307,7 @@ def _run_pohozaev(opts, ctx):
         t_values = opts["t_values"]
         _require(t_values and all(t > 0 for t in t_values),
                  "pohozaev: t-values must be positive")
-        grid = LineGrid(400.0, 1 << 15)
-        tail = TailModel(1.0, np.array([0.0, -1.0]), np.array([0.0, -1.0]),
-                         np.array([2.0, 0.0]), np.array([-2.0, 0.0]))
-        u = Field(grid, stereo.unproject(grid.nodes()), tail=tail)
-        rep = pohozaev.residual_line(u, t_values)
-        tv = np.asarray(rep.t_values)
-        target = 4.0 * np.pi ** 2 / (tv + 1.0) ** 4
-        lhs, rhs = np.asarray(rep.lhs), np.asarray(rep.rhs)
-        rel = max(float(np.max(np.abs(lhs - target) / target)),
-                  float(np.max(np.abs(rhs - target) / target)))
+        tv, lhs, rhs, target, rel = acceptance.pohozaev_line(t_values)
         payload = {"geometry": "line", "preset": preset,
                    "t_values": [float(t) for t in tv],
                    "lhs": [float(v) for v in lhs], "rhs": [float(v) for v in rhs],
@@ -356,18 +319,12 @@ def _run_pohozaev(opts, ctx):
         rows = np.column_stack([tv, lhs, rhs, target, lhs - rhs])
         return payload, checks, (header, rows)
 
-    _require(preset in ("identity-map", "z2"),
-             "pohozaev: plane presets are identity-map, z2")
+    _require(preset in acceptance.PLANE_PRESETS,
+             "pohozaev: plane presets are " + ", ".join(acceptance.PLANE_PRESETS))
     t_values = opts["t_values"]
     _require(t_values and all(t > 0 for t in t_values),
              "pohozaev: t-values must be positive")
-    if preset == "identity-map":
-        fn = lambda X, Y: np.stack([X, Y], axis=-1)                 # noqa: E731
-    else:
-        fn = lambda X, Y: np.stack([X * X - Y * Y, 2 * X * Y], axis=-1)  # noqa: E731
-    u = pohozaev.plane_field_from_function(8.0, 512, fn)
-    rep = pohozaev.residual_plane(u, (0.0, 0.0), t_values)
-    rel = float(np.max(rep.relative_residual()))
+    rep, rel = acceptance.pohozaev_plane(preset, t_values)
     lhs, rhs = np.asarray(rep.lhs), np.asarray(rep.rhs)
     payload = {"geometry": "plane", "preset": preset,
                "t_values": [float(t) for t in t_values],
@@ -387,39 +344,18 @@ def _run_pohozaev(opts, ctx):
 def _run_stereo(opts, ctx):
     arc = opts["arc_halfwidth"]
     _require(0.0 < arc < 1.5, "stereo: arc-halfwidth must sit in (0, 1.5)")
-    circle = CircleGrid(n_modes=2048)
-    grid = LineGrid(10000.0, 1 << 20)
-    x = grid.nodes()
-
     if opts["case"] == "closed-form":
-        u = Field(grid, (1.0 / (1.0 + x * x))[:, None], tail=TailModel.even(2.0, 1.0))
-        th = circle.nodes()
-        th_wrapped = np.mod(th + np.pi, 2.0 * np.pi) - np.pi
-        keep = np.abs(th_wrapped + np.pi / 2.0) >= arc
-        v = stereo.pushforward(u, circle_grid=circle)
-        lhs = fracops.frac_laplacian_circle(v, 0.5).samples[:, 0]
-        w = fracops.frac_laplacian_line_spectral(u, 0.5)
-        interp = fracops.line_interpolant(w)
-        xs = np.cos(th[keep]) / (1.0 + np.sin(th[keep]))
-        rhs = interp(xs)[:, 0] / (1.0 + np.sin(th[keep]))
-        target = np.sin(th[keep]) / 2.0
-        worst = max(float(np.max(np.abs(lhs[keep] - target))),
-                    float(np.max(np.abs(rhs - target))))
+        th, lhs, rhs, target, worst = acceptance.stereo_closed_form(arc)
         payload = {"case": "closed-form", "arc_halfwidth": arc,
                    "max_abs_error": worst,
-                   "n_points_checked": int(np.count_nonzero(keep))}
+                   "n_points_checked": int(th.size)}
         checks = [_check("stereo-closed-form", worst <= 1e-6, worst,
                          "both routes equal sin(t)/2 within 1e-6 outside the arc")]
         header = ("theta", "circle_route", "line_route", "target")
-        rows = np.column_stack([th[keep], lhs[keep], rhs, target])
+        rows = np.column_stack([th, lhs, rhs, target])
         return payload, checks, (header, rows)
 
-    rng = np.random.default_rng(ctx.seed)
-    coef = rng.normal(size=5)
-    centers = rng.uniform(-3.0, 3.0, size=5)
-    vals = sum(c / (1.0 + (x - a) ** 2) for c, a in zip(coef, centers))
-    u = Field(grid, vals[:, None], tail=TailModel.even(2.0, float(np.sum(coef))))
-    rep = stereo.transfer_identity_check(u, arc_halfwidth=arc, circle_grid=circle)
+    rep = acceptance.stereo_random(ctx.seed, arc)
     worst = float(rep["max_abs_residual"])
     payload = {"case": "random", "arc_halfwidth": arc,
                "max_abs_residual": worst,
@@ -450,7 +386,6 @@ def _run_flow(opts, ctx):
     tol, max_iter = opts["tol"], opts["max_iter"]
     _require(tol > 0.0, "flow: tol must be positive")
     _require(max_iter >= 1, "flow: max-iter must be at least 1")
-    dist = halfharmonic.sphere_distribution(2)
 
     default_recipe = not opts["initial"]
     if default_recipe:
@@ -458,7 +393,7 @@ def _run_flow(opts, ctx):
         _require(0.0 < amp <= 0.5, "flow: perturbation must sit in (0, 0.5]")
         n_modes = opts["n_modes"]
         _require(n_modes >= 8, "flow: n-modes must be at least 8")
-        u0 = _perturbed_identity(CircleGrid(n_modes=n_modes), amp, ctx.seed)
+        u0 = halfharmonic.perturbed_identity(CircleGrid(n_modes=n_modes), amp, ctx.seed)
     else:
         u0 = _load_field(opts["initial"])
         _require(u0.is_circle() and u0.m == 2,
@@ -468,12 +403,11 @@ def _run_flow(opts, ctx):
                  "flow: the initial field must take values on the unit circle "
                  "(max |u|-1 gap %.2e)" % off)
 
-    states = halfharmonic.gradient_flow(u0, dist, tol=tol, max_iter=max_iter)
+    fd_check = default_recipe and opts["perturbation"] <= 0.2
+    states, violations, energy_gap, grad_rel = acceptance.flow_experiment(
+        u0, tol, max_iter, fd_check)
     last = states[-1]
     ctx.meta.update(stalled=last.stalled, backtracks=last.backtracks)
-    energies = np.array([s.energy for s in states])
-    violations = int(np.sum(np.diff(energies) > 0.0))
-    energy_gap = abs(last.energy - 2.0 * np.pi)
 
     payload = {"iterations": int(last.iteration),
                "final_energy": float(last.energy),
@@ -488,9 +422,7 @@ def _run_flow(opts, ctx):
         _check("flow-converged", last.el_residual_norm <= tol,
                last.el_residual_norm, "final residual <= tol"),
     ]
-    if default_recipe and opts["perturbation"] <= 0.2:
-        analytic, fd = halfharmonic.gradient_check(u0, dist)
-        grad_rel = abs(analytic - fd) / abs(analytic)
+    if fd_check:
         payload["gradient_fd_rel"] = float(grad_rel)
         checks.append(_check("flow-energy-target", energy_gap <= 1e-4, energy_gap,
                              "final energy within 1e-4 of 2 pi"))
@@ -515,15 +447,7 @@ def _run_bubble(opts, ctx):
     n_modes = opts["n_modes"]
     _require(n_modes >= 8, "bubble: n-modes must be at least 8")
 
-    u = _identity_map(CircleGrid(n_modes=n_modes))
-    a_values = [1.0 - 10.0 ** -k for k in range(1, k_max + 1)]
-
-    def one(a):
-        return halfharmonic.bubbling_experiment(u, [a], lam=lam, big_r=big_r)[0]
-
-    with ThreadPoolExecutor(max_workers=ctx.threads) as pool:
-        reports = list(pool.map(one, a_values))
-
+    reports = acceptance.bubbling_reports(n_modes, k_max, lam, big_r, ctx.threads)
     entries = []
     table = []
     for rep in reports:
@@ -542,14 +466,12 @@ def _run_bubble(opts, ctx):
     checks = []
     sups = [e["dyadic_sup"] for e in entries]
     if lam == 2.0 and big_r == 2.0 and len(sups) >= 2 and all(s is not None for s in sups):
-        monotone = bool(np.all(np.diff(np.array(sups)) < 0.0))
-        checks.append(_check("bubble-monotone", monotone, sups[-1],
-                             "dyadic sup strictly decreasing in k"))
+        checks.append(_check("bubble-monotone", acceptance.strictly_decreasing(sups),
+                             sups[-1], "dyadic sup strictly decreasing in k"))
         exps = [e["fit_exponent"] for e in entries if e["fit_exponent"] is not None]
         if exps:
-            inside = all(abs(e - 0.5) <= 0.15 for e in exps)
             checks.append(_check(
-                "bubble-exponent", inside, exps[-1],
+                "bubble-exponent", acceptance.neck_exponents_ok(exps), exps[-1],
                 "fitted neck exponent within 0.5 +- 0.15", expect_pass=False,
                 note="gate-passing annuli are the far field of a single "
                      "bubble (exponent 3/2); see the selftest notes"))
@@ -604,32 +526,30 @@ def _run_counterexample(opts, ctx):
     slope_u = reports[0].decay_slope_u
     slope_v = reports[0].decay_slope_v
     checks = [
-        _check("counterexample-decay-u", abs(slope_u + 1.5) <= 0.05, slope_u,
+        _check("counterexample-decay-u", acceptance.decay_u_ok(slope_u), slope_u,
                "u potential log-log slope within -1.5 +- 0.05 on [10, 1e3]"),
-        _check("counterexample-decay-v", abs(slope_v + 1.25) <= 0.05, slope_v,
+        _check("counterexample-decay-v", acceptance.decay_v_ok(slope_v), slope_v,
                "v potential log-log slope within -1.25 +- 0.05 on [10, 1e3]",
                expect_pass=False,
                note="sign change near t = 10 plus a t^(-1/4) transient; the "
                     "selftest pins the asymptotic constant instead"),
     ]
-    windows = [(r.n, r.u_n_window_l2) for r in reports if r.n >= 100]
+    windows = [r.u_n_window_l2 for r in reports if r.n >= 100]
     if windows:
-        worst = max(w for _, w in windows)
-        ok = all(1.0 <= w <= 1.3 for _, w in windows)
-        checks.append(_check("counterexample-window", ok, worst,
-                             "window norms in [1, 1.3] for n >= 100"))
+        checks.append(_check("counterexample-window", acceptance.window_ok(windows),
+                             max(windows), "window norms in [1, 1.3] for n >= 100"))
     n_top = max(n for n, _ in feasible)
     ladder = sorted(r for n, r in feasible if n == n_top)
     if len(ladder) >= 3:
         neck = [next(rep.neck_l2_omega for rep in reports
                      if rep.n == n_top and rep.big_r == r) for r in ladder]
-        slope = float(np.polyfit(np.log(ladder), np.log(neck), 1)[0])
+        slope = acceptance.neck_slope(ladder, neck)
         payload["neck_slope"] = slope
         # the -1/4 power law is asymptotic in n; at small n the logarithmic
         # corrections dominate the fit, so only assert it in its regime
         if n_top >= 1_000_000:
             checks.append(_check("counterexample-neck-slope",
-                                 abs(slope + 0.25) <= 0.1, slope,
+                                 acceptance.neck_slope_ok(slope), slope,
                                  "neck L2 log-log slope within -0.25 +- 0.1 "
                                  "at the largest n"))
     return payload, checks, (header, rows)

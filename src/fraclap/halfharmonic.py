@@ -73,6 +73,26 @@ def sphere_distribution(m: int = 2) -> PlaneDistribution:
     return PlaneDistribution(tangent, 2.0, retraction, constraint_distance)
 
 
+def identity_map(grid: CircleGrid) -> Field:
+    """The identity of the unit circle, theta -> (cos theta, sin theta)."""
+    th = grid.nodes()
+    return Field(grid, np.stack([np.cos(th), np.sin(th)], axis=1))
+
+
+def perturbed_identity(grid: CircleGrid, amplitude: float, seed: int) -> Field:
+    """The identity moved along its tangent by a seeded sum of modes 1..5 with
+    peak `amplitude`, then renormalized onto the unit circle."""
+    th = grid.nodes()
+    rng = np.random.default_rng(seed)
+    bump = sum(rng.normal() * np.cos(m * th + rng.uniform(0.0, 2.0 * np.pi))
+               for m in range(1, 6))
+    bump = amplitude * bump / np.max(np.abs(bump))
+    tangent = np.stack([-np.sin(th), np.cos(th)], axis=1)
+    raw = np.stack([np.cos(th), np.sin(th)], axis=1) + bump[:, None] * tangent
+    raw /= np.linalg.norm(raw, axis=1)[:, None]
+    return Field(grid, raw)
+
+
 @dataclass(frozen=True)
 class FlowState:
     """One recorded flow state.  backtracks counts the step halvings of the

@@ -79,12 +79,6 @@ def lp_norm(f, p, region=None):
     return float((h * np.sum(mag ** p)) ** (1.0 / p))
 
 
-def _decreasing_rearrangement(mag):
-    # stable sort on negated magnitudes keeps node order among ties
-    order = np.argsort(-mag, kind="stable")
-    return mag[order]
-
-
 def lorentz_21_samples(values, weights):
     """L^(2,1) from magnitudes with attached measures (layer-cake sum)."""
     values = np.asarray(values, dtype=float)

@@ -7,9 +7,11 @@ direction is caught. The analyses live in the check notes in
 fraclap.acceptance and the per-check details.
 """
 
+import json
+
 import pytest
 
-from fraclap import acceptance
+from fraclap import acceptance, cli, fracops
 
 _CACHE = {}
 
@@ -132,3 +134,51 @@ def test_run_all_summary():
     assert len(results) == len(acceptance.CHECKS)
     mismatched = [r.check_id for r in results if not r.ok]
     assert mismatched == []
+
+
+# The CLI runners and the checks share their experiments: a runner at the
+# check's pinned values reports the check's numbers.
+
+
+def _cli_results(capsys, *argv):
+    assert cli.main(list(argv) + ["--threads", "1"]) == 0
+    return json.loads(capsys.readouterr().out)["results"]
+
+
+def test_flow_cli_matches_check_10(capsys):
+    res = _cli_results(capsys, "flow", "--seed", "7")
+    details = _result("10-flow-convergence").details
+    assert res["el_residual"] == details["el_residual"]
+    assert res["iterations"] == details["iterations"]
+    assert res["gradient_fd_rel"] == details["gradient_rel"]
+
+
+def test_pohozaev_line_cli_matches_check_05(capsys):
+    res = _cli_results(capsys, "pohozaev", "--geometry", "line")
+    assert res["max_relative_error"] == _result("05-pohozaev-line").value
+
+
+def test_bubble_cli_matches_check_12a(capsys):
+    sups = [e["dyadic_sup"] for e in _cli_results(capsys, "bubble")["entries"]]
+    assert sups == list(_result("12a-bubbling-monotone").details.values())
+
+
+def test_counterexample_cli_matches_check_13d(capsys):
+    res = _cli_results(capsys, "counterexample")
+    assert res["neck_slope"] == _result("13d-counterexample-window").details["neck_slope"]
+
+
+def test_inverse_quarter_pair_is_built_once(monkeypatch):
+    calls = []
+    transform = fracops.inverse_quarter_laplacian
+
+    def counted(f):
+        calls.append(1)
+        return transform(f)
+
+    monkeypatch.setattr(fracops, "inverse_quarter_laplacian", counted)
+    acceptance._inverse_quarter_pair.cache_clear()
+    checks = dict(acceptance.CHECKS)
+    checks["04a-inverse-quarter-kernels"]()
+    checks["04b-inverse-quarter-ratio"]()
+    assert len(calls) == 2
