@@ -32,6 +32,14 @@ __all__ = ["CheckResult", "CHECKS", "run_all", "format_line"]
 
 # The experiments and gates below are shared with the CLI runners. They call
 # library functions through the module attribute, so a patched one sees them.
+# The runners also share these bounds of checks 05-08 and 10.
+POHOZAEV_LINE_TOL = 1e-3
+POHOZAEV_CIRCLE_TOL = 1e-10
+POHOZAEV_PLANE_TOL = 1e-4
+STEREO_CLOSED_FORM_TOL = 1e-6
+STEREO_TWO_ROUTE_TOL = 1e-3
+FLOW_ENERGY_TOL = 1e-4
+FLOW_GRADIENT_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -214,7 +222,7 @@ def pohozaev_line(t_values):
 def check_pohozaev_line() -> CheckResult:
     tv, _, _, _, rel = pohozaev_line((0.5, 1.0, 2.0, 5.0))
     return CheckResult(
-        "05-pohozaev-line", rel <= 1e-3, rel,
+        "05-pohozaev-line", rel <= POHOZAEV_LINE_TOL, rel,
         "both sides match 4 pi^2/(t+1)^4 within 1e-3, t in {0.5,1,2,5}",
         details={"t_values": list(tv)})
 
@@ -240,7 +248,7 @@ def check_pohozaev_circle() -> CheckResult:
     for u in [ident] + [halfharmonic.mobius_compose(ident, a) for a in (0.3, 0.6, 0.9)]:
         worst = max(worst, *moment_balance(pohozaev.residual_circle(u)))
     return CheckResult(
-        "06-pohozaev-circle", worst <= 1e-10, worst,
+        "06-pohozaev-circle", worst <= POHOZAEV_CIRCLE_TOL, worst,
         "moments (1/2,0),(0,1/2); norm gap and dot <= 1e-10, also composed",
         details={"identity_moment_gap": moment_gap})
 
@@ -267,7 +275,7 @@ def check_pohozaev_plane() -> CheckResult:
     for preset in PLANE_PRESETS:
         worst = max(worst, pohozaev_plane(preset, (1.0,))[1])
     return CheckResult(
-        "07-pohozaev-plane", worst <= 1e-4, worst,
+        "07-pohozaev-plane", worst <= POHOZAEV_PLANE_TOL, worst,
         "relative residual <= 1e-4 for identity and z^2 at t=1, 512^2")
 
 
@@ -314,7 +322,7 @@ def check_stereo_transfer() -> CheckResult:
     closed = stereo_closed_form(0.2)[-1]
     random_gap = float(stereo_random(11, 0.2)["max_abs_residual"])
 
-    passed = closed <= 1e-6 and random_gap <= 1e-3
+    passed = closed <= STEREO_CLOSED_FORM_TOL and random_gap <= STEREO_TWO_ROUTE_TOL
     return CheckResult(
         "08-stereo-transfer", passed, max(closed, random_gap),
         "closed form vs sin(t)/2 <= 1e-6; random smooth two-route <= 1e-3",
@@ -373,8 +381,8 @@ def check_flow_convergence() -> CheckResult:
     states, violations, energy_gap, grad_rel = flow_experiment(u0, 1e-6, 20000, True)
     last = states[-1]
 
-    passed = (energy_gap <= 1e-4 and last.el_residual_norm <= 1e-6
-              and violations == 0 and grad_rel <= 1e-5)
+    passed = (energy_gap <= FLOW_ENERGY_TOL and last.el_residual_norm <= 1e-6
+              and violations == 0 and grad_rel <= FLOW_GRADIENT_TOL)
     return CheckResult(
         "10-flow-convergence", passed, max(energy_gap, last.el_residual_norm),
         "energy 2 pi +- 1e-4; residual <= 1e-6; monotone; gradient fd <= 1e-5",

@@ -295,7 +295,8 @@ def _run_pohozaev(opts, ctx):
                    "moment_gap": gap, "moment_dot": dot}
         if preset == "mobius":
             payload["a"] = opts["a"]
-        checks = [_check("pohozaev-circle-residual", gap <= 1e-10 and dot <= 1e-10,
+        tol = acceptance.POHOZAEV_CIRCLE_TOL
+        checks = [_check("pohozaev-circle-residual", gap <= tol and dot <= tol,
                          max(gap, dot), "moment norm gap and dot product <= 1e-10")]
         header = ("component", "u_plus", "u_minus")
         rows = np.array([(j, rep.u_plus[j], rep.u_minus[j]) for j in range(2)])
@@ -313,7 +314,7 @@ def _run_pohozaev(opts, ctx):
                    "lhs": [float(v) for v in lhs], "rhs": [float(v) for v in rhs],
                    "closed_form": [float(v) for v in target],
                    "max_relative_error": rel}
-        checks = [_check("pohozaev-line-closed-form", rel <= 1e-3, rel,
+        checks = [_check("pohozaev-line-closed-form", rel <= acceptance.POHOZAEV_LINE_TOL, rel,
                          "both sides match 4 pi^2/(t+1)^4 within 1e-3")]
         header = ("t", "lhs", "rhs", "closed_form", "residual")
         rows = np.column_stack([tv, lhs, rhs, target, lhs - rhs])
@@ -330,7 +331,7 @@ def _run_pohozaev(opts, ctx):
                "t_values": [float(t) for t in t_values],
                "lhs": [float(v) for v in lhs], "rhs": [float(v) for v in rhs],
                "max_relative_residual": rel}
-    checks = [_check("pohozaev-plane-residual", rel <= 1e-4, rel,
+    checks = [_check("pohozaev-plane-residual", rel <= acceptance.POHOZAEV_PLANE_TOL, rel,
                      "relative residual <= 1e-4")]
     header = ("t", "lhs", "rhs", "residual")
     rows = np.column_stack([np.asarray(t_values), lhs, rhs, lhs - rhs])
@@ -349,7 +350,7 @@ def _run_stereo(opts, ctx):
         payload = {"case": "closed-form", "arc_halfwidth": arc,
                    "max_abs_error": worst,
                    "n_points_checked": int(th.size)}
-        checks = [_check("stereo-closed-form", worst <= 1e-6, worst,
+        checks = [_check("stereo-closed-form", worst <= acceptance.STEREO_CLOSED_FORM_TOL, worst,
                          "both routes equal sin(t)/2 within 1e-6 outside the arc")]
         header = ("theta", "circle_route", "line_route", "target")
         rows = np.column_stack([th, lhs, rhs, target])
@@ -361,7 +362,7 @@ def _run_stereo(opts, ctx):
                "max_abs_residual": worst,
                "max_relative_residual": float(rep["max_relative_residual"]),
                "n_points_checked": int(rep["n_points_checked"])}
-    checks = [_check("stereo-two-route", worst <= 1e-3, worst,
+    checks = [_check("stereo-two-route", worst <= acceptance.STEREO_TWO_ROUTE_TOL, worst,
                      "two-route agreement <= 1e-3 outside the arc")]
     header = ("max_abs_residual", "max_relative_residual", "n_points_checked")
     rows = np.array([(worst, rep["max_relative_residual"], rep["n_points_checked"])])
@@ -424,9 +425,11 @@ def _run_flow(opts, ctx):
     ]
     if fd_check:
         payload["gradient_fd_rel"] = float(grad_rel)
-        checks.append(_check("flow-energy-target", energy_gap <= 1e-4, energy_gap,
+        checks.append(_check("flow-energy-target",
+                             energy_gap <= acceptance.FLOW_ENERGY_TOL, energy_gap,
                              "final energy within 1e-4 of 2 pi"))
-        checks.append(_check("flow-gradient-fd", grad_rel <= 1e-5, grad_rel,
+        checks.append(_check("flow-gradient-fd",
+                             grad_rel <= acceptance.FLOW_GRADIENT_TOL, grad_rel,
                              "analytic derivative matches finite differences "
                              "within 1e-5 relative"))
     header = ("iteration", "energy", "el_residual", "step")

@@ -22,7 +22,7 @@ coefficient space with np.convolve for the products, as an independent check.
 
 import numpy as np
 
-from .geometry import CircleGrid, Field
+from .geometry import CircleGrid, Field, rfft_resize
 from . import fracops
 
 
@@ -30,14 +30,6 @@ def _quarter(f):
     if f.is_circle():
         return fracops.frac_laplacian_circle(f, 0.25)
     return fracops.frac_laplacian_line_spectral(f, 0.25)
-
-
-def _pad_rfft(spec, n, n_fine):
-    # zero-pad an rfft spectrum so irfft lands on the finer grid
-    shape = (n_fine // 2 + 1,) + spec.shape[1:]
-    out = np.zeros(shape, dtype=complex)
-    out[: spec.shape[0]] = spec
-    return out * (n_fine / n)
 
 
 def multiply(Q, v):
@@ -48,30 +40,25 @@ def multiply(Q, v):
     """
     if Q.grid != v.grid:
         raise ValueError("Q and v must share a grid")
-    n = v.grid.n_points
     m = v.m
-    if Q.m == 1:
-        pass
-    elif Q.m == m * m:
-        pass
-    elif m == 1 and Q.m >= 1:
+    if Q.m != 1 and Q.m != m * m:
+        if m != 1:
+            raise ValueError(
+                "Q must be scalar or carry v.m**2 components, got %d against %d"
+                % (Q.m, m)
+            )
         # scalar v against vector/matrix Q: commute the roles
         return multiply(v, Q)
-    else:
-        raise ValueError(
-            "Q must be scalar or carry v.m**2 components, got %d against %d"
-            % (Q.m, m)
-        )
 
     if isinstance(v.grid, CircleGrid):
+        n = v.grid.n_points
         n_fine = 3 * n // 2
         if n_fine % 2:
             n_fine += 1
-        qs = np.fft.irfft(_pad_rfft(np.fft.rfft(Q.samples, axis=0), n, n_fine), n_fine, axis=0)
-        vs = np.fft.irfft(_pad_rfft(np.fft.rfft(v.samples, axis=0), n, n_fine), n_fine, axis=0)
-        prod = _apply_q(qs, vs, m)
-        spec = np.fft.rfft(prod, axis=0)[: n // 2 + 1] * (n / n_fine)
-        out = np.fft.irfft(spec, n, axis=0)
+        qs = np.fft.irfft(rfft_resize(Q.rfft(), n_fine), n_fine, axis=0)
+        vs = np.fft.irfft(rfft_resize(v.rfft(), n_fine), n_fine, axis=0)
+        prod = np.fft.rfft(_apply_q(qs, vs, m), axis=0)
+        out = np.fft.irfft(rfft_resize(prod, n), n, axis=0)
     else:
         out = _apply_q(Q.samples, v.samples, m)
     return v.with_samples(out)

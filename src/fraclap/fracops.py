@@ -16,7 +16,8 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.special import gamma as _gamma
 
-from .geometry import CircleGrid, Field, LineGrid
+from .geometry import (CircleGrid, Field, LineGrid, rfft_frequencies,
+                       rfft_multiply, rfft_resize)
 
 __all__ = [
     "singular_constant",
@@ -38,12 +39,6 @@ def singular_constant(s):
     return 4.0 ** s * _gamma(0.5 + s) / (np.sqrt(np.pi) * abs(_gamma(-s)))
 
 
-def _apply_multiplier(f, mult):
-    spec = f.spectrum() * mult[:, None]
-    out = np.real(np.fft.ifft(spec, axis=0))
-    return Field(f.grid, out)
-
-
 def _check_line_boundary(f, op_name):
     if f.tail is not None:
         return
@@ -60,8 +55,7 @@ def frac_laplacian_circle(f, s):
     """Multiplier |n|^(2s) on the Fourier modes; the mean maps to zero."""
     if not isinstance(f.grid, CircleGrid):
         raise TypeError("expected a circle field")
-    n = np.abs(f.grid.mode_numbers())
-    return _apply_multiplier(f, n ** (2.0 * s))
+    return Field(f.grid, rfft_multiply(f, rfft_frequencies(f.grid) ** (2.0 * s)))
 
 
 def frac_laplacian_line_spectral(f, s):
@@ -73,8 +67,7 @@ def frac_laplacian_line_spectral(f, s):
     if not isinstance(f.grid, LineGrid):
         raise TypeError("expected a line field")
     _check_line_boundary(f, "frac_laplacian_line_spectral")
-    xi = np.abs(f.grid.frequencies())
-    return _apply_multiplier(f, xi ** (2.0 * s))
+    return Field(f.grid, rfft_multiply(f, rfft_frequencies(f.grid) ** (2.0 * s)))
 
 
 def frac_laplacian_line_quadrature(f, s, convention="paper"):
@@ -177,12 +170,9 @@ def _tail_far_contribution(f, s):
 
 
 def riesz_transform(f):
-    """Order-zero multiplier -i sign(frequency); the mean maps to zero."""
-    if isinstance(f.grid, CircleGrid):
-        freq = f.grid.mode_numbers()
-    else:
-        freq = f.grid.frequencies()
-    return _apply_multiplier(f, -1j * np.sign(freq))
+    """Order-zero multiplier -i sign(frequency); the mean and the Nyquist
+    mode map to zero."""
+    return Field(f.grid, rfft_multiply(f, -1j * np.sign(rfft_frequencies(f.grid))))
 
 
 def inverse_quarter_laplacian(f):
@@ -191,17 +181,15 @@ def inverse_quarter_laplacian(f):
     Circle fields must be mean-zero (the inverse does not exist on constants).
     """
     if isinstance(f.grid, CircleGrid):
-        mean = np.abs(f.spectrum()[0]) / f.grid.n_points
+        mean = np.abs(f.rfft()[0]) / f.grid.n_points
         scale = np.max(np.abs(f.samples)) or 1.0
         if np.any(mean > 1e-10 * scale):
             raise ValueError("inverse quarter-Laplacian needs a mean-zero field")
-        freq = np.abs(f.grid.mode_numbers())
-    else:
-        freq = np.abs(f.grid.frequencies())
+    freq = rfft_frequencies(f.grid)
     with np.errstate(divide="ignore"):
         mult = freq ** (-0.5)
-    mult[freq == 0] = 0.0
-    return _apply_multiplier(f, mult)
+    mult[0] = 0.0
+    return Field(f.grid, rfft_multiply(f, mult))
 
 
 def poisson_kernel_line(t, x):
@@ -263,10 +251,8 @@ def line_convolve(f, g):
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
     x0 = f.grid.nodes()[0]
-    phase = np.exp(-1j * f.grid.frequencies() * x0)
-    spec = f.spectrum() * g.spectrum() * phase[:, None]
-    out = np.real(np.fft.ifft(spec, axis=0)) * f.grid.h
-    return Field(f.grid, out)
+    phase = np.exp(-1j * rfft_frequencies(f.grid) * x0)
+    return Field(f.grid, rfft_multiply(f, phase[:, None] * g.rfft()) * f.grid.h)
 
 
 # The interpolant fits its cubic spline lazily, in blocks of this many fine
@@ -286,10 +272,9 @@ def line_interpolant(f, refine=4):
     the tail model outside the node range. Good to ~1e-9 for smooth
     well-resolved fields.
 
-    Nyquist rule: the grid's Nyquist coefficient is split half and half
-    between the frequencies +n/2 and -n/2, so that mode refines to the
-    cosine through the samples, cos(pi (x + L - h/2) / h), and the
-    interpolant reproduces every sample at the field's own nodes.
+    The Nyquist mode refines to the cosine through its samples (the rule of
+    geometry.rfft_resize), so the interpolant reproduces every sample at the
+    field's own nodes.
 
     The spline is fitted only where it is evaluated: the first query in a
     block of fine intervals fits that block, and the interpolant keeps the
@@ -309,18 +294,13 @@ class _LineInterpolant:
     """
 
     def __init__(self, f, refine):
-        n = f.grid.n_points
-        n_fine = refine * n
-        pad = np.zeros((n_fine // 2 + 1, f.m), dtype=complex)
-        pad[: n // 2 + 1] = np.fft.rfft(f.samples, axis=0)
-        if refine > 1:
-            pad[n // 2] *= 0.5
-        pad *= refine
+        n_fine = refine * f.grid.n_points
         # refined node k sits at -L + h/2 + k h/refine; the last
         # (refine - 1) // 2 of them lie beyond L and wrap around to the
         # front, so a roll puts the fine values in increasing node order
         n_wrap = (refine - 1) // 2
-        self._values = np.roll(np.fft.irfft(pad, n_fine, axis=0), n_wrap, axis=0)
+        fine = np.fft.irfft(rfft_resize(f.rfft(), n_fine), n_fine, axis=0)
+        self._values = np.roll(fine, n_wrap, axis=0)
         self._dx = f.grid.h / refine
         self._lo = -f.grid.half_width + 0.5 * f.grid.h - n_wrap * self._dx
         self._hi = self._lo + (n_fine - 1) * self._dx

@@ -26,6 +26,8 @@ __all__ = [
     "line_integral",
     "gauss_legendre",
     "rfft_frequencies",
+    "rfft_multiply",
+    "rfft_resize",
     "save_csv",
     "load_csv",
     "save_binary",
@@ -58,10 +60,6 @@ class LineGrid:
         j = np.arange(self.n_points)
         return -self.half_width + (j + 0.5) * self.h
 
-    def frequencies(self):
-        # angular frequencies for the periodic transform on [-L, L]
-        return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.h)
-
     def reflected_indices(self):
         # x -> -x maps node j to node n-1-j exactly
         return np.arange(self.n_points)[::-1]
@@ -87,10 +85,6 @@ class CircleGrid:
 
     def nodes(self):
         return 2.0 * np.pi * np.arange(self.n_points) / self.n_points
-
-    def mode_numbers(self):
-        n = self.n_points
-        return np.fft.fftfreq(n, d=1.0 / n)
 
     def reflected_indices(self):
         # theta -> -theta maps node j to node (n - j) mod n
@@ -247,7 +241,7 @@ def odd_part(f):
 def resample(f, target):
     """Move a field to another grid of the same geometry.
 
-    Circle: trigonometric (zero-pad or truncate the spectrum). Line:
+    Circle: trigonometric (the spectrum resized by rfft_resize). Line:
     cubic-spline interpolation of the samples; points outside the source
     domain come from the tail model. Downsampling emits an aliasing warning.
     """
@@ -256,13 +250,7 @@ def resample(f, target):
         if n_tgt < n_src:
             warnings.warn("downsampling a circle field; modes beyond the "
                           "target Nyquist are discarded", RuntimeWarning)
-        spec = f.spectrum() / n_src
-        out = np.zeros((n_tgt, f.m), dtype=complex)
-        keep = min(n_src, n_tgt) // 2
-        out[:keep] = spec[:keep]
-        out[-keep:] = spec[-keep:]
-        samples = np.real(np.fft.ifft(out * n_tgt, axis=0))
-        return Field(target, samples)
+        return Field(target, np.fft.irfft(rfft_resize(f.rfft(), n_tgt), n_tgt, axis=0))
     if isinstance(f.grid, LineGrid) and isinstance(target, LineGrid):
         if target.h > f.grid.h:
             warnings.warn("downsampling a line field; features below the "
@@ -332,6 +320,39 @@ def rfft_frequencies(grid):
         freq = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.h)
     freq.flags.writeable = False
     return freq
+
+
+def rfft_multiply(f, mult):
+    """Samples of the Fourier multiplier `mult` applied to the field f.
+
+    mult holds one value per rfft bin, at the frequencies rfft_frequencies
+    (shape (n/2 + 1,) for every component alike, or (n/2 + 1, m)). The
+    Nyquist rule: irfft keeps only the real part of the Nyquist bin, so an
+    even real multiplier (|xi|^(2s)) scales the Nyquist mode and an odd one
+    (i xi, -i sign xi) removes it.
+    """
+    mult = np.reshape(mult, (len(mult), -1))
+    return np.fft.irfft(mult * f.rfft(), f.grid.n_points, axis=0)
+
+
+def rfft_resize(spec, n_new):
+    """The rfft spectrum, on n_new points, of the trigonometric interpolant
+    whose rfft on n points is spec (n and n_new even, len(spec) = n/2 + 1).
+
+    Scaled by n_new / n, so irfft(rfft_resize(spec, n_new), n_new) samples
+    the interpolant on the new grid. Refining halves the old Nyquist bin,
+    splitting it between the frequencies +-n/2, so that mode refines to the
+    cosine through its samples. Coarsening drops the bins beyond n_new/2
+    and doubles the new Nyquist bin, folding +-n_new/2 back together.
+    Refining and then coarsening returns spec.
+    """
+    n = 2 * (len(spec) - 1)
+    keep = min(n, n_new) // 2 + 1
+    out = np.zeros((n_new // 2 + 1,) + spec.shape[1:], dtype=complex)
+    np.multiply(spec[:keep], n_new / n, out=out[:keep])
+    if n_new != n:
+        out[keep - 1] *= 0.5 if n_new > n else 2.0
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import norms
-from .geometry import CircleGrid, Field, gauss_legendre, rfft_frequencies
+from .geometry import (CircleGrid, Field, gauss_legendre, rfft_frequencies,
+                       rfft_multiply, rfft_resize)
 
 
 @dataclass(frozen=True)
@@ -150,14 +151,7 @@ def _check_on_target(u, dist, tol=1e-6):
 
 
 def _half_laplacian_samples(u):
-    spec = rfft_frequencies(u.grid)[:, None] * u.rfft()
-    return np.fft.irfft(spec, n=u.grid.n_points, axis=0)
-
-
-def _derivative_samples(u):
-    spec = 1j * rfft_frequencies(u.grid)[:, None] * u.rfft()
-    spec[-1] = 0.0  # the unpaired Nyquist mode (n is even) has no odd derivative
-    return np.fft.irfft(spec, n=u.grid.n_points, axis=0)
+    return rfft_multiply(u, rfft_frequencies(u.grid))
 
 
 def el_residual(u: Field, dist: PlaneDistribution) -> Field:
@@ -173,7 +167,7 @@ def el_residual(u: Field, dist: PlaneDistribution) -> Field:
 def horizontality_residual(u: Field, dist: PlaneDistribution) -> Field:
     """Normal part of the spectral derivative, P_N(u) u'."""
     _check_on_target(u, dist)
-    du = _derivative_samples(u)
+    du = rfft_multiply(u, 1j * rfft_frequencies(u.grid))
     normal = du - dist.tangent(u.samples, du)
     return u.with_samples(normal)
 
@@ -299,15 +293,8 @@ def _circle_evaluator(u, pad_factor=8):
     Accurate to spline order on the refined grid, so it relies on the
     spectrum of u having decayed well below Nyquist.
     """
-    n = u.grid.n_points
-    n_fine = pad_factor * n
-    spec = np.fft.rfft(u.samples, axis=0)
-    if n % 2 == 0:
-        spec = spec.copy()
-        spec[-1] *= 0.5  # split the Nyquist bin across +/- modes
-    spec_fine = np.zeros((n_fine // 2 + 1, u.m), dtype=complex)
-    spec_fine[: spec.shape[0]] = spec * (n_fine / n)
-    fine = np.fft.irfft(spec_fine, n=n_fine, axis=0)
+    n_fine = pad_factor * u.grid.n_points
+    fine = np.fft.irfft(rfft_resize(u.rfft(), n_fine), n_fine, axis=0)
     theta = 2.0 * np.pi * np.arange(n_fine + 1) / n_fine
     vals = np.vstack([fine, fine[:1]])
     return CubicSpline(theta, vals, axis=0, bc_type="periodic")

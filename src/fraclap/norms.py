@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import CircleGrid, Field, LineGrid, rfft_frequencies
+from .geometry import CircleGrid, LineGrid, rfft_frequencies, rfft_multiply
 
 __all__ = [
     "Region",
@@ -113,13 +113,7 @@ def lorentz_2inf(f, region=None):
 
 def sobolev_half_seminorm(f):
     """L2 norm of the quarter-Laplacian image, by the spectral route."""
-    if isinstance(f.grid, CircleGrid):
-        return float(np.sqrt(sobolev_half_inner(f, f)))
-    xi = np.abs(f.grid.frequencies())
-    spec = f.spectrum()
-    n = f.grid.n_points
-    # Parseval for the periodized field: h/n sum |xi| |spec|^2
-    return float(np.sqrt(f.grid.h / n * np.sum(xi[:, None] * np.abs(spec) ** 2)))
+    return float(np.sqrt(sobolev_half_inner(f, f)))
 
 
 @lru_cache(maxsize=64)
@@ -167,8 +161,7 @@ def gagliardo_seminorm_sq(f, subsample=1):
     total = float(np.sum(np.sum(diff ** 2, axis=2) / dx ** 2) * h * h)
     # the excluded diagonal cells contribute f'(x)^2 h^2 each, since the
     # squared difference cancels the kernel there
-    xi = f.grid.frequencies()
-    du = np.real(np.fft.ifft(f.spectrum() * (1j * xi)[:, None], axis=0))[::subsample]
+    du = rfft_multiply(f, 1j * rfft_frequencies(f.grid))[::subsample]
     total += h * (h * float(np.sum(du ** 2)))
     # pairs with one point beyond the box: the kernel mass int_{|y|>L} dy/(x-y)^2
     # is analytic, and for a field that is negligible at the boundary the

@@ -22,6 +22,8 @@ from .geometry import (
     Field,
     LineGrid,
     TailModel,
+    rfft_frequencies,
+    rfft_multiply,
 )
 from . import fracops
 
@@ -103,19 +105,16 @@ def pullback(v, line_grid=None):
     grid = line_grid or LineGrid()
     th_nodes = v.grid.nodes()
     th_ext = np.concatenate([th_nodes - 2 * np.pi, th_nodes, th_nodes + 2 * np.pi])
-    samples_ext = np.concatenate([v.samples] * 3, axis=0)
-    x = grid.nodes()
-    th_x = angle_of(x)
-    out = np.empty((grid.n_points, v.m))
-    for j in range(v.m):
-        out[:, j] = PchipInterpolator(th_ext, samples_ext[:, j])(th_x)
+
+    def periodic(samples):
+        return PchipInterpolator(th_ext, np.concatenate([samples] * 3), axis=0)
+
+    values = periodic(v.samples)
+    out = values(angle_of(grid.nodes()))
     # behavior at infinity: v near the south pole along theta ~ -pi/2 + 2/x
-    pole = np.array([-np.pi / 2.0])
-    v0 = np.array([float(PchipInterpolator(th_ext, samples_ext[:, j])(pole)[0]) for j in range(v.m)])
-    dv = np.real(np.fft.ifft(v.spectrum() * (1j * v.grid.mode_numbers())[:, None], axis=0))
-    dv0 = np.array(
-        [float(PchipInterpolator(th_ext, np.concatenate([dv[:, j]] * 3))(pole)[0]) for j in range(v.m)]
-    )
+    pole = -np.pi / 2.0
+    v0 = values(pole)
+    dv0 = periodic(rfft_multiply(v, 1j * rfft_frequencies(v.grid)))(pole)
     tail = TailModel(
         power=1.0,
         limit_pos=v0,

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fraclap.commutators import (compensation_report, convolution_reference,
                                  multiply, op_F, op_Lambda, op_S, op_T)
-from fraclap.geometry import CircleGrid, LineGrid, TailModel, field_from_function
+from fraclap.geometry import CircleGrid, Field, LineGrid, TailModel, field_from_function
 
 GRID = CircleGrid(128)
 
@@ -53,6 +53,18 @@ def test_bilinearity(a, b):
     combo_v = op_S(Q1, a * v + b * _circle(np.cos))
     split_v = a * op_S(Q1, v) + b * op_S(Q1, _circle(np.cos))
     assert np.max(np.abs(combo_v.samples - split_v.samples)) < 1e-10
+
+
+def test_multiply_keeps_the_nyquist_mode():
+    # on 64 points: cos(t) (-1)^j = cos(t) cos(32 t) is (cos 31t + cos 33t)/2,
+    # and the dealiased product keeps the part inside the band
+    g = CircleGrid(32)
+    th = g.nodes()
+    alt = Field(g, (-1.0) ** np.arange(g.n_points))
+    got = multiply(field_from_function(g, np.cos), alt).samples[:, 0]
+    assert np.max(np.abs(got - 0.5 * np.cos(31 * th))) < 1e-13
+    one = Field(g, np.ones(g.n_points))
+    assert np.max(np.abs(multiply(one, alt).samples - alt.samples)) < 1e-14
 
 
 def test_matrix_valued_q():

@@ -88,7 +88,8 @@ def test_field_rfft_cached_read_only():
     assert np.array_equal(spec, np.fft.rfft(f.samples, axis=0))
     assert np.array_equal(rfft_frequencies(CircleGrid(8)), np.arange(9.0))
     line = LineGrid(2.0, 16)
-    assert np.allclose(rfft_frequencies(line), np.abs(line.frequencies()[:9]), rtol=1e-15)
+    assert np.allclose(rfft_frequencies(line), 2 * np.pi * np.fft.rfftfreq(16, d=line.h),
+                       rtol=1e-15)
     assert not rfft_frequencies(line).flags.writeable
 
 
@@ -138,6 +139,17 @@ def test_resample_circle_downsample_warns():
     with pytest.warns(RuntimeWarning):
         down = resample(f, CircleGrid(8))
     assert np.allclose(down.samples[:, 0], np.cos(down.grid.nodes()))
+
+
+def test_resample_circle_keeps_the_nyquist_mode():
+    # (-1)^j refines to the cosine through its samples and coarsens back whole
+    src = CircleGrid(32)
+    alt = (-1.0) ** np.arange(src.n_points)
+    up = resample(Field(src, alt), CircleGrid(64))
+    assert np.max(np.abs(up.samples[:, 0] - np.cos(32 * up.grid.nodes()))) < 1e-13
+    with pytest.warns(RuntimeWarning):
+        back = resample(up, src)
+    assert np.max(np.abs(back.samples[:, 0] - alt)) < 1e-14
 
 
 def test_resample_line_spline_accuracy():
