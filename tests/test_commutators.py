@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraclap.commutators import (compensation_report, convolution_reference,
+from fraclap.commutators import (_cosine_series, compensation_report,
+                                 convolution_reference,
                                  multiply, op_F, op_Lambda, op_S, op_T)
 from fraclap.geometry import CircleGrid, Field, LineGrid, TailModel, field_from_function
 
@@ -119,3 +120,14 @@ def test_compensation_report_shape():
     rows = compensation_report(resolutions=(256, 512), seed=1)
     assert [r["n_points"] for r in rows] == [256, 512]
     assert all(np.isfinite(r["t_l1"]) and r["t_l1"] > 0 for r in rows)
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_cosine_series_matches_the_dense_sum(n):
+    rng = np.random.default_rng(n)
+    kmax = n // 2 - 1
+    amp, phase = rng.normal(size=kmax), rng.uniform(0, 2 * np.pi, kmax)
+    th = CircleGrid(n_modes=n // 2).nodes()
+    k = np.arange(1, kmax + 1)
+    dense = np.sum(amp * np.cos(np.outer(th, k) + phase), axis=1)
+    assert np.max(np.abs(_cosine_series(n, amp, phase) - dense)) <= 1e-12 * np.max(np.abs(dense))

@@ -9,7 +9,8 @@ from fraclap.geometry import CircleGrid, LineGrid, field_from_function
 from fraclap.halfharmonic import (PlaneDistribution, bubbling_experiment,
                                   el_residual, energy, gradient_check,
                                   gradient_flow, horizontality_residual,
-                                  mobius_compose, sphere_distribution)
+                                  mobius_compose, perturbed_identity,
+                                  sphere_distribution)
 
 
 def _identity_map(grid):
@@ -103,13 +104,13 @@ def test_flow_reports_a_stall():
                            sphere_distribution(2), tol=1e-20)
     final = states[-1]
     assert final.stalled and final.step < 1e-14
-    assert final.el_residual_norm > 1e-20 and final.iteration < 20000
+    assert final.el_residual_norm > 1e-20 and final.iteration < 100
     assert not any(s.stalled for s in states[:-1])
     counts = [s.backtracks for s in states]
     assert counts == sorted(counts) and counts[-1] > 0
 
 
-def test_flow_step_costs_one_fft_pair(monkeypatch):
+def test_flow_step_costs_two_fft_pairs(monkeypatch):
     u0 = _perturbed_identity(CircleGrid(n_modes=64), amp=0.2, seed=3)
     calls = collections.Counter()
 
@@ -123,13 +124,28 @@ def test_flow_step_costs_one_fft_pair(monkeypatch):
 
     for name in ("fft", "ifft", "rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, counted(name))
-    final = gradient_flow(u0, sphere_distribution(2), tol=1e-12, max_iter=60)[-1]
-    assert final.iteration == 60 and not final.stalled and final.backtracks > 0
-    # every candidate, accepted or not, costs the rfft of its energy; an
-    # accepted one (and the start) reuses it and adds the gradient's irfft
-    assert calls["rfft"] == 1 + final.iteration + final.backtracks
-    assert calls["irfft"] == 1 + final.iteration
+    # a first step far beyond the accepted ones forces backtracks well above
+    # round-off, and max_iter ends the run long before the residual floor
+    final = gradient_flow(u0, sphere_distribution(2), tol=1e-12, max_iter=10,
+                          step0=16.0)[-1]
+    assert final.iteration == 10 and not final.stalled and final.backtracks > 0
+    # every candidate, accepted or not, costs the rfft of its energy, which
+    # the Armijo test reuses; an accepted one (and the start) adds the
+    # gradient's irfft and the preconditioner's rfft/irfft pair
+    assert calls["rfft"] == 2 * (1 + final.iteration) + final.backtracks
+    assert calls["irfft"] == 2 * (1 + final.iteration)
     assert calls["fft"] == calls["ifft"] == 0
+
+
+@pytest.mark.parametrize("n_modes, amp, seed", [
+    (64, 0.05, 7), (512, 0.05, 7), (2048, 0.05, 7), (128, 0.2, 339994981)])
+def test_flow_iterations_do_not_grow_with_the_grid(n_modes, amp, seed):
+    u0 = perturbed_identity(CircleGrid(n_modes=n_modes), amp, seed)
+    states = gradient_flow(u0, sphere_distribution(2), tol=1e-6)
+    final = states[-1]
+    assert final.el_residual_norm <= 1e-6 and final.iteration <= 20
+    # every accepted step is recorded
+    assert [s.iteration for s in states] == list(range(final.iteration + 1))
 
 
 def test_flow_rejects_off_target_start():

@@ -9,7 +9,8 @@ from fraclap.geometry import (CircleGrid, LineGrid, TailModel, Field,
 from fraclap.norms import (Region, gagliardo_seminorm_sq, lorentz_21,
                            lorentz_21_samples, lorentz_2inf,
                            lorentz_2inf_samples, lp_norm,
-                           sobolev_half_inner, sobolev_half_seminorm)
+                           sobolev_half_gap, sobolev_half_inner,
+                           sobolev_half_seminorm)
 
 
 def _indicator(grid, half):
@@ -133,8 +134,11 @@ def test_sobolev_half_inner_polarizes_the_energy(grid):
     assert np.isclose(sobolev_half_inner(a, a), ea, rtol=1e-13)
     assert sobolev_half_inner(a, b) == pytest.approx(sobolev_half_inner(b, a), rel=1e-14)
     assert np.isclose(sobolev_half_inner(a - b, a + b), ea - eb, rtol=1e-12)
+    assert np.isclose(sobolev_half_gap(a, b), ea - eb, rtol=1e-12)
     with pytest.raises(ValueError):
         sobolev_half_inner(a, Field(CircleGrid(8), np.zeros(16)))
+    with pytest.raises(ValueError):
+        sobolev_half_gap(a, Field(CircleGrid(8), np.zeros(16)))
 
 
 def test_sobolev_half_shift_invariant_on_line():
