@@ -286,19 +286,11 @@ def check_pohozaev_plane() -> CheckResult:
 def stereo_closed_form(arc_halfwidth):
     """Both routes for 1/(1+x^2) against sin(theta)/2 outside the south-pole
     arc: (kept angles, circle route, line route, target, max error)."""
-    circle = CircleGrid(n_modes=2048)
-    th = circle.nodes()
-    th_wrapped = np.mod(th + np.pi, 2.0 * np.pi) - np.pi
-    keep = np.abs(th_wrapped + np.pi / 2.0) >= arc_halfwidth
-
     grid = LineGrid(10000.0, 1 << 20)
     x = grid.nodes()
     u = Field(grid, (1.0 / (1.0 + x * x))[:, None], tail=TailModel.even(2.0, 1.0))
-    v = stereo.pushforward(u, circle_grid=circle)
-    lhs = fracops.frac_laplacian_circle(v, 0.5).samples[keep, 0]
-    interp = fracops.line_interpolant(fracops.frac_laplacian_line_spectral(u, 0.5))
-    th = th[keep]
-    rhs = interp(np.cos(th) / (1.0 + np.sin(th)))[:, 0] / (1.0 + np.sin(th))
+    th, lhs, rhs = stereo.transfer_routes(u, arc_halfwidth, CircleGrid(n_modes=2048))
+    lhs, rhs = lhs[:, 0], rhs[:, 0]
     target = np.sin(th) / 2.0
     worst = max(float(np.max(np.abs(lhs - target))),
                 float(np.max(np.abs(rhs - target))))

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gamma as _gamma, hyp2f1 as _hyp2f1
 
 from . import fracops
-from .geometry import Field, LineGrid, TailModel, gauss_legendre
+from .geometry import Field, LineGrid, TailModel, gauss_legendre, panel_rule
 from .norms import lorentz_21_samples
 
 __all__ = [
@@ -236,12 +236,7 @@ def _log_panels(lo, hi, max_len, deg):
     """Gauss-Legendre nodes/weights on [lo, hi], composite in log scale."""
     n_seg = max(4, int(np.ceil(np.log(hi / lo) / max_len)))
     edges = np.exp(np.linspace(np.log(lo), np.log(hi), n_seg + 1))
-    xg, wg = gauss_legendre(deg)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    weights = (half[:, None] * wg[None, :]).ravel()
-    return nodes, weights
+    return panel_rule(edges, gauss_legendre(deg))
 
 
 def _window_u_norm_sq(n):
@@ -253,9 +248,8 @@ def _window_u_norm_sq(n):
 
 def _envelope_window_integral(n):
     # int_0^n (1+y^2)^(-3/4) dy
-    xg, wg = gauss_legendre(24)
-    y = 0.5 * (xg + 1.0)
-    core = float(np.sum(0.5 * wg * (1.0 + y * y) ** -0.75))
+    y, wy = panel_rule((0.0, 1.0), gauss_legendre(24))
+    core = float(np.sum(wy * (1.0 + y * y) ** -0.75))
     nodes, w = _log_panels(1.0, float(n), 0.5, 12)
     return core + float(np.sum(w * (1.0 + nodes * nodes) ** -0.75))
 
@@ -340,9 +334,7 @@ def _system_residual(n, c_num):
     # everything evaluated through the same closed forms; what is left is
     # floating-point noise, which is the content of "the identity is
     # definitional".
-    xg, wg = gauss_legendre(8)
-    t_in = (0.5 / n) * (xg + 1.0)
-    w_in = (0.5 / n) * wg
+    t_in, w_in = panel_rule((0.0, 1.0 / n), gauss_legendre(8))
     t_out, w_out = _log_panels(1.0 / n, 1.0, 0.5, 12)
     t = np.concatenate([t_in, t_out])
     w = np.concatenate([w_in, w_out])

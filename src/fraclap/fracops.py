@@ -39,7 +39,8 @@ def singular_constant(s):
     return 4.0 ** s * _gamma(0.5 + s) / (np.sqrt(np.pi) * abs(_gamma(-s)))
 
 
-def _check_line_boundary(f, op_name):
+def _check_line_boundary(f, op_name, consequence):
+    """Warn when a field without a tail model has not decayed at the ends."""
     if f.tail is not None:
         return
     edge = max(np.max(np.abs(f.samples[0])), np.max(np.abs(f.samples[-1])))
@@ -47,8 +48,7 @@ def _check_line_boundary(f, op_name):
     if peak > 0 and edge > 1e-6 * peak:
         warnings.warn(
             "%s: boundary samples are %.1e of the peak and the field has no "
-            "tail model; periodization error may be significant" % (op_name, edge / peak),
-            RuntimeWarning)
+            "tail model; %s" % (op_name, edge / peak, consequence), RuntimeWarning)
 
 
 def frac_laplacian_circle(f, s):
@@ -66,7 +66,8 @@ def frac_laplacian_line_spectral(f, s):
     """
     if not isinstance(f.grid, LineGrid):
         raise TypeError("expected a line field")
-    _check_line_boundary(f, "frac_laplacian_line_spectral")
+    _check_line_boundary(f, "frac_laplacian_line_spectral",
+                         "periodization error may be significant")
     return Field(f.grid, rfft_multiply(f, rfft_frequencies(f.grid) ** (2.0 * s)))
 
 
@@ -74,8 +75,8 @@ def frac_laplacian_line_quadrature(f, s, convention="paper"):
     """Principal-value evaluation of the singular-integral fractional Laplacian.
 
     For every node t: sum over symmetric offsets r = jh of
-    (2 f(t) - f(t+r) - f(t-r)) r^(-1-2s) h, computed with FFT correlations,
-    plus a local Taylor term for r < h/2 and an analytic correction for the
+    (2 f(t) - f(t+r) - f(t-r)) r^(-1-2s) h, computed with one zero-padded
+    rfft/irfft pair, plus a local Taylor term for r < h/2 and an analytic correction for the
     part of the line beyond the grid (tail model required for slow decay).
     Valid for s in (0, 1/2].
     """
@@ -85,23 +86,21 @@ def frac_laplacian_line_quadrature(f, s, convention="paper"):
         raise ValueError("quadrature route covers s in (0, 1/2]")
     if convention not in ("paper", "normalized"):
         raise ValueError("convention must be 'paper' or 'normalized'")
+    _check_line_boundary(f, "frac_laplacian_line_quadrature",
+                         "the far field is treated as zero")
     n, h, L = f.grid.n_points, f.grid.h, f.grid.half_width
     u = f.samples
     j = np.arange(1, n)
     w = (j * h) ** (-1.0 - 2.0 * s) * h
 
-    # correlation sums s_plus[i] = sum_j w_j u[i+j], s_minus[i] = sum_j w_j u[i-j]
-    # via zero-padded FFT (convolution for s_minus, cross-correlation for
-    # s_plus); out-of-range samples contribute zero here and are replaced by
-    # the tail correction below.
-    pad = np.zeros((2 * n, u.shape[1]))
-    pad[:n] = u
-    wk = np.zeros(2 * n)
-    wk[1:n] = w
-    fu = np.fft.rfft(pad, axis=0)
-    fw = np.fft.rfft(wk)
-    s_minus = np.fft.irfft(fu * fw[:, None], 2 * n, axis=0)[:n]
-    s_plus = np.fft.irfft(fu * np.conj(fw)[:, None], 2 * n, axis=0)[:n]
+    # pair sums sum_j w_j (u[i+j] + u[i-j]) as one zero-padded transform
+    # pair: convolution with w (the u[i-j] half) plus cross-correlation with
+    # w (the u[i+j] half) multiplies the spectrum of u by fw + conj(fw).
+    # Out-of-range samples contribute zero here and are replaced by the tail
+    # correction below.
+    fw = np.fft.rfft(np.concatenate([[0.0], w]), 2 * n)
+    fu = np.fft.rfft(u, 2 * n, axis=0)
+    pair_sums = np.fft.irfft(fu * (2.0 * fw.real)[:, None], 2 * n, axis=0)[:n]
 
     w_total = np.concatenate([[0.0], np.cumsum(w)])  # w_total[k] = sum of first k weights
     x = f.grid.nodes()
@@ -109,7 +108,7 @@ def frac_laplacian_line_quadrature(f, s, convention="paper"):
     # number of in-range offsets on each side
     k_right = n - 1 - idx
     k_left = idx
-    out = (w_total[k_right] + w_total[k_left])[:, None] * u - s_plus - s_minus
+    out = (w_total[k_right] + w_total[k_left])[:, None] * u - pair_sums
 
     # local part: int_0^(h/2) (2f(t) - f(t+r) - f(t-r)) r^(-1-2s) dr
     # with the integrand ~ -f''(t) r^(1-2s)
@@ -127,12 +126,6 @@ def frac_laplacian_line_quadrature(f, s, convention="paper"):
     out += u * (dist_r ** (-2.0 * s) + dist_l ** (-2.0 * s))[:, None] / (2.0 * s)
     if f.tail is not None:
         out -= _tail_far_contribution(f, s)
-    else:
-        edge = max(np.max(np.abs(u[0])), np.max(np.abs(u[-1])))
-        peak = np.max(np.abs(u))
-        if peak > 0 and edge > 1e-6 * peak:
-            warnings.warn("frac_laplacian_line_quadrature: no tail model; the "
-                          "far field is treated as zero", RuntimeWarning)
 
     if convention == "normalized":
         out = out * singular_constant(s)
@@ -264,13 +257,14 @@ _BLOCK = 256
 _MARGIN = 48
 
 
-def line_interpolant(f, refine=4):
+def line_interpolant(f):
     """Callable evaluating a line field anywhere, via spectral refinement.
 
-    Zero-pads the spectrum by `refine`, interpolates the oversampled values
-    with the not-a-knot cubic spline through all of them, and falls back to
-    the tail model outside the node range. Good to ~1e-9 for smooth
-    well-resolved fields.
+    Zero-pads the spectrum by a factor refine = max(4, ceil(h / 0.008)),
+    which keeps the refined spacing near 0.008 or below, interpolates the
+    oversampled values with the not-a-knot cubic spline through all of
+    them, and falls back to the tail model outside the node range. Good to
+    ~1e-9 for smooth well-resolved fields.
 
     The Nyquist mode refines to the cosine through its samples (the rule of
     geometry.rfft_resize), so the interpolant reproduces every sample at the
@@ -283,7 +277,7 @@ def line_interpolant(f, refine=4):
     """
     if not isinstance(f.grid, LineGrid):
         raise TypeError("expected a line field")
-    return _LineInterpolant(f, refine)
+    return _LineInterpolant(f, max(4, int(np.ceil(f.grid.h / 0.008))))
 
 
 class _LineInterpolant:

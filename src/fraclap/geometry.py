@@ -25,6 +25,7 @@ __all__ = [
     "resample",
     "line_integral",
     "gauss_legendre",
+    "panel_rule",
     "rfft_frequencies",
     "rfft_multiply",
     "rfft_resize",
@@ -303,6 +304,23 @@ def gauss_legendre(n):
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
+
+
+def panel_rule(edges, rule):
+    """Composite rule: the rule (x, w) on [-1, 1] mapped onto each panel
+    between consecutive edges.
+
+    edges has shape (..., k + 1), one row of panels per leading index.
+    Returns nodes mid + half x and weights half w of shape (..., k len(x)),
+    panel by panel.
+    """
+    x, w = rule
+    edges = np.asarray(edges, dtype=float)
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    shape = edges.shape[:-1] + (-1,)
+    return ((mid[..., None] + half[..., None] * x).reshape(shape),
+            (half[..., None] * w).reshape(shape))
 
 
 @lru_cache(maxsize=64)

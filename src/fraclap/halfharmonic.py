@@ -19,8 +19,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import norms
-from .geometry import (CircleGrid, Field, gauss_legendre, rfft_frequencies,
-                       rfft_multiply, rfft_resize)
+from .geometry import (CircleGrid, Field, gauss_legendre, panel_rule,
+                       rfft_frequencies, rfft_multiply, rfft_resize)
 
 
 @dataclass(frozen=True)
@@ -195,18 +195,19 @@ def gradient_flow(u0: Field, dist: PlaneDistribution, tol: float = 1e-6,
     decrease and growing it gently after accepted steps.  The Armijo test
     asks E(cand) - E(u) <= -2 armijo tau h <g, d>, which is a decrease
     because g is tangent and P_T an orthogonal projection; the difference
-    is norms.sobolev_half_gap of the two maps, which does not cancel the
-    two energies against each other.  Residuals below about 1e-8 to 1e-9
-    are still out of reach: there the step runs out (stalled is set).
+    is the bilinear form of cand - u with cand + u, transformed as such, so
+    it neither cancels the two energies against each other nor keeps the
+    round-off of their transforms.  Residuals below about 1e-8 to 1e-9 are
+    out of reach: there the step runs out (stalled is set).
 
     Returns the start and every accepted state, each with the iteration
     that produced it; a stalled run ends with one more entry at the
     unchanged map.  Non-convergence shows up as el_residual_norm > tol in
     the last entry rather than as an exception.
 
-    Each candidate costs one rfft (its energy, whose transform the Armijo
-    test reuses); an accepted candidate (and the start) adds the gradient's
-    irfft and the preconditioner's rfft/irfft pair.
+    Each candidate costs three rffts (its energy, cand - u and cand + u);
+    an accepted candidate (and the start) adds the gradient's irfft and the
+    preconditioner's rfft/irfft pair.
     """
     if dist.retraction is None:
         raise ValueError("gradient_flow needs a retraction; this target "
@@ -237,7 +238,7 @@ def gradient_flow(u0: Field, dist: PlaneDistribution, tol: float = 1e-6,
         while True:
             cand = u.with_samples(dist.retraction(u.samples - tau * d))
             e_new = energy(cand)
-            if norms.sobolev_half_gap(cand, u) <= -armijo * 2.0 * tau * slope:
+            if norms.sobolev_half_inner(cand - u, cand + u) <= -armijo * 2.0 * tau * slope:
                 break
             backtracks += 1
             tau *= 0.5
@@ -292,13 +293,14 @@ def gradient_check(u: Field, dist: PlaneDistribution, w: Optional[Field] = None,
 # Moebius composition and the neck experiment
 
 
-def _circle_evaluator(u, pad_factor=8):
-    """Periodic cubic spline through a zero-pad refined copy of the samples.
+def _circle_evaluator(u):
+    """Periodic cubic spline through an 8x zero-pad refined copy of the
+    samples.
 
     Accurate to spline order on the refined grid, so it relies on the
     spectrum of u having decayed well below Nyquist.
     """
-    n_fine = pad_factor * u.grid.n_points
+    n_fine = 8 * u.grid.n_points
     fine = np.fft.irfft(rfft_resize(u.rfft(), n_fine), n_fine, axis=0)
     theta = 2.0 * np.pi * np.arange(n_fine + 1) / n_fine
     vals = np.vstack([fine, fine[:1]])
@@ -351,33 +353,28 @@ def _bubble_quarter_lap(w_eval, w_inf, center, scale):
     """
     r_max = 1.0e6
     lam = scale
-    xa, wa = gauss_legendre(24)
+    rule_a = gauss_legendre(24)
     n_seg_b = 34
-    xb, wb = gauss_legendre(8)
-    n_seg, per_seg = 28, 10
-    xc, wc = gauss_legendre(per_seg)
+    rule_b = gauss_legendre(8)
+    n_seg = 28
+    rule_c = gauss_legendre(10)
 
     def apply(xs):
         xs = np.asarray(xs, dtype=float)
         d = np.abs(xs - center)[:, None]
 
         # A: r in (0, d/2], r = rho^2 kills the r^{1/2} kink of the pair
-        rho_hi = np.sqrt(0.5 * d)
-        rho = rho_hi * 0.5 * (xa + 1.0)[None, :]
+        rho, w_rho = panel_rule(np.sqrt(0.5 * d) * np.array([0.0, 1.0]), rule_a)
         r_a = rho ** 2
         # weight = w * drho * (dr/drho) * r^{-3/2} = w * drho * 2 / rho^2
-        k_a = (rho_hi * 0.5 * wa[None, :]) * 2.0 / rho ** 2
+        k_a = w_rho * 2.0 / rho ** 2
 
         # B: r in [d/2, 2d], r = d + lam sinh(sigma): log-like resolution on
         # both sides of the crossing radius r = d down to the bubble width
         sig_lo = np.arcsinh(-0.5 * d / lam)
         sig_hi = np.arcsinh(d / lam)
         b_edges = sig_lo + (sig_hi - sig_lo) * np.linspace(0.0, 1.0, n_seg_b + 1)[None, :]
-        b_mid = 0.5 * (b_edges[:, :-1] + b_edges[:, 1:])
-        b_half = 0.5 * (b_edges[:, 1:] - b_edges[:, :-1])
-        sig = (b_mid[:, :, None] + b_half[:, :, None] * xb[None, None, :])
-        sig = sig.reshape(xs.size, -1)
-        wsig = (b_half[:, :, None] * wb[None, None, :]).reshape(xs.size, -1)
+        sig, wsig = panel_rule(b_edges, rule_b)
         r_b = d + lam * np.sinh(sig)
         k_b = wsig * lam * np.cosh(sig) / r_b ** 1.5
 
@@ -385,11 +382,7 @@ def _bubble_quarter_lap(w_eval, w_inf, center, scale):
         s_lo = np.log(2.0 * d)
         s_hi = np.log(r_max)
         edges = s_lo + (s_hi - s_lo) * np.linspace(0.0, 1.0, n_seg + 1)[None, :]
-        seg_mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
-        seg_half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-        s = (seg_mid[:, :, None] + seg_half[:, :, None] * xc[None, None, :])
-        s = s.reshape(xs.size, -1)
-        ws_c = (seg_half[:, :, None] * wc[None, None, :]).reshape(xs.size, -1)
+        s, ws_c = panel_rule(edges, rule_c)
         r_c = np.exp(s)
         k_c = ws_c * np.exp(-0.5 * s)
 
@@ -486,15 +479,9 @@ def bubbling_experiment(u: Field, a_sequence: Sequence[float],
         w_inf = w_eval(np.array([1.0e30]))[0]
         quarter = _bubble_quarter_lap(w_eval, w_inf, center, scale)
 
-        gl_x, gl_w = gauss_legendre(nodes_per_annulus)
-        dists, weights, bounds = [], [], []
-        for inner, outer in annuli:
-            mid, half = 0.5 * (outer + inner), 0.5 * (outer - inner)
-            dists.append(mid + half * gl_x)
-            weights.append(half * gl_w)
-            bounds.append((inner, outer))
-        dists = np.concatenate(dists)
-        weights = np.concatenate(weights)
+        # the annuli are contiguous: each outer radius is the next inner one
+        edges = [inner for inner, _ in annuli] + [annuli[-1][1]]
+        dists, weights = panel_rule(edges, gauss_legendre(nodes_per_annulus))
         xs = np.concatenate([center + dists, center - dists])
         mags = np.sqrt(np.sum(quarter(xs) ** 2, axis=1))
 
@@ -531,7 +518,7 @@ def bubbling_experiment(u: Field, a_sequence: Sequence[float],
 
         reports.append(NeckReport(
             a=a, lam=lam, concentration_scale=scale, center=center,
-            annuli=bounds, l2=l2s, l21=l21s, l2inf=l2infs,
+            annuli=annuli, l2=l2s, l21=l21s, l2inf=l2infs,
             dyadic_sup=float(np.max(l2s)), neck_l2_total=neck_l2,
             neck_l2inf_total=neck_l2inf, fit_coefficient=fit_c,
             fit_exponent=fit_p, fit_residual=fit_res,

@@ -27,8 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import (CircleGrid, Field, LineGrid, gauss_legendre, rfft_frequencies,
-                       rfft_multiply)
+from .geometry import (CircleGrid, Field, LineGrid, gauss_legendre, panel_rule,
+                       rfft_frequencies, rfft_multiply)
 from . import fracops
 
 _FLOOR = 1e-14
@@ -51,10 +51,14 @@ class PohozaevReport:
         return np.abs(self.residual) / scale
 
 
-def _gl_nodes(n, a, b):
-    xi, wg = gauss_legendre(n)
-    half = 0.5 * (b - a)
-    return a + half * (xi + 1.0), half * wg
+def _hypothesis_residual(u, where=slice(None)):
+    """Max over the nodes `where` of |u' . (-D)^{1/2} u|, the pointwise
+    orthogonality a half-harmonic map satisfies."""
+    half_lap = (fracops.frac_laplacian_circle if u.is_circle()
+                else fracops.frac_laplacian_line_spectral)
+    du = rfft_multiply(u, 1j * rfft_frequencies(u.grid))
+    w = half_lap(u, 0.5)
+    return float(np.max(np.abs(np.sum(du * w.samples, axis=1))[where]))
 
 
 def residual_line(u, t_values, n_quad=2000):
@@ -74,7 +78,7 @@ def residual_line(u, t_values, n_quad=2000):
         raise ValueError("t values must be positive")
     u0 = u.tail.mean_limit()
     interp = fracops.line_interpolant(u)
-    phi, wq = _gl_nodes(n_quad, -np.pi / 2.0, np.pi / 2.0)
+    phi, wq = panel_rule((-np.pi / 2.0, np.pi / 2.0), gauss_legendre(n_quad))
     cos2, sin2 = np.cos(2 * phi), np.sin(2 * phi)
     tanphi = np.tan(phi)
     lhs, rhs = [], []
@@ -86,12 +90,9 @@ def residual_line(u, t_values, n_quad=2000):
         rhs.append(float(np.sum(minus ** 2)))
     lhs, rhs = np.array(lhs), np.array(rhs)
 
-    du = rfft_multiply(u, 1j * rfft_frequencies(u.grid))
-    w = fracops.frac_laplacian_line_spectral(u, 0.5)
     # take the max over the central half only; the outer region carries the
     # periodization error of the spectral operator for slowly decaying fields
-    central = np.abs(u.grid.nodes()) <= 0.5 * u.grid.half_width
-    hyp = float(np.max(np.abs(np.sum(du * w.samples, axis=1))[central]))
+    hyp = _hypothesis_residual(u, np.abs(u.grid.nodes()) <= 0.5 * u.grid.half_width)
     return PohozaevReport(t_values, lhs, rhs, lhs - rhs, hyp)
 
 
@@ -107,15 +108,12 @@ def residual_circle(u):
     rhs = np.array([float(np.sum(ms ** 2))])
     u1 = mc / (2 * np.pi)
     um1 = ms / (2 * np.pi)
-    du = rfft_multiply(u, 1j * rfft_frequencies(u.grid))
-    w = fracops.frac_laplacian_circle(u, 0.5)
-    hyp = float(np.max(np.abs(np.sum(du * w.samples, axis=1))))
     return PohozaevReport(
         None,
         lhs,
         rhs,
         lhs - rhs,
-        hyp,
+        _hypothesis_residual(u),
         u_plus=u1,
         u_minus=um1,
         moment_gap=float(abs(np.linalg.norm(u1) - np.linalg.norm(um1))),
@@ -140,10 +138,7 @@ def residual_circle_t(u, t_values):
         lhs.append(float(np.sum(mt ** 2)))
         rhs.append(float(np.sum(mth ** 2)))
     lhs, rhs = np.array(lhs), np.array(rhs)
-    du = rfft_multiply(u, 1j * rfft_frequencies(u.grid))
-    w = fracops.frac_laplacian_circle(u, 0.5)
-    hyp = float(np.max(np.abs(np.sum(du * w.samples, axis=1))))
-    return PohozaevReport(t_values, lhs, rhs, lhs - rhs, hyp)
+    return PohozaevReport(t_values, lhs, rhs, lhs - rhs, _hypothesis_residual(u))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +240,7 @@ def m_kernel_minus(x):
 
 def _m_quadrature(n_quad):
     # x = tan(psi), psi = pi/2 - s^2 on s in (0, sqrt(pi/2))
-    s, ws = _gl_nodes(n_quad, 0.0, np.sqrt(np.pi / 2.0))
+    s, ws = panel_rule((0.0, np.sqrt(np.pi / 2.0)), gauss_legendre(n_quad))
     psi = np.pi / 2.0 - s ** 2
     x = np.tan(psi)
     base = np.sqrt(np.pi) * np.cos(psi) ** -0.5 * 2.0 * s * ws
@@ -268,26 +263,25 @@ def _m_apply(w, t, weights, x_quad, sign):
     return out
 
 
-def m_plus(w, t_grid, n_quad=400):
-    """Average w against the even kernel: always produces an even field."""
+def _m_average(w, t_grid, n_quad, sign):
+    # sign +1 averages against the even kernel, -1 against the odd one
     if w.tail is None:
-        raise ValueError("m_plus needs a tail model on w")
-    x_quad, wp, _ = _m_quadrature(n_quad)
+        raise ValueError("M+ and M- need a tail model on w")
+    x_quad, wp, wm = _m_quadrature(n_quad)
     t = t_grid.nodes()
     if np.any(t == 0.0):
         raise ValueError("t = 0 is excluded")
-    return Field(t_grid, _m_apply(w, t, wp, x_quad, +1))
+    return Field(t_grid, _m_apply(w, t, wp if sign > 0 else wm, x_quad, sign))
+
+
+def m_plus(w, t_grid, n_quad=400):
+    """Average w against the even kernel: always produces an even field."""
+    return _m_average(w, t_grid, n_quad, +1)
 
 
 def m_minus(w, t_grid, n_quad=400):
     """Average w against the odd kernel: always produces an odd field."""
-    if w.tail is None:
-        raise ValueError("m_minus needs a tail model on w")
-    x_quad, _, wm = _m_quadrature(n_quad)
-    t = t_grid.nodes()
-    if np.any(t == 0.0):
-        raise ValueError("t = 0 is excluded")
-    return Field(t_grid, _m_apply(w, t, wm, x_quad, -1))
+    return _m_average(w, t_grid, n_quad, -1)
 
 
 def _cosine_transform(w):
@@ -310,9 +304,9 @@ def _paired_with_m_plus(a, b, n_quad):
     # (the kernel's |x|^{-3/2} tail), so the inner piece substitutes t = tau^2
     # which turns half-integer powers into smooth ones; plain nodes beyond 1.
     x_quad, wp, _ = _m_quadrature(n_quad)
-    tau, wtau = _gl_nodes(400, 0.0, 1.0)
+    tau, wtau = panel_rule((0.0, 1.0), gauss_legendre(400))
     t_in, w_in = tau ** 2, 2.0 * tau * wtau
-    t_out, w_out = _gl_nodes(1200, 1.0, a.grid.half_width)
+    t_out, w_out = panel_rule((1.0, a.grid.half_width), gauss_legendre(1200))
     t = np.concatenate([t_in, t_out])
     wt = np.concatenate([w_in, w_out])
     mb = _m_apply(b, t, wp, x_quad, +1)
@@ -347,7 +341,7 @@ def m_plus_mellin_symbol(nu, n_quad=4000, lam_max=60.0):
     exp(-pi |nu| / 2) but never vanishes, which is the scalar heart of the
     injectivity measurement below.
     """
-    lam, wl = _gl_nodes(n_quad, -lam_max, lam_max)
+    lam, wl = panel_rule((-lam_max, lam_max), gauss_legendre(n_quad))
     g = 2.0 * m_kernel_plus(np.exp(lam)) * np.exp(0.5 * lam)
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     return np.array([complex(np.sum(wl * g * np.exp(-1j * n_ * lam))) for n_ in nu])

@@ -65,11 +65,6 @@ def _project_angle(theta):
     return np.cos(theta) / (1.0 + np.sin(theta))
 
 
-def _auto_refine(grid):
-    # keep the refined spacing near 0.008 so spline error stays ~1e-9
-    return max(4, int(np.ceil(grid.h / 0.008)))
-
-
 def pushforward(u, circle_grid=None):
     """Compose a line field with the projection, yielding a circle field.
 
@@ -83,7 +78,7 @@ def pushforward(u, circle_grid=None):
         raise ValueError("pushforward needs a tail model on u")
     grid = circle_grid or CircleGrid(n_modes=DEFAULT_CIRCLE_POINTS // 2)
     th = grid.nodes()
-    interp = fracops.line_interpolant(u, refine=_auto_refine(u.grid))
+    interp = fracops.line_interpolant(u)
     s = 1.0 + np.sin(th)
     out = np.empty((grid.n_points, u.m))
     regular = s > 1e-12
@@ -125,30 +120,39 @@ def pullback(v, line_grid=None):
     return Field(grid, out, tail=tail)
 
 
-def transfer_identity_check(u, arc_halfwidth=0.2, circle_grid=None):
-    """Compare the two routes to the half Laplacian of u o proj.
+def transfer_routes(u, arc_halfwidth, circle_grid=None):
+    """The two routes to the half Laplacian of u o proj.
 
-    Left side: spectral operator on the circle applied to the pushforward.
-    Right side: line operator, sampled at the projected angles, divided by
-    the conformal speed. Angles within arc_halfwidth of the south pole are
-    excluded (the projection blows up there).
+    Circle route: spectral operator on the circle applied to the
+    pushforward. Line route: line operator, sampled at the projected angles,
+    divided by the conformal speed. Angles within arc_halfwidth of the south
+    pole are left out (the projection blows up there).
 
-    Returns a dict with the max absolute residual, the same relative to the
-    max of the left side, and the arc actually used.
+    Returns (kept angles, circle route, line route), the routes of shape
+    (angles, m).
     """
     v = pushforward(u, circle_grid=circle_grid)
-    lhs = fracops.frac_laplacian_circle(v, 0.5)
-    w = fracops.frac_laplacian_line_spectral(u, 0.5)
-    interp = fracops.line_interpolant(w, refine=_auto_refine(u.grid))
     th = v.grid.nodes()
     th_wrapped = np.mod(th + np.pi, 2 * np.pi) - np.pi
     keep = np.abs(th_wrapped + np.pi / 2.0) >= arc_halfwidth
-    rhs = interp(_project_angle(th[keep])) / conformal_speed(th[keep])[:, None]
-    resid = np.max(np.abs(lhs.samples[keep] - rhs))
-    scale = max(float(np.max(np.abs(lhs.samples[keep]))), 1e-14)
+    th = th[keep]
+    circle_route = fracops.frac_laplacian_circle(v, 0.5).samples[keep]
+    interp = fracops.line_interpolant(fracops.frac_laplacian_line_spectral(u, 0.5))
+    return th, circle_route, interp(_project_angle(th)) / conformal_speed(th)[:, None]
+
+
+def transfer_identity_check(u, arc_halfwidth=0.2, circle_grid=None):
+    """Compare the two routes of transfer_routes.
+
+    Returns a dict with the max absolute residual, the same relative to the
+    max of the circle route, and the arc actually used.
+    """
+    th, lhs, rhs = transfer_routes(u, arc_halfwidth, circle_grid)
+    resid = np.max(np.abs(lhs - rhs))
+    scale = max(float(np.max(np.abs(lhs))), 1e-14)
     return {
         "max_abs_residual": float(resid),
         "max_relative_residual": float(resid / scale),
         "arc_halfwidth": float(arc_halfwidth),
-        "n_points_checked": int(np.count_nonzero(keep)),
+        "n_points_checked": len(th),
     }

@@ -91,6 +91,16 @@ def test_no_tail_boundary_warning():
         frac_laplacian_line_spectral(_lorentzian_field(g), 0.5)  # tail: silent
 
 
+def test_quadrature_warns_the_far_field_is_dropped():
+    g = LineGrid(5.0, 256)
+    f = field_from_function(g, lambda x: 1.0 / (1.0 + x * x))  # no tail model
+    with pytest.warns(RuntimeWarning, match="the far field is treated as zero"):
+        frac_laplacian_line_quadrature(f, 0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        frac_laplacian_line_quadrature(_lorentzian_field(g), 0.25)  # tail: silent
+
+
 def test_riesz_squares_to_minus_identity():
     g = CircleGrid(32)
     f = field_from_function(g, lambda t: np.sin(3 * t) + 0.5 * np.cos(t))
@@ -192,11 +202,13 @@ def _refined_reference(f, refine):
     return CubicSpline(x[order], fine[order], axis=0), x[order]
 
 
-@pytest.mark.parametrize("refine", [4, 8])
-def test_line_interpolant_matches_global_spline(refine):
+@pytest.mark.parametrize("half_width, refine", [(16.0, 4), (30.0, 8)], ids=["4", "8"])
+def test_line_interpolant_matches_global_spline(half_width, refine):
     # m = 2 like the pohozaev line fixture; calls overlap and repeat, so
-    # coefficient blocks fitted by one call are reused by the next
-    g = LineGrid(30.0, 2 ** 10)
+    # coefficient blocks fitted by one call are reused by the next. The
+    # interpolant refines by max(4, ceil(h / 0.008)): spacings 0.031 and
+    # 0.059 give 4 and 8
+    g = LineGrid(half_width, 2 ** 10)
     x = g.nodes()
     tail = TailModel.even(2.0, [1.0, 0.0], m=2)
     rng = np.random.default_rng(3)
@@ -210,10 +222,10 @@ def test_line_interpolant_matches_global_spline(refine):
     wrapped = nodes[: (refine - 1) // 2]
     assert np.all(wrapped < x[0])
     edges = np.array([lo, hi, 0.5 * (lo + nodes[1]), x[0], x[-1]])
-    beyond = np.array([-31.0, 30.0 + 0.5 * g.h, 45.0, -1e4])
+    beyond = np.array([-half_width - 1.0, half_width + 0.5 * g.h, 1.5 * half_width, -1e4])
     tol = 1e-13 * np.max(np.abs(f.samples))
 
-    u = line_interpolant(f, refine=refine)
+    u = line_interpolant(f)
     # the first call fits a few scattered blocks; the midpoints of every fine
     # interval then reuse those and fit the blocks between them
     midpoints = 0.5 * (nodes[1:] + nodes[:-1])
@@ -231,13 +243,13 @@ def test_line_interpolant_matches_global_spline(refine):
 def test_line_interpolant_nyquist_rule():
     # a field holding the Nyquist mode: the samples come back at the field's
     # own nodes, and the refined nodes in between carry the half-split cosine
-    g = LineGrid(10.0, 64)
+    g = LineGrid(1.0, 64)  # spacing 1/32, refined by 4
     x = g.nodes()
     alt = (-1.0) ** np.arange(g.n_points)
     smooth = np.cos(3.0 * np.pi * (x + g.half_width) / g.half_width)
     f = Field(g, np.stack([alt, smooth + 0.5 * alt], axis=1))
     refine = 4
-    u = line_interpolant(f, refine=refine)
+    u = line_interpolant(f)
     assert np.max(np.abs(u(x) - f.samples)) <= 1e-12
     between = (x[:-1, None] + g.h / refine * np.arange(1, refine)[None, :]).ravel()
     nyq = np.cos(np.pi * (between - x[0]) / g.h)
@@ -286,7 +298,7 @@ def test_line_interpolant_memory_follows_queries():
     pts = np.cos(th[speed > 1e-12]) / speed[speed > 1e-12]
     tracemalloc.start()
     try:
-        u = line_interpolant(f, refine=4)
+        u = line_interpolant(f)
         vals = u(pts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

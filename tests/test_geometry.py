@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from fraclap.geometry import (CircleGrid, Field, LineGrid, TailModel,
                               even_part, field_from_function, gauss_legendre,
                               line_integral, load_binary, load_csv, odd_part,
-                              resample, rfft_frequencies, save_binary, save_csv)
+                              panel_rule, resample, rfft_frequencies, save_binary,
+                              save_csv)
 
 
 def test_line_grid_nodes_symmetric():
@@ -172,6 +173,24 @@ def test_gauss_legendre_exact_on_monomials(n):
         # a few ulps per node of accumulated rounding
         assert abs(np.sum(w * power) - exact) <= 5e-16 * n
         power *= x
+
+
+def test_panel_rule_exact_per_panel_on_batched_edges():
+    # two rows of three panels each, as the per-point panels of the bubble
+    # quadrature; each panel integrates monomials up to degree 2n - 1
+    n = 6
+    edges = np.array([[0.0, 0.5, 1.5, 4.0], [-2.0, -1.0, 0.25, 0.3]])
+    x, w = panel_rule(edges, gauss_legendre(n))
+    assert x.shape == w.shape == (2, 3 * n)
+    xs, ws = x.reshape(2, 3, n), w.reshape(2, 3, n)
+    a, b = edges[:, :-1], edges[:, 1:]
+    for degree in range(2 * n):
+        exact = (b ** (degree + 1) - a ** (degree + 1)) / (degree + 1)
+        assert np.allclose(np.sum(ws * xs ** degree, axis=-1), exact,
+                           rtol=1e-13, atol=1e-15)
+    # one row of edges gives flat arrays, the same as that row of the batch
+    x1, w1 = panel_rule(edges[1], gauss_legendre(n))
+    assert np.array_equal(x1, x[1]) and np.array_equal(w1, w[1])
 
 
 def test_gauss_legendre_cached_read_only():

@@ -129,12 +129,23 @@ def test_flow_step_costs_two_fft_pairs(monkeypatch):
     final = gradient_flow(u0, sphere_distribution(2), tol=1e-12, max_iter=10,
                           step0=16.0)[-1]
     assert final.iteration == 10 and not final.stalled and final.backtracks > 0
-    # every candidate, accepted or not, costs the rfft of its energy, which
-    # the Armijo test reuses; an accepted one (and the start) adds the
-    # gradient's irfft and the preconditioner's rfft/irfft pair
-    assert calls["rfft"] == 2 * (1 + final.iteration) + final.backtracks
+    # every candidate, accepted or not, costs the rffts of its energy and of
+    # cand - u and cand + u for the Armijo test; an accepted one (and the
+    # start) adds the gradient's irfft and the preconditioner's rfft/irfft
+    # pair
+    candidates = final.iteration + final.backtracks
+    assert calls["rfft"] == 2 * (1 + final.iteration) + final.backtracks + 2 * candidates
     assert calls["irfft"] == 2 * (1 + final.iteration)
     assert calls["fft"] == calls["ifft"] == 0
+
+
+def test_flow_stalls_instead_of_wandering_below_the_floor():
+    # below the residual floor a candidate differs from u by round-off; the
+    # Armijo test, taken from the transforms of cand - u and cand + u,
+    # rejects it, so the step runs out instead of wandering to max_iter
+    u0 = perturbed_identity(CircleGrid(16), 0.05, 7)
+    final = gradient_flow(u0, sphere_distribution(2), tol=1e-20, max_iter=2000)[-1]
+    assert final.stalled and final.iteration < 100
 
 
 @pytest.mark.parametrize("n_modes, amp, seed", [
