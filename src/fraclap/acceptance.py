@@ -231,13 +231,6 @@ def check_pohozaev_line() -> CheckResult:
 # 06: first-mode moment identity on the circle, Moebius stable
 
 
-def moment_balance(rep):
-    """Norm gap and dot product of the circle moments u+ and u-."""
-    gap = abs(float(np.linalg.norm(rep.u_plus)) - float(np.linalg.norm(rep.u_minus)))
-    dot = abs(float(np.dot(rep.u_plus, rep.u_minus)))
-    return gap, dot
-
-
 def check_pohozaev_circle() -> CheckResult:
     ident = halfharmonic.identity_map(CircleGrid(n_modes=512))
 
@@ -246,7 +239,8 @@ def check_pohozaev_circle() -> CheckResult:
                      float(np.max(np.abs(rep.u_minus - np.array([0.0, 0.5])))))
     worst = moment_gap
     for u in [ident] + [halfharmonic.mobius_compose(ident, a) for a in (0.3, 0.6, 0.9)]:
-        worst = max(worst, *moment_balance(pohozaev.residual_circle(u)))
+        rep = pohozaev.residual_circle(u)
+        worst = max(worst, rep.moment_gap, rep.moment_dot)
     return CheckResult(
         "06-pohozaev-circle", worst <= POHOZAEV_CIRCLE_TOL, worst,
         "moments (1/2,0),(0,1/2); norm gap and dot <= 1e-10, also composed",

@@ -99,7 +99,6 @@ class Command:
 class RunContext:
     seed: int
     threads: int
-    config_hash: str
     # run-health entries a runner adds to the report's meta, outside results
     meta: dict = field(default_factory=dict)
 
@@ -171,9 +170,9 @@ def _require(condition: bool, message: str):
         raise ConfigError(message)
 
 
-def _check(check_id, passed, value, target, expect_pass=True, note="", details=None):
+def _check(check_id, passed, value, target, expect_pass=True, note=""):
     return CheckResult(check_id, bool(passed), float(value), target,
-                       expect_pass=expect_pass, note=note, details=details or {})
+                       expect_pass=expect_pass, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +287,7 @@ def _run_pohozaev(opts, ctx):
             _require(-1.0 < a < 1.0, "pohozaev: mobius parameter needs |a| < 1")
             u = halfharmonic.mobius_compose(halfharmonic.identity_map(grid), a)
         rep = pohozaev.residual_circle(u)
-        gap, dot = acceptance.moment_balance(rep)
+        gap, dot = rep.moment_gap, rep.moment_dot
         payload = {"geometry": "circle", "preset": preset,
                    "u_plus": [float(v) for v in rep.u_plus],
                    "u_minus": [float(v) for v in rep.u_minus],
@@ -709,7 +708,7 @@ def _default_threads() -> int:
 
 def _config_hash(command: str, opts: dict, seed: int, threads: int) -> str:
     blob = json.dumps({"command": command, "options": opts, "seed": seed,
-                       "threads": threads}, sort_keys=True, default=list)
+                       "threads": threads}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -740,14 +739,10 @@ def _main(argv: Optional[Sequence[str]]) -> int:
     if threads < 1:
         raise ConfigError("threads must be at least 1")
 
-    hash_opts = dict(opts)
-    ctx = RunContext(seed=seed, threads=threads,
-                     config_hash=_config_hash(args.command, hash_opts, seed, threads))
+    ctx = RunContext(seed=seed, threads=threads)
 
     started = time.time()
     payload, checks, table = spec.runner(opts, ctx)
-    if args.csv and table is None:
-        raise ConfigError("%s: no table data for --csv" % args.command)
 
     results = dict(payload)
     results["checks"] = [c.to_dict() for c in checks]
@@ -756,7 +751,7 @@ def _main(argv: Optional[Sequence[str]]) -> int:
             "command": args.command,
             "version": __version__,
             "schema_version": SCHEMA_VERSION,
-            "config_hash": ctx.config_hash,
+            "config_hash": _config_hash(args.command, opts, seed, threads),
             "seed": seed,
             "threads": threads,
             "wall_clock_s": round(time.time() - started, 3),

@@ -101,91 +101,53 @@ def op_Lambda(Q, v):
 # coefficient-space reference
 
 
-def _centered_coeffs(f):
-    # complex Fourier coefficients c_k, k = -K..K, dropping the Nyquist mode
-    n = f.grid.n_points
-    K = n // 2 - 1
-    spec = f.spectrum() / n
-    k = np.fft.fftfreq(n, 1.0 / n).astype(int)
-    coeffs = np.zeros((2 * K + 1, f.m), dtype=complex)
-    for idx, kk in enumerate(k):
-        if abs(kk) <= K:
-            coeffs[kk + K] += spec[idx]
-    return coeffs, K
-
-
-def _coeff_product(a, Ka, b, Kb):
-    # scalar coefficient vector a against each component of b
-    K = Ka + Kb
-    out = np.zeros((2 * K + 1, b.shape[1]), dtype=complex)
-    for j in range(b.shape[1]):
-        out[:, j] = np.convolve(a[:, 0], b[:, j])
-    return out, K
-
-
-def _coeff_multiplier(coeffs, K, fn):
-    k = np.arange(-K, K + 1)
-    return coeffs * fn(k)[:, None]
-
-
-def _coeff_to_samples(coeffs, K, grid, m):
-    th = grid.nodes()
-    k = np.arange(-K, K + 1)
-    phases = np.exp(1j * np.outer(th, k))
-    return np.real(phases @ coeffs)
-
-
 def convolution_reference(which, Q, v):
     """Evaluate one of the four operators purely in coefficient space.
 
-    Products become convolutions of centered coefficient vectors, so no
-    aliasing question arises; intended as an oracle for tests on band-limited
-    circle fields with scalar Q.
+    Each operator is its formula on the centered coefficients c_k, |k| < n/2,
+    with np.convolve for the products. Sampling folds k modulo n into one
+    inverse rfft, which is the dense sum over k exactly, aliasing included.
+    An oracle for tests on circle fields with scalar Q.
     """
     if not isinstance(v.grid, CircleGrid):
         raise TypeError("reference evaluation is for circle fields")
     if Q.m != 1:
         raise ValueError("reference evaluation supports scalar Q only")
-    q, Kq = _centered_coeffs(Q)
-    c, Kv = _centered_coeffs(v)
+    n = v.grid.n_points
 
-    def quarter(a, K):
-        return _coeff_multiplier(a, K, lambda k: np.abs(k) ** 0.5), K
+    def coeffs(f):
+        # fftshift puts the Nyquist mode first; [1:] drops it
+        return np.fft.fftshift(f.spectrum(), axes=0)[1:] / n
 
-    def riesz(a, K):
-        return _coeff_multiplier(a, K, lambda k: -1j * np.sign(k)), K
+    def freqs(a):
+        K = len(a) // 2
+        return np.arange(-K, K + 1)[:, None]
 
-    def prod(a, Ka, b, Kb):
-        return _coeff_product(a, Ka, b, Kb)
+    def quarter(a):
+        return a * np.abs(freqs(a)) ** 0.5
 
+    def riesz(a):
+        return a * (-1j * np.sign(freqs(a)))
+
+    def prod(a, b):
+        return np.column_stack([np.convolve(a[:, 0], col) for col in b.T])
+
+    q, c = coeffs(Q), coeffs(v)
     if which == "T":
-        t1, K1 = quarter(*prod(q, Kq, c, Kv))
-        t2, K2 = prod(q, Kq, *quarter(c, Kv))
-        t3, K3 = prod(*quarter(q, Kq), c, Kv)
-        parts = [(t1, K1, 1.0), (t2, K2, -1.0), (t3, K3, 1.0)]
+        total = quarter(prod(q, c)) - prod(q, quarter(c)) + prod(quarter(q), c)
     elif which == "S":
-        t1, K1 = quarter(*prod(q, Kq, c, Kv))
-        t2, K2 = riesz(*prod(q, Kq, *riesz(*quarter(c, Kv))))
-        t3, K3 = riesz(*prod(*quarter(q, Kq), *riesz(c, Kv)))
-        parts = [(t1, K1, 1.0), (t2, K2, -1.0), (t3, K3, 1.0)]
+        total = (quarter(prod(q, c)) - riesz(prod(q, riesz(quarter(c))))
+                 + riesz(prod(quarter(q), riesz(c))))
     elif which == "F":
-        rq, _ = riesz(q, Kq)
-        rv, _ = riesz(c, Kv)
-        t1, K1 = prod(rq, Kq, rv, Kv)
-        t2, K2 = prod(q, Kq, c, Kv)
-        parts = [(t1, K1, 1.0), (t2, K2, -1.0)]
+        total = prod(riesz(q), riesz(c)) - prod(q, c)
     elif which == "Lambda":
-        t1, K1 = prod(q, Kq, c, Kv)
-        t2, K2 = riesz(*prod(q, Kq, *riesz(c, Kv)))
-        parts = [(t1, K1, 1.0), (t2, K2, 1.0)]
+        total = prod(q, c) + riesz(prod(q, riesz(c)))
     else:
         raise ValueError("which must be one of T, S, F, Lambda")
 
-    Kmax = max(K for _, K, _ in parts)
-    total = np.zeros((2 * Kmax + 1, v.m), dtype=complex)
-    for a, K, sign in parts:
-        total[Kmax - K : Kmax + K + 1] += sign * a
-    return v.with_samples(_coeff_to_samples(total, Kmax, v.grid, v.m))
+    folded = np.zeros((n, v.m), dtype=complex)
+    np.add.at(folded, freqs(total)[:, 0] % n, total)
+    return v.with_samples(n * np.fft.irfft(folded[:n // 2 + 1], n, axis=0))
 
 
 def _cosine_series(n, amp, phase):

@@ -202,7 +202,7 @@ def build_potentials(u, v):
     antisymmetric by construction, Omega1 has the single entry omega1 in the
     (2,1) slot.
     """
-    if u.grid is not v.grid and u.grid != v.grid:
+    if u.grid != v.grid:
         raise ValueError("profiles must share a grid")
     if u.m != 1 or v.m != 1:
         raise ValueError("profiles are scalar fields")

@@ -22,6 +22,15 @@ from . import norms
 from .geometry import (CircleGrid, Field, gauss_legendre, panel_rule,
                        rfft_frequencies, rfft_multiply, rfft_resize)
 
+_ON_TARGET_TOL = 1e-6       # largest distance of an input from the target
+_STEP_GROW = 1.15           # flow step growth after an accepted step
+_STEP_MAX = 4.0             # flow step cap
+_ARMIJO = 1e-4              # flow sufficient-decrease constant
+_FD_EPS = 1e-5              # difference step of gradient_check
+_MOBIUS_TOL = 1e-8          # relative energy change that ends the refinement
+_MOBIUS_N_MAX = 1 << 22     # node cap of the Moebius refinement
+_NODES_PER_ANNULUS = 24     # Gauss nodes per neck annulus
+
 
 @dataclass(frozen=True)
 class PlaneDistribution:
@@ -141,13 +150,13 @@ def energy(u: Field) -> float:
     return norms.sobolev_half_seminorm(u) ** 2
 
 
-def _check_on_target(u, dist, tol=1e-6):
+def _check_on_target(u, dist):
     if dist.constraint_distance is None:
         return
     worst = float(np.max(dist.constraint_distance(u.samples)))
-    if worst > tol:
+    if worst > _ON_TARGET_TOL:
         raise ValueError(
-            "field is off the target by %.3e (tolerance %.0e)" % (worst, tol))
+            "field is off the target by %.3e (tolerance %.0e)" % (worst, _ON_TARGET_TOL))
 
 
 def _half_laplacian_samples(u):
@@ -181,9 +190,7 @@ def _max_node_norm(samples):
 
 
 def gradient_flow(u0: Field, dist: PlaneDistribution, tol: float = 1e-6,
-                  max_iter: int = 20000, step0: float = 0.5,
-                  step_grow: float = 1.15, step_max: float = 4.0,
-                  armijo: float = 1e-4) -> List[FlowState]:
+                  max_iter: int = 20000, step0: float = 0.5) -> List[FlowState]:
     """Projected descent on the energy in its own H^{1/2} metric, with
     Armijo backtracking.
 
@@ -193,7 +200,7 @@ def gradient_flow(u0: Field, dist: PlaneDistribution, tol: float = 1e-6,
     no longer shrinks with the grid, and the iteration count to tol does
     not grow with it.  Iterates u <- retract(u - tau d), halving tau on a failed
     decrease and growing it gently after accepted steps.  The Armijo test
-    asks E(cand) - E(u) <= -2 armijo tau h <g, d>, which is a decrease
+    asks E(cand) - E(u) <= -2 _ARMIJO tau h <g, d>, which is a decrease
     because g is tangent and P_T an orthogonal projection; the difference
     is the bilinear form of cand - u with cand + u, transformed as such, so
     it neither cancels the two energies against each other nor keeps the
@@ -238,7 +245,7 @@ def gradient_flow(u0: Field, dist: PlaneDistribution, tol: float = 1e-6,
         while True:
             cand = u.with_samples(dist.retraction(u.samples - tau * d))
             e_new = energy(cand)
-            if norms.sobolev_half_inner(cand - u, cand + u) <= -armijo * 2.0 * tau * slope:
+            if norms.sobolev_half_inner(cand - u, cand + u) <= -_ARMIJO * 2.0 * tau * slope:
                 break
             backtracks += 1
             tau *= 0.5
@@ -251,14 +258,14 @@ def gradient_flow(u0: Field, dist: PlaneDistribution, tol: float = 1e-6,
         u, e = cand, e_new
         g, d = directions(u)
         res = _max_node_norm(g)
-        tau = min(tau * step_grow, step_max)
+        tau = min(tau * _STEP_GROW, _STEP_MAX)
         states.append(FlowState(u, e, res, tau, it, backtracks, stalled))
     return states
 
 
-def gradient_check(u: Field, dist: PlaneDistribution, w: Optional[Field] = None,
-                   eps: float = 1e-5, seed: int = 0):
-    """Directional-derivative check of the flow's gradient.
+def gradient_check(u: Field, dist: PlaneDistribution):
+    """Directional-derivative check of the flow's gradient along a random
+    unit tangent direction w on modes 1..min(12, n/4) (seed 0).
 
     Compares the analytic derivative 2 <P_T(u) (-D)^{1/2} u, w> against the
     centered difference (E(u+) - E(u-)) / (2 eps), u+- = retract(u +- eps w).
@@ -268,25 +275,22 @@ def gradient_check(u: Field, dist: PlaneDistribution, w: Optional[Field] = None,
     """
     if dist.retraction is None:
         raise ValueError("gradient_check needs a retraction")
-    if w is None:
-        rng = np.random.default_rng(seed)
-        n = u.grid.n_points
-        spec = np.zeros((n // 2 + 1, u.m), dtype=complex)
-        kmax = min(12, n // 4)
-        spec[1:kmax + 1] = (rng.standard_normal((kmax, u.m))
-                            + 1j * rng.standard_normal((kmax, u.m)))
-        raw = np.fft.irfft(spec, n=n, axis=0)
-        tang = dist.tangent(u.samples, raw)
-        tang /= np.sqrt(u.grid.h * np.sum(tang ** 2))
-        w = u.with_samples(tang)
-    h = u.grid.h
+    rng = np.random.default_rng(0)
+    n, h = u.grid.n_points, u.grid.h
+    spec = np.zeros((n // 2 + 1, u.m), dtype=complex)
+    kmax = min(12, n // 4)
+    spec[1:kmax + 1] = (rng.standard_normal((kmax, u.m))
+                        + 1j * rng.standard_normal((kmax, u.m)))
+    raw = np.fft.irfft(spec, n=n, axis=0)
+    w = dist.tangent(u.samples, raw)
+    w /= np.sqrt(h * np.sum(w ** 2))
     gt = dist.tangent(u.samples, _half_laplacian_samples(u))
-    analytic = 2.0 * h * float(np.sum(gt * w.samples))
-    plus = dist.retraction(u.samples + eps * w.samples)
-    minus = dist.retraction(u.samples - eps * w.samples)
+    analytic = 2.0 * h * float(np.sum(gt * w))
+    plus = dist.retraction(u.samples + _FD_EPS * w)
+    minus = dist.retraction(u.samples - _FD_EPS * w)
     diff = norms.sobolev_half_inner(u.with_samples(plus - minus),
                                     u.with_samples(plus + minus))
-    return analytic, diff / (2.0 * eps)
+    return analytic, diff / (2.0 * _FD_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +316,12 @@ def _mobius_angles(theta, a):
     return np.angle((z - a) / (1.0 - a * z))
 
 
-def mobius_compose(u: Field, a: float, tol: float = 1e-8,
-                   n_max: int = 1 << 22) -> Field:
+def mobius_compose(u: Field, a: float) -> Field:
     """Sample u(phi_a(e^{i theta})) with phi_a(z) = (z - a)/(1 - a z).
 
     The composition concentrates near theta = 0 as a -> 1, so the output
     resolution doubles (starting from the input grid) until its energy moves
-    by less than tol relative between successive levels.
+    by less than _MOBIUS_TOL relative between successive levels.
     """
     if not -1.0 < float(a) < 1.0:
         raise ValueError("mobius parameter must satisfy |a| < 1")
@@ -327,15 +330,15 @@ def mobius_compose(u: Field, a: float, tol: float = 1e-8,
     ev = _circle_evaluator(u)
     n = u.grid.n_points
     prev_energy = None
-    while n <= n_max:
+    while n <= _MOBIUS_N_MAX:
         grid = CircleGrid(n_modes=n // 2)
         comp = Field(grid, ev(_mobius_angles(grid.nodes(), a)))
         e = energy(comp)
-        if prev_energy is not None and abs(e - prev_energy) <= tol * max(1.0, prev_energy):
+        if prev_energy is not None and abs(e - prev_energy) <= _MOBIUS_TOL * max(1.0, prev_energy):
             return comp
         prev_energy = e
         n *= 2
-    raise RuntimeError("composition energy did not stabilize below n = %d" % n_max)
+    raise RuntimeError("composition energy did not stabilize below n = %d" % _MOBIUS_N_MAX)
 
 
 _QUARTER_CONSTANT = 1.0 / (2.0 * np.sqrt(2.0 * np.pi))
@@ -431,8 +434,7 @@ def _locate_concentration(ev, a, scale):
 
 
 def bubbling_experiment(u: Field, a_sequence: Sequence[float],
-                        lam: float = 2.0, big_r: float = 2.0,
-                        nodes_per_annulus: int = 24) -> List[NeckReport]:
+                        lam: float = 2.0, big_r: float = 2.0) -> List[NeckReport]:
     """Concentration diagnostics for the family u composed with phi_a.
 
     For each a the composition is transferred to the line, its quarter
@@ -481,12 +483,12 @@ def bubbling_experiment(u: Field, a_sequence: Sequence[float],
 
         # the annuli are contiguous: each outer radius is the next inner one
         edges = [inner for inner, _ in annuli] + [annuli[-1][1]]
-        dists, weights = panel_rule(edges, gauss_legendre(nodes_per_annulus))
+        dists, weights = panel_rule(edges, gauss_legendre(_NODES_PER_ANNULUS))
         xs = np.concatenate([center + dists, center - dists])
         mags = np.sqrt(np.sum(quarter(xs) ** 2, axis=1))
 
         k = dists.size
-        per = nodes_per_annulus
+        per = _NODES_PER_ANNULUS
         l2s, l21s, l2infs = [], [], []
         for i in range(len(annuli)):
             sl = slice(i * per, (i + 1) * per)

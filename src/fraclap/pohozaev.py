@@ -32,6 +32,8 @@ from .geometry import (CircleGrid, Field, LineGrid, gauss_legendre, panel_rule,
 from . import fracops
 
 _FLOOR = 1e-14
+_M_QUAD = 400       # Gauss nodes of the M+/M- quadrature
+_BUMP_WIDTH = 0.2   # log-width of the bumps of m_plus_even_matrix
 
 
 @dataclass
@@ -147,36 +149,26 @@ def residual_circle_t(u, t_values):
 
 @dataclass
 class PlaneField:
-    """m-component field sampled on a uniform cell-centered square grid."""
+    """m-component field on the tensor square of a cell-centered line grid:
+    samples[i, j] is the value at (x_i, x_j) for the axis nodes x."""
 
-    half_width: float
-    n: int
+    axis: LineGrid
     samples: np.ndarray
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim == 2:
             self.samples = self.samples[:, :, None]
-        if self.samples.shape[:2] != (self.n, self.n):
+        n = self.axis.n_points
+        if self.samples.shape[:2] != (n, n):
             raise ValueError("samples must be (n, n, m)")
-
-    @property
-    def h(self):
-        return 2.0 * self.half_width / self.n
-
-    def nodes(self):
-        return -self.half_width + (np.arange(self.n) + 0.5) * self.h
-
-    @property
-    def m(self):
-        return self.samples.shape[2]
 
 
 def plane_field_from_function(half_width, n, fn):
     """Sample fn(X, Y) -> (n, n) or (n, n, m) on the tensor grid."""
-    x = -half_width + (np.arange(n) + 0.5) * (2.0 * half_width / n)
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    return PlaneField(half_width, n, np.asarray(fn(X, Y), dtype=float))
+    axis = LineGrid(half_width, n)
+    X, Y = np.meshgrid(axis.nodes(), axis.nodes(), indexing="ij")
+    return PlaneField(axis, fn(X, Y))
 
 
 def residual_plane(u, x0, t_values):
@@ -191,18 +183,18 @@ def residual_plane(u, x0, t_values):
     if any(t <= 0 for t in t_values):
         raise ValueError("t values must be positive")
     x0 = np.asarray(x0, dtype=float)
-    a = u.half_width
+    a = u.axis.half_width
     corners = np.array([[sx * a, sy * a] for sx in (-1, 1) for sy in (-1, 1)])
     far = float(np.max(np.linalg.norm(corners - x0[None, :], axis=1)))
     for t in t_values:
         if np.exp(-(far ** 2) / (4.0 * t)) > 1e-10:
             raise ValueError("t=%g too large for the grid (boundary weight above 1e-10)" % t)
 
-    h = u.h
+    h = u.axis.h
     s = u.samples
     dux = (s[2:, 1:-1] - s[:-2, 1:-1]) / (2 * h)
     duy = (s[1:-1, 2:] - s[1:-1, :-2]) / (2 * h)
-    x = u.nodes()
+    x = u.axis.nodes()
     X, Y = np.meshgrid(x[1:-1] - x0[0], x[1:-1] - x0[1], indexing="ij")
     radial = X[:, :, None] * dux + Y[:, :, None] * duy
     angular = -Y[:, :, None] * dux + X[:, :, None] * duy
@@ -263,25 +255,25 @@ def _m_apply(w, t, weights, x_quad, sign):
     return out
 
 
-def _m_average(w, t_grid, n_quad, sign):
+def _m_average(w, t_grid, sign):
     # sign +1 averages against the even kernel, -1 against the odd one
     if w.tail is None:
         raise ValueError("M+ and M- need a tail model on w")
-    x_quad, wp, wm = _m_quadrature(n_quad)
+    x_quad, wp, wm = _m_quadrature(_M_QUAD)
     t = t_grid.nodes()
     if np.any(t == 0.0):
         raise ValueError("t = 0 is excluded")
     return Field(t_grid, _m_apply(w, t, wp if sign > 0 else wm, x_quad, sign))
 
 
-def m_plus(w, t_grid, n_quad=400):
+def m_plus(w, t_grid):
     """Average w against the even kernel: always produces an even field."""
-    return _m_average(w, t_grid, n_quad, +1)
+    return _m_average(w, t_grid, +1)
 
 
-def m_minus(w, t_grid, n_quad=400):
+def m_minus(w, t_grid):
     """Average w against the odd kernel: always produces an odd field."""
-    return _m_average(w, t_grid, n_quad, -1)
+    return _m_average(w, t_grid, -1)
 
 
 def _cosine_transform(w):
@@ -299,11 +291,11 @@ def _cosine_transform(w):
     return Field(grid, vals, tail=TailModel.even(power=2.0, coef=0.0, m=w.m))
 
 
-def _paired_with_m_plus(a, b, n_quad):
+def _paired_with_m_plus(a, b):
     # 2 int_0^inf a(t) (M+ b)(t) dt. M+ b has a |t|^{1/2} cusp at the origin
     # (the kernel's |x|^{-3/2} tail), so the inner piece substitutes t = tau^2
     # which turns half-integer powers into smooth ones; plain nodes beyond 1.
-    x_quad, wp, _ = _m_quadrature(n_quad)
+    x_quad, wp, _ = _m_quadrature(_M_QUAD)
     tau, wtau = panel_rule((0.0, 1.0), gauss_legendre(400))
     t_in, w_in = tau ** 2, 2.0 * tau * wtau
     t_out, w_out = panel_rule((1.0, a.grid.half_width), gauss_legendre(1200))
@@ -315,7 +307,7 @@ def _paired_with_m_plus(a, b, n_quad):
     return 2.0 * float(np.sum(wt[:, None] * va * mb))
 
 
-def m_adjoint_check(w1, w2, n_quad=400):
+def m_adjoint_check(w1, w2):
     """Two L^2 pairings that coincide iff the frequency-side conjugation of
     M+ is its adjoint on even functions.
 
@@ -327,10 +319,10 @@ def m_adjoint_check(w1, w2, n_quad=400):
     """
     if w1.grid != w2.grid:
         raise ValueError("fields must share a grid")
-    route1 = _paired_with_m_plus(w1, w2, n_quad)
+    route1 = _paired_with_m_plus(w1, w2)
     c1 = _cosine_transform(w1)
     c2 = _cosine_transform(w2)
-    route2 = _paired_with_m_plus(c2, c1, n_quad)
+    route2 = _paired_with_m_plus(c2, c1)
     return route1, route2
 
 
@@ -347,7 +339,7 @@ def m_plus_mellin_symbol(nu, n_quad=4000, lam_max=60.0):
     return np.array([complex(np.sum(wl * g * np.exp(-1j * n_ * lam))) for n_ in nu])
 
 
-def m_plus_even_matrix(n_bumps=64, n_quad=400, c_min=5e-5, c_max=2e4, width=0.2):
+def m_plus_even_matrix(n_bumps=64, n_quad=_M_QUAD, c_min=5e-5, c_max=2e4):
     """Collocation matrix of M+ on a family of even log-Gaussian bumps.
 
     M+ commutes with dilations, so the natural even basis lives on a
@@ -365,7 +357,7 @@ def m_plus_even_matrix(n_bumps=64, n_quad=400, c_min=5e-5, c_max=2e4, width=0.2)
     def bump_values(args):
         # args shape (nt, nq); result (nt, nq, n_bumps)
         la = np.log(np.abs(args))
-        return np.exp(-((la[:, :, None] - np.log(centers)[None, None, :]) ** 2) / (2 * width ** 2))
+        return np.exp(-((la[:, :, None] - np.log(centers)[None, None, :]) ** 2) / (2 * _BUMP_WIDTH ** 2))
 
     args = centers[:, None] * x_quad[None, :]
     A = np.einsum("q,iqj->ij", 2.0 * wp, bump_values(args))

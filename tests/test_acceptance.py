@@ -7,7 +7,9 @@ direction is caught. The analyses live in the check notes in
 fraclap.acceptance and the per-check details.
 """
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -182,3 +184,17 @@ def test_inverse_quarter_pair_is_built_once(monkeypatch):
     checks["04a-inverse-quarter-kernels"]()
     checks["04b-inverse-quarter-ratio"]()
     assert len(calls) == 2
+
+
+def test_benchmark_workloads_follow_the_checklist():
+    # the benchmark judges `release` by these tables; a renamed check or a
+    # new subcommand must show up here rather than as a silent false verdict
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    ids = [cid for cid, _ in acceptance.CHECKS]
+    assert list(workloads.CHECK_IDS) == ids
+    assert list(workloads.EXPECTED_FAIL) == [cid for cid in ids
+                                             if not _result(cid).expect_pass]
+    assert set(cli._COMMANDS) <= {cmd[0] for cmd in workloads.RELEASE}

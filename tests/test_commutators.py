@@ -116,6 +116,28 @@ def test_reference_guards():
         convolution_reference("T", _circle(np.cos), line)
 
 
+def test_reference_folds_full_band_products_onto_the_nodes():
+    # full-band Q and v put their product on |k| <= n - 2; sampled at the
+    # nodes it must equal the pointwise product, aliasing included.
+    # R is applied analytically: cos k -> sin k, sin k -> -cos k.
+    grid = CircleGrid(32)
+    n = grid.n_points
+    th = grid.nodes()
+    k = np.arange(1, n // 2)
+    rng = np.random.default_rng(5)
+    cos_k, sin_k = np.cos(np.outer(th, k)), np.sin(np.outer(th, k))
+
+    def random_pair(m):
+        a, b = rng.normal(size=(2, k.size, m)) / n
+        return cos_k @ a + sin_k @ b, sin_k @ a - cos_k @ b
+
+    q, rq = random_pair(1)
+    v, rv = random_pair(2)
+    want = rq * rv - q * v
+    got = convolution_reference("F", Field(grid, q), Field(grid, v)).samples
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_compensation_report_shape():
     rows = compensation_report(resolutions=(256, 512), seed=1)
     assert [r["n_points"] for r in rows] == [256, 512]
