@@ -32,7 +32,10 @@ __all__ = ["CheckResult", "CHECKS", "run_all", "format_line"]
 
 # The experiments and gates below are shared with the CLI runners. They call
 # library functions through the module attribute, so a patched one sees them.
-# The runners also share these bounds of checks 05-08 and 10.
+# The runners also share these bounds of checks 05-08 and 10, and the
+# heights of checks 05 and 07 as their pohozaev defaults.
+POHOZAEV_LINE_T = (0.5, 1.0, 2.0, 5.0)
+POHOZAEV_PLANE_T = (1.0,)
 POHOZAEV_LINE_TOL = 1e-3
 POHOZAEV_CIRCLE_TOL = 1e-10
 POHOZAEV_PLANE_TOL = 1e-4
@@ -220,7 +223,7 @@ def pohozaev_line(t_values):
 
 
 def check_pohozaev_line() -> CheckResult:
-    tv, _, _, _, rel = pohozaev_line((0.5, 1.0, 2.0, 5.0))
+    tv, _, _, _, rel = pohozaev_line(POHOZAEV_LINE_T)
     return CheckResult(
         "05-pohozaev-line", rel <= POHOZAEV_LINE_TOL, rel,
         "both sides match 4 pi^2/(t+1)^4 within 1e-3, t in {0.5,1,2,5}",
@@ -267,7 +270,7 @@ def pohozaev_plane(preset, t_values):
 def check_pohozaev_plane() -> CheckResult:
     worst = 0.0
     for preset in PLANE_PRESETS:
-        worst = max(worst, pohozaev_plane(preset, (1.0,))[1])
+        worst = max(worst, pohozaev_plane(preset, POHOZAEV_PLANE_T)[1])
     return CheckResult(
         "07-pohozaev-plane", worst <= POHOZAEV_PLANE_TOL, worst,
         "relative residual <= 1e-4 for identity and z^2 at t=1, 512^2")

@@ -9,8 +9,8 @@ wall clock, config hash, and artifact version.
 
 Exit codes: 0 when every enabled assertion lands as expected (checks marked
 expect_pass=false count as expected when they fail), 1 on an assertion
-mismatch, 2 on a configuration error with a machine-readable JSON line on
-stderr and no outputs written.
+mismatch, 2 on a configuration error or an input the library rejects, with a
+machine-readable JSON line on stderr and no outputs written.
 """
 
 import argparse
@@ -112,6 +112,8 @@ def _coerce(opt: Option, raw, where: str):
     if opt.choices and value not in opt.choices:
         raise ConfigError("%s: option %s must be one of %s, got %r"
                           % (where, opt.name, "/".join(opt.choices), value))
+    if opt.kind in ("float", "float-list") and not np.all(np.isfinite(value)):
+        raise ConfigError("%s: option %s must be finite, got %r" % (where, opt.name, raw))
     return value
 
 
@@ -133,32 +135,23 @@ def _load_config_file(path: str) -> configparser.ConfigParser:
 
 def _effective_options(command: str, args: argparse.Namespace,
                        file_cfg: Optional[configparser.ConfigParser]) -> dict:
-    """Defaults, overridden by the config file section, overridden by flags."""
-    spec = _COMMANDS[command]
+    """Defaults, overridden by the config file section, overridden by flags,
+    for the command's options and then the common ones."""
     out = {}
-    section = file_cfg[command] if file_cfg and file_cfg.has_section(command) else {}
-    for key in section:
-        if key not in {o.name for o in spec.options}:
-            raise ConfigError("config section [%s]: unknown option %s" % (command, key))
-    for opt in spec.options:
-        value = opt.default
-        if opt.name in section:
-            value = _coerce(opt, section[opt.name], "config section [%s]" % command)
-        flag_value = getattr(args, opt.name, None)
-        if flag_value is not None:
-            value = _coerce(opt, flag_value, "flag --%s" % opt.name.replace("_", "-"))
-        out[opt.name] = value
+    for name, options in ((command, _COMMANDS[command].options), ("common", _COMMON)):
+        section = file_cfg[name] if file_cfg and file_cfg.has_section(name) else {}
+        for key in section:
+            if key not in {o.name for o in options}:
+                raise ConfigError("config section [%s]: unknown option %s" % (name, key))
+        for opt in options:
+            value = opt.default
+            if opt.name in section:
+                value = _coerce(opt, section[opt.name], "config section [%s]" % name)
+            flag_value = getattr(args, opt.name, None)
+            if flag_value is not None:
+                value = _coerce(opt, flag_value, "flag --%s" % opt.name.replace("_", "-"))
+            out[opt.name] = value
     return out
-
-
-def _common_value(name: str, flag_value, file_cfg, default, kind: str):
-    value = default
-    if file_cfg and file_cfg.has_section("common") and name in file_cfg["common"]:
-        value = _coerce(Option(name, kind, default, ""), file_cfg["common"][name],
-                        "config section [common]")
-    if flag_value is not None:
-        value = flag_value
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +174,8 @@ def _check(check_id, passed, value, target, expect_pass=True, note=""):
 
 def _run_kernel(opts, ctx):
     t, n = opts["t"], opts["samples"]
-    _require(t > 0.0, "kernel: t must be positive")
     _require(n >= 8 and n % 2 == 0, "kernel: samples must be even and at least 8")
     if opts["geometry"] == "line":
-        _require(opts["half_width"] > 0.0, "kernel: half-width must be positive")
         grid = LineGrid(opts["half_width"], n)
         x = grid.nodes()
         g, dg_dt, dg_dx = fracops.poisson_kernel_line(t, x)
@@ -235,8 +226,6 @@ def _run_norms(opts, ctx):
         inner = opts["inner"]
         outers = opts["outer"]
         _require(inner > 0.0, "norms: inner radius must be positive")
-        _require(all(r > inner for r in outers),
-                 "norms: every outer radius must exceed the inner radius")
         _require(max(outers) <= 2000.0,
                  "norms: outer radius beyond the pinned grid half-width 2000")
         table = acceptance.inverse_sqrt_annuli(inner, outers)
@@ -283,9 +272,7 @@ def _run_pohozaev(opts, ctx):
         elif preset == "degree-2":
             u = Field(grid, np.stack([np.cos(2 * th), np.sin(2 * th)], axis=1))
         else:
-            a = opts["a"]
-            _require(-1.0 < a < 1.0, "pohozaev: mobius parameter needs |a| < 1")
-            u = halfharmonic.mobius_compose(halfharmonic.identity_map(grid), a)
+            u = halfharmonic.mobius_compose(halfharmonic.identity_map(grid), opts["a"])
         rep = pohozaev.residual_circle(u)
         gap, dot = rep.moment_gap, rep.moment_dot
         payload = {"geometry": "circle", "preset": preset,
@@ -304,10 +291,8 @@ def _run_pohozaev(opts, ctx):
     if geometry == "line":
         _require(preset == "identity-map",
                  "pohozaev: the line geometry supports preset identity-map")
-        t_values = opts["t_values"]
-        _require(t_values and all(t > 0 for t in t_values),
-                 "pohozaev: t-values must be positive")
-        tv, lhs, rhs, target, rel = acceptance.pohozaev_line(t_values)
+        tv, lhs, rhs, target, rel = acceptance.pohozaev_line(
+            opts["t_values"] or acceptance.POHOZAEV_LINE_T)
         payload = {"geometry": "line", "preset": preset,
                    "t_values": [float(t) for t in tv],
                    "lhs": [float(v) for v in lhs], "rhs": [float(v) for v in rhs],
@@ -321,9 +306,7 @@ def _run_pohozaev(opts, ctx):
 
     _require(preset in acceptance.PLANE_PRESETS,
              "pohozaev: plane presets are " + ", ".join(acceptance.PLANE_PRESETS))
-    t_values = opts["t_values"]
-    _require(t_values and all(t > 0 for t in t_values),
-             "pohozaev: t-values must be positive")
+    t_values = opts["t_values"] or acceptance.POHOZAEV_PLANE_T
     rep, rel = acceptance.pohozaev_plane(preset, t_values)
     lhs, rhs = np.asarray(rep.lhs), np.asarray(rep.rhs)
     payload = {"geometry": "plane", "preset": preset,
@@ -398,10 +381,6 @@ def _run_flow(opts, ctx):
         u0 = _load_field(opts["initial"])
         _require(u0.is_circle() and u0.m == 2,
                  "flow: the initial field must be a 2-component circle field")
-        off = float(np.max(np.abs(np.linalg.norm(u0.samples, axis=1) - 1.0)))
-        _require(off <= 1e-6,
-                 "flow: the initial field must take values on the unit circle "
-                 "(max |u|-1 gap %.2e)" % off)
 
     fd_check = default_recipe and opts["perturbation"] <= 0.2
     states, violations, energy_gap, grad_rel = acceptance.flow_experiment(
@@ -612,8 +591,9 @@ _COMMANDS: Dict[str, Command] = {
                    ("line", "circle", "plane")),
             Option("preset", "str", "identity-map", "test map preset"),
             Option("a", "float", 0.6, "mobius parameter for the mobius preset"),
-            Option("t_values", "float-list", (0.5, 1.0, 2.0, 5.0),
-                   "heights for the line and plane identities"),
+            Option("t_values", "float-list", (),
+                   "heights for the line and plane identities "
+                   "(default: the geometry's selftest heights)"),
         ),
         runner=_run_pohozaev,
         help="weighted-moment identities on the line, circle, and plane"),
@@ -659,6 +639,12 @@ _COMMANDS: Dict[str, Command] = {
         help="run the full release checklist"),
 }
 
+# options every command takes; [common] in a config file
+_COMMON = (
+    Option("seed", "int", 0, "RNG seed"),
+    Option("threads", "int", None, "worker pool size (env FRACLAP_THREADS, then cores)"),
+)
+
 
 # ---------------------------------------------------------------------------
 # wiring
@@ -678,14 +664,11 @@ def _build_parser() -> _Parser:
         if spec.actions:
             p.add_argument("action", nargs="?", default=spec.actions[0],
                            help="one of: %s" % ", ".join(spec.actions))
-        for opt in spec.options:
+        for opt in spec.options + _COMMON:
             p.add_argument("--" + opt.name.replace("_", "-"), dest=opt.name,
                            default=None, metavar=opt.kind.upper(), help=opt.help)
         p.add_argument("--config", default=None, metavar="PATH",
                        help="INI config file; flags override it")
-        p.add_argument("--seed", default=None, metavar="INT", help="RNG seed")
-        p.add_argument("--threads", default=None, metavar="INT",
-                       help="worker pool size (env FRACLAP_THREADS, then cores)")
         p.add_argument("--out", default=None, metavar="PATH",
                        help="write the JSON report here instead of stdout")
         p.add_argument("--csv", default=None, metavar="PATH",
@@ -733,11 +716,11 @@ def _main(argv: Optional[Sequence[str]]) -> int:
 
     file_cfg = _load_config_file(args.config) if args.config else None
     opts = _effective_options(args.command, args, file_cfg)
-    seed = int(_common_value("seed", args.seed, file_cfg, 0, "int"))
-    threads_raw = _common_value("threads", args.threads, file_cfg, None, "int")
-    threads = int(threads_raw) if threads_raw is not None else _default_threads()
-    if threads < 1:
-        raise ConfigError("threads must be at least 1")
+    seed, threads = opts.pop("seed"), opts.pop("threads")
+    if threads is None:
+        threads = _default_threads()
+    _require(seed >= 0, "seed must be non-negative")
+    _require(threads >= 1, "threads must be at least 1")
 
     ctx = RunContext(seed=seed, threads=threads)
 
@@ -774,7 +757,9 @@ def _main(argv: Optional[Sequence[str]]) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return _main(argv)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
+        # a ValueError is an input the library rejects; the CLI builds every
+        # grid and field itself, so a TypeError stays a program fault
         sys.stderr.write(json.dumps({"error": "config", "message": str(exc)}) + "\n")
         return 2
 

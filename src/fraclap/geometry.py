@@ -190,9 +190,6 @@ class Field:
     def is_circle(self):
         return isinstance(self.grid, CircleGrid)
 
-    def component(self, j):
-        return Field(self.grid, self.samples[:, j], self.tail)
-
     def __add__(self, other):
         if isinstance(other, Field):
             _check_same_grid(self, other)

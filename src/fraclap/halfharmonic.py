@@ -34,7 +34,7 @@ _NODES_PER_ANNULUS = 24     # Gauss nodes per neck annulus
 
 @dataclass(frozen=True)
 class PlaneDistribution:
-    """Tangent-plane field z -> T_z of a target in R^m plus a Lipschitz bound.
+    """Tangent-plane field z -> T_z of a target in R^m.
 
     tangent(z, v) returns P_T(z) v, the projection of v onto the tangent
     plane at z, for arrays of shape (..., m) that broadcast against each
@@ -45,7 +45,6 @@ class PlaneDistribution:
     """
 
     tangent: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    lipschitz_bound: float
     retraction: Optional[Callable[[np.ndarray], np.ndarray]] = None
     constraint_distance: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
@@ -80,7 +79,7 @@ def sphere_distribution(m: int = 2) -> PlaneDistribution:
         z = np.asarray(z, dtype=float)
         return np.abs(np.sqrt(_dot(z, z)) - 1.0)
 
-    return PlaneDistribution(tangent, 2.0, retraction, constraint_distance)
+    return PlaneDistribution(tangent, retraction, constraint_distance)
 
 
 def identity_map(grid: CircleGrid) -> Field:
@@ -121,23 +120,18 @@ class FlowState:
 @dataclass(frozen=True)
 class NeckReport:
     """Annulus-by-annulus norms of the quarter-Laplacian magnitude around the
-    concentration point, plus the power-law fit over the small-norm annuli."""
+    concentration point, plus the power-law exponent fitted over the
+    small-norm annuli."""
 
     a: float
-    lam: float
     concentration_scale: float
-    center: Optional[float]
     annuli: List[Tuple[float, float]]
     l2: List[float]
     l21: List[float]
     l2inf: List[float]
     dyadic_sup: Optional[float]
     neck_l2_total: Optional[float]
-    neck_l2inf_total: Optional[float]
-    fit_coefficient: Optional[float]
     fit_exponent: Optional[float]
-    fit_residual: Optional[float]
-    fit_annuli_used: int
     energy_total: float
 
 
@@ -449,29 +443,29 @@ def bubbling_experiment(u: Field, a_sequence: Sequence[float],
     if pre > 1e-8:
         raise ValueError(
             "input is not critical: residual %.3e exceeds 1e-8" % pre)
+    # the energy is Moebius invariant (check 11): every composition has u's
+    total = energy(u)
+    ev = _circle_evaluator(u)
+    per = _NODES_PER_ANNULUS
+    outer_limit = big_r / (2.0 * lam)
 
     reports = []
     for a in a_sequence:
-        comp = mobius_compose(u, a)
-        total = energy(comp)
         scale = 1.0 - a
-
+        inner = []
         rho = lam * scale
-        outer_limit = big_r / (2.0 * lam)
-        annuli = []
         while rho < outer_limit:
-            annuli.append((rho, min(2.0 * rho, outer_limit)))
+            inner.append(rho)
             rho *= 2.0
-        if not annuli:
+        if not inner:
             reports.append(NeckReport(
-                a=a, lam=lam, concentration_scale=scale, center=None,
-                annuli=[], l2=[], l21=[], l2inf=[], dyadic_sup=None,
-                neck_l2_total=None, neck_l2inf_total=None,
-                fit_coefficient=None, fit_exponent=None, fit_residual=None,
-                fit_annuli_used=0, energy_total=total))
+                a=a, concentration_scale=scale, annuli=[], l2=[], l21=[], l2inf=[],
+                dyadic_sup=None, neck_l2_total=None, fit_exponent=None,
+                energy_total=total))
             continue
+        edges = inner + [outer_limit]
+        annuli = list(zip(edges[:-1], edges[1:]))
 
-        ev = _circle_evaluator(u)
         center = _locate_concentration(ev, a, scale)
 
         def w_eval(xs):
@@ -481,48 +475,27 @@ def bubbling_experiment(u: Field, a_sequence: Sequence[float],
         w_inf = w_eval(np.array([1.0e30]))[0]
         quarter = _bubble_quarter_lap(w_eval, w_inf, center, scale)
 
-        # the annuli are contiguous: each outer radius is the next inner one
-        edges = [inner for inner, _ in annuli] + [annuli[-1][1]]
-        dists, weights = panel_rule(edges, gauss_legendre(_NODES_PER_ANNULUS))
+        dists, weights = panel_rule(edges, gauss_legendre(per))
         xs = np.concatenate([center + dists, center - dists])
         mags = np.sqrt(np.sum(quarter(xs) ** 2, axis=1))
 
-        k = dists.size
-        per = _NODES_PER_ANNULUS
-        l2s, l21s, l2infs = [], [], []
-        for i in range(len(annuli)):
-            sl = slice(i * per, (i + 1) * per)
-            m_both = np.concatenate([mags[sl], mags[k:][sl]])
-            w_both = np.concatenate([weights[sl], weights[sl]])
-            l2s.append(float(np.sqrt(np.sum(w_both * m_both ** 2))))
-            l21s.append(float(norms.lorentz_21_samples(m_both, w_both)))
-            l2infs.append(float(norms.lorentz_2inf_samples(m_both, w_both)))
+        # one row per annulus: both sides of the center, node by node
+        n_ann = len(annuli)
+        m_rows = mags.reshape(2, n_ann, per).transpose(1, 0, 2).reshape(n_ann, 2 * per)
+        w_rows = np.tile(weights.reshape(n_ann, per), 2)
+        l2s = [float(np.sqrt(np.sum(w * m ** 2))) for m, w in zip(m_rows, w_rows)]
+        l21s = [float(norms.lorentz_21_samples(m, w)) for m, w in zip(m_rows, w_rows)]
+        l2infs = [float(norms.lorentz_2inf_samples(m, w)) for m, w in zip(m_rows, w_rows)]
+        neck_l2 = float(np.sqrt(np.sum(np.tile(weights, 2) * mags ** 2)))
 
-        all_m = np.concatenate([mags[:k], mags[k:]])
-        all_w = np.concatenate([weights, weights])
-        neck_l2 = float(np.sqrt(np.sum(all_w * all_m ** 2)))
-        neck_l2inf = float(norms.lorentz_2inf_samples(all_m, all_w))
-
-        gate = [l2 < 0.1 * total for l2 in l2s]
-        fit_c = fit_p = fit_res = None
-        used = int(np.sum(gate))
-        if used >= 1:
-            keep = np.zeros(k, dtype=bool)
-            for i, ok in enumerate(gate):
-                if ok:
-                    keep[i * per:(i + 1) * per] = True
-            ld = np.log(np.concatenate([dists[keep], dists[keep]]))
-            lm = np.log(np.concatenate([mags[:k][keep], mags[k:][keep]]))
-            slope, intercept = np.polyfit(ld, lm, 1)
+        keep = np.tile(np.repeat([l2 < 0.1 * total for l2 in l2s], per), 2)
+        fit_p = None
+        if keep.any():
+            slope = np.polyfit(np.log(np.tile(dists, 2)[keep]), np.log(mags[keep]), 1)[0]
             fit_p = float(-slope)
-            fit_c = float(np.exp(intercept))
-            fit_res = float(np.sqrt(np.mean((lm - (slope * ld + intercept)) ** 2)))
 
         reports.append(NeckReport(
-            a=a, lam=lam, concentration_scale=scale, center=center,
-            annuli=annuli, l2=l2s, l21=l21s, l2inf=l2infs,
-            dyadic_sup=float(np.max(l2s)), neck_l2_total=neck_l2,
-            neck_l2inf_total=neck_l2inf, fit_coefficient=fit_c,
-            fit_exponent=fit_p, fit_residual=fit_res,
-            fit_annuli_used=used, energy_total=total))
+            a=a, concentration_scale=scale, annuli=annuli, l2=l2s, l21=l21s,
+            l2inf=l2infs, dyadic_sup=float(np.max(l2s)), neck_l2_total=neck_l2,
+            fit_exponent=fit_p, energy_total=total))
     return reports

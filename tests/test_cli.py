@@ -2,6 +2,8 @@
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,3 +244,87 @@ def test_threads_flag_beats_env(capsys, monkeypatch):
     code, out, _ = _run(capsys, ["pohozaev", "--threads", "1"])
     assert code == 0
     assert _report(out)["meta"]["threads"] == 1
+
+
+# Every option of every command, the common ones included, fed a value it
+# cannot parse, a negative one and a non-finite one. None of these reaches
+# an expensive path: each is rejected up front or ignored by the default run.
+_SWEEP = [(command, opt.name, value)
+          for command, spec in cli._COMMANDS.items()
+          for opt in spec.options + cli._COMMON
+          for value in ("x", "-1", "inf")]
+
+
+def _reject_constant(text):
+    raise ValueError("report holds the non-finite number %s" % text)
+
+
+@pytest.mark.parametrize("command,option,value", _SWEEP,
+                         ids=["%s-%s-%s" % case for case in _SWEEP])
+def test_every_option_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch,
+                                                   command, option, value):
+    monkeypatch.chdir(tmp_path)  # a relative --initial names no existing file
+    out_path = tmp_path / "report.json"
+    code, _, err = _run(capsys, [command, "--threads", "1",
+                                 "--" + option.replace("_", "-"), value,
+                                 "--out", str(out_path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "config"
+        assert not out_path.exists()
+    else:
+        json.loads(out_path.read_text(), parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["kernel", "--threads", "0"], "threads must be at least 1"),
+    (["flow", "--seed", "-1"], "seed must be non-negative"),
+    (["pohozaev", "--geometry", "line", "--t-values", "-1"], "t values must be positive"),
+    (["pohozaev", "--geometry", "plane", "--t-values", "2"], "t=2 too large for the grid"),
+], ids=["threads-0", "seed-negative", "line-t-negative", "plane-t-too-large"])
+def test_rejected_inputs_exit_2_with_the_message(capsys, argv, message):
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert message in json.loads(err)["message"]
+
+
+def test_config_common_section_rejects_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[common]\nsed = 3\n")
+    code, _, err = _run(capsys, ["kernel", "--config", str(cfg)])
+    assert code == 2
+    assert "sed" in json.loads(err)["message"]
+
+
+def test_plane_default_uses_the_checklist_height(capsys):
+    code, out, _ = _run(capsys, ["pohozaev", "--geometry", "plane"])
+    assert code == 0
+    res = _report(out)["results"]
+    code, out, _ = _run(capsys, ["pohozaev", "--geometry", "plane", "--t-values", "1"])
+    assert code == 0
+    assert res == _report(out)["results"]
+    assert res["t_values"] == [1.0] and res["lhs"] == res["rhs"]
+
+
+def test_readme_command_lines_parse(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```", readme, re.M | re.S)
+    lines = [line.split("#")[0].split()[1:]
+             for lang, body in blocks if not lang
+             for line in body.splitlines() if line.startswith("fraclap ")]
+    assert len(lines) >= 8
+    parser = cli._build_parser()
+    for argv in lines:
+        args = parser.parse_args(argv)
+        spec = cli._COMMANDS[args.command]
+        assert not spec.actions or args.action in spec.actions, argv
+        cli._effective_options(args.command, args, None)
+
+    (ini,) = [body for lang, body in blocks if lang == "ini"]
+    cfg = tmp_path / "readme.ini"
+    cfg.write_text(ini)
+    file_cfg = cli._load_config_file(str(cfg))
+    for section in file_cfg.sections():
+        command = "flow" if section == "common" else section
+        opts = cli._effective_options(command, parser.parse_args([command]), file_cfg)
+        assert set(file_cfg[section]) <= set(opts)

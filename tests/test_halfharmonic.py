@@ -76,7 +76,7 @@ def test_horizontality_residual_is_the_normal_derivative():
     sphere_res = horizontality_residual(u, sphere_distribution(2)).samples
     assert np.max(np.abs(sphere_res)) < 1e-12
     # against the x-axis as target, the normal part of u' = (-sin, cos) is (0, cos)
-    axis = PlaneDistribution(lambda z, v: v * np.array([1.0, 0.0]), 0.0)
+    axis = PlaneDistribution(lambda z, v: v * np.array([1.0, 0.0]))
     res = horizontality_residual(u, axis).samples
     want = np.stack([np.zeros(g.n_points), np.cos(g.nodes())], axis=1)
     assert np.max(np.abs(res - want)) < 1e-12
