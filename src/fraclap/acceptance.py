@@ -414,7 +414,7 @@ def bubbling_reports(n_modes, k_max, lam, big_r, threads):
     u = halfharmonic.identity_map(CircleGrid(n_modes=n_modes))
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return tuple(pool.map(
-            lambda a: halfharmonic.bubbling_experiment(u, [a], lam=lam, big_r=big_r)[0],
+            lambda a: halfharmonic.bubbling_experiment(u, a, lam=lam, big_r=big_r),
             [1.0 - 10.0 ** -k for k in range(1, k_max + 1)]))
 
 

@@ -9,8 +9,9 @@ wall clock, config hash, and artifact version.
 
 Exit codes: 0 when every enabled assertion lands as expected (checks marked
 expect_pass=false count as expected when they fail), 1 on an assertion
-mismatch, 2 on a configuration error or an input the library rejects, with a
-machine-readable JSON line on stderr and no outputs written.
+mismatch, 2 on a configuration error, an input the library rejects, or a
+report that would carry NaN or Infinity, with a machine-readable JSON line on
+stderr and no outputs written.
 """
 
 import argparse
@@ -21,7 +22,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -55,16 +55,9 @@ class ConfigError(Exception):
 # option plumbing
 
 
-def _int_list(text):
-    return tuple(int(p) for p in str(text).split(",") if p.strip())
-
-
-def _float_list(text):
-    return tuple(float(p) for p in str(text).split(",") if p.strip())
-
-
-def _str_list(text):
-    return tuple(p.strip() for p in str(text).split(",") if p.strip())
+def _list_of(parse):
+    """Parser of a comma-separated list; blank items are skipped."""
+    return lambda text: tuple(parse(p.strip()) for p in str(text).split(",") if p.strip())
 
 
 _PARSERS: Dict[str, Callable] = {
@@ -72,9 +65,9 @@ _PARSERS: Dict[str, Callable] = {
     "float": float,
     "str": str,
     "path": str,
-    "int-list": _int_list,
-    "float-list": _float_list,
-    "str-list": _str_list,
+    "int-list": _list_of(int),
+    "float-list": _list_of(float),
+    "str-list": _list_of(str),
 }
 
 
@@ -109,6 +102,9 @@ def _coerce(opt: Option, raw, where: str):
     except (TypeError, ValueError):
         raise ConfigError("%s: cannot parse %r as %s for option %s"
                           % (where, raw, opt.kind, opt.name))
+    if opt.kind.endswith("-list") and not value:
+        raise ConfigError("%s: option %s needs at least one value, got %r"
+                          % (where, opt.name, raw))
     if opt.choices and value not in opt.choices:
         raise ConfigError("%s: option %s must be one of %s, got %r"
                           % (where, opt.name, "/".join(opt.choices), value))
@@ -433,12 +429,12 @@ def _run_bubble(opts, ctx):
     table = []
     for rep in reports:
         entries.append({
-            "a": float(rep.a),
-            "dyadic_sup": None if rep.dyadic_sup is None else float(rep.dyadic_sup),
+            "a": rep.a,
+            "dyadic_sup": rep.dyadic_sup,
             "n_annuli": len(rep.annuli),
-            "fit_exponent": None if rep.fit_exponent is None else float(rep.fit_exponent),
-            "neck_l2_total": None if rep.neck_l2_total is None else float(rep.neck_l2_total),
-            "energy_total": float(rep.energy_total),
+            "fit_exponent": rep.fit_exponent,
+            "neck_l2_total": rep.neck_l2_total,
+            "energy_total": rep.energy_total,
         })
         for (inner, outer), l2, l21, l2inf in zip(rep.annuli, rep.l2, rep.l21, rep.l2inf):
             table.append((rep.a, inner, outer, l2, l21, l2inf))
@@ -470,8 +466,6 @@ def _run_counterexample(opts, ctx):
     r_values = opts["R"]
     _require(all(n >= 2 for n in n_values), "counterexample: n must be at least 2")
     _require(all(r >= 2.0 for r in r_values), "counterexample: R must be at least 2")
-    _require(len(n_values) > 0 and len(r_values) > 0,
-             "counterexample: need at least one n and one R")
 
     pairs = [(n, r) for n in n_values for r in r_values]
     feasible = [(n, r) for n, r in pairs if n > r * r]
@@ -479,8 +473,7 @@ def _run_counterexample(opts, ctx):
                for n, r in pairs if n <= r * r]
     _require(feasible, "counterexample: every (n, R) pair is degenerate")
 
-    with ThreadPoolExecutor(max_workers=ctx.threads) as pool:
-        reports = list(pool.map(lambda p: counterexample.neck_report(*p), feasible))
+    reports = [counterexample.neck_report(n, r) for n, r in feasible]
 
     rows = np.array([
         (r.n, r.big_r, r.c_n_numeric, r.c_n_paper, r.u_n_window_l2,
@@ -663,7 +656,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=spec.help)
         if spec.actions:
             p.add_argument("action", nargs="?", default=spec.actions[0],
-                           help="one of: %s" % ", ".join(spec.actions))
+                           choices=spec.actions)
         for opt in spec.options + _COMMON:
             p.add_argument("--" + opt.name.replace("_", "-"), dest=opt.name,
                            default=None, metavar=opt.kind.upper(), help=opt.help)
@@ -710,9 +703,6 @@ def _main(argv: Optional[Sequence[str]]) -> int:
         parser.print_help(sys.stderr)
         return 2
     spec = _COMMANDS[args.command]
-    if spec.actions and args.action not in spec.actions:
-        raise ConfigError("%s: unknown action %r (expected %s)"
-                          % (args.command, args.action, "/".join(spec.actions)))
 
     file_cfg = _load_config_file(args.config) if args.config else None
     opts = _effective_options(args.command, args, file_cfg)
@@ -742,7 +732,11 @@ def _main(argv: Optional[Sequence[str]]) -> int:
         },
         "results": results,
     }
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise ConfigError("%s: the inputs lead to a non-finite value in the report"
+                          % args.command)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -52,6 +52,8 @@ class LineGrid:
             raise ValueError("half_width must be positive")
         if self.n_points < 8 or self.n_points % 2 != 0:
             raise ValueError("n_points must be even and at least 8")
+        if not np.isfinite(self.h):
+            raise ValueError("half_width %r gives a non-finite spacing 2L/n" % self.half_width)
 
     @property
     def h(self):
@@ -149,8 +151,8 @@ class Field:
     """Sampled m-component field on a grid. Samples shape (n_points, m).
 
     Immutable by convention: operations return new Fields. The spectrum is the
-    plain FFT of the samples along axis 0 and rfft its real-input half; each
-    is computed on first use, then cached read-only.
+    plain FFT of the samples along axis 0, computed on each call; rfft is its
+    real-input half, computed on first use, then cached read-only.
     """
 
     def __init__(self, grid, samples, tail=None):
@@ -165,7 +167,6 @@ class Field:
         self.samples = samples
         self.samples.flags.writeable = False
         self.tail = tail
-        self._spectrum = None
         self._rfft = None
 
     @property
@@ -173,10 +174,7 @@ class Field:
         return self.samples.shape[1]
 
     def spectrum(self):
-        if self._spectrum is None:
-            self._spectrum = np.fft.fft(self.samples, axis=0)
-            self._spectrum.flags.writeable = False
-        return self._spectrum
+        return np.fft.fft(self.samples, axis=0)
 
     def rfft(self):
         if self._rfft is None:

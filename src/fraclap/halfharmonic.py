@@ -13,12 +13,12 @@ evaluators work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from . import norms
+from . import norms, stereo
 from .geometry import (CircleGrid, Field, gauss_legendre, panel_rule,
                        rfft_frequencies, rfft_multiply, rfft_resize)
 
@@ -124,7 +124,6 @@ class NeckReport:
     small-norm annuli."""
 
     a: float
-    concentration_scale: float
     annuli: List[Tuple[float, float]]
     l2: List[float]
     l21: List[float]
@@ -413,7 +412,7 @@ def _locate_concentration(ev, a, scale):
         psi = _mobius_angles(theta, a)
         dpsi = (1.0 - a * a) / np.abs(1.0 - a * np.exp(1j * theta)) ** 2
         mag = np.sqrt(np.sum(np.atleast_2d(dev(psi % (2.0 * np.pi))) ** 2, axis=-1))
-        return mag * dpsi * (1.0 + np.sin(theta))
+        return mag * dpsi * stereo.conformal_speed(theta)
 
     ladder = scale * np.geomspace(1.0e-3, np.pi / scale, 1200)
     grid = np.concatenate([-ladder[::-1], [0.0], ladder])
@@ -423,20 +422,19 @@ def _locate_concentration(ev, a, scale):
     res = minimize_scalar(lambda t: -float(np.squeeze(speed(t))),
                           bounds=(lo, hi), method="bounded",
                           options={"xatol": 1.0e-4 * scale})
-    th = float(res.x)
-    return float(np.cos(th) / (1.0 + np.sin(th)))
+    return float(stereo.project_angle(res.x))
 
 
-def bubbling_experiment(u: Field, a_sequence: Sequence[float],
-                        lam: float = 2.0, big_r: float = 2.0) -> List[NeckReport]:
-    """Concentration diagnostics for the family u composed with phi_a.
+def bubbling_experiment(u: Field, a: float, lam: float = 2.0,
+                        big_r: float = 2.0) -> NeckReport:
+    """Concentration diagnostics for u composed with phi_a.
 
-    For each a the composition is transferred to the line, its quarter
-    Laplacian is evaluated by principal-value quadrature on dyadic annuli
-    around the detected concentration point between lam * (1 - a) and
-    big_r / (2 lam), and the report collects the annulus norms, their sup,
-    and a power-law fit of the magnitude over the annuli whose L2 mass is
-    below a tenth of the total energy.
+    The composition is transferred to the line, its quarter Laplacian is
+    evaluated by principal-value quadrature on dyadic annuli around the
+    detected concentration point between lam * (1 - a) and big_r / (2 lam),
+    and the report collects the annulus norms, their sup, and a power-law
+    fit of the magnitude over the annuli whose L2 mass is below a tenth of
+    the total energy.
     """
     sphere = sphere_distribution(u.m)
     pre = _max_node_norm(el_residual(u, sphere).samples)
@@ -445,57 +443,50 @@ def bubbling_experiment(u: Field, a_sequence: Sequence[float],
             "input is not critical: residual %.3e exceeds 1e-8" % pre)
     # the energy is Moebius invariant (check 11): every composition has u's
     total = energy(u)
-    ev = _circle_evaluator(u)
     per = _NODES_PER_ANNULUS
     outer_limit = big_r / (2.0 * lam)
 
-    reports = []
-    for a in a_sequence:
-        scale = 1.0 - a
-        inner = []
-        rho = lam * scale
-        while rho < outer_limit:
-            inner.append(rho)
-            rho *= 2.0
-        if not inner:
-            reports.append(NeckReport(
-                a=a, concentration_scale=scale, annuli=[], l2=[], l21=[], l2inf=[],
-                dyadic_sup=None, neck_l2_total=None, fit_exponent=None,
-                energy_total=total))
-            continue
-        edges = inner + [outer_limit]
-        annuli = list(zip(edges[:-1], edges[1:]))
+    scale = 1.0 - a
+    inner = []
+    rho = lam * scale
+    while rho < outer_limit:
+        inner.append(rho)
+        rho *= 2.0
+    if not inner:
+        return NeckReport(a=a, annuli=[], l2=[], l21=[], l2inf=[], dyadic_sup=None,
+                          neck_l2_total=None, fit_exponent=None, energy_total=total)
+    edges = inner + [outer_limit]
+    annuli = list(zip(edges[:-1], edges[1:]))
 
-        center = _locate_concentration(ev, a, scale)
+    ev = _circle_evaluator(u)
+    center = _locate_concentration(ev, a, scale)
 
-        def w_eval(xs):
-            th = np.arctan2(1.0 - xs ** 2, 2.0 * xs)
-            return ev(_mobius_angles(th, a))
+    def w_eval(xs):
+        return ev(_mobius_angles(stereo.angle_of(xs), a))
 
-        w_inf = w_eval(np.array([1.0e30]))[0]
-        quarter = _bubble_quarter_lap(w_eval, w_inf, center, scale)
+    w_inf = w_eval(np.array([1.0e30]))[0]
+    quarter = _bubble_quarter_lap(w_eval, w_inf, center, scale)
 
-        dists, weights = panel_rule(edges, gauss_legendre(per))
-        xs = np.concatenate([center + dists, center - dists])
-        mags = np.sqrt(np.sum(quarter(xs) ** 2, axis=1))
+    dists, weights = panel_rule(edges, gauss_legendre(per))
+    xs = np.concatenate([center + dists, center - dists])
+    mags = np.sqrt(np.sum(quarter(xs) ** 2, axis=1))
 
-        # one row per annulus: both sides of the center, node by node
-        n_ann = len(annuli)
-        m_rows = mags.reshape(2, n_ann, per).transpose(1, 0, 2).reshape(n_ann, 2 * per)
-        w_rows = np.tile(weights.reshape(n_ann, per), 2)
-        l2s = [float(np.sqrt(np.sum(w * m ** 2))) for m, w in zip(m_rows, w_rows)]
-        l21s = [float(norms.lorentz_21_samples(m, w)) for m, w in zip(m_rows, w_rows)]
-        l2infs = [float(norms.lorentz_2inf_samples(m, w)) for m, w in zip(m_rows, w_rows)]
-        neck_l2 = float(np.sqrt(np.sum(np.tile(weights, 2) * mags ** 2)))
+    # one row per annulus: both sides of the center, node by node
+    n_ann = len(annuli)
+    m_rows = mags.reshape(2, n_ann, per).transpose(1, 0, 2).reshape(n_ann, 2 * per)
+    w_rows = np.tile(weights.reshape(n_ann, per), 2)
+    l2s = [float(np.sqrt(np.sum(w * m ** 2))) for m, w in zip(m_rows, w_rows)]
+    l21s = [float(norms.lorentz_21_samples(m, w)) for m, w in zip(m_rows, w_rows)]
+    l2infs = [float(norms.lorentz_2inf_samples(m, w)) for m, w in zip(m_rows, w_rows)]
+    neck_l2 = float(np.sqrt(np.sum(np.tile(weights, 2) * mags ** 2)))
 
-        keep = np.tile(np.repeat([l2 < 0.1 * total for l2 in l2s], per), 2)
-        fit_p = None
-        if keep.any():
-            slope = np.polyfit(np.log(np.tile(dists, 2)[keep]), np.log(mags[keep]), 1)[0]
-            fit_p = float(-slope)
+    keep = np.tile(np.repeat([l2 < 0.1 * total for l2 in l2s], per), 2)
+    fit_p = None
+    if keep.any():
+        slope = np.polyfit(np.log(np.tile(dists, 2)[keep]), np.log(mags[keep]), 1)[0]
+        fit_p = float(-slope)
 
-        reports.append(NeckReport(
-            a=a, concentration_scale=scale, annuli=annuli, l2=l2s, l21=l21s,
-            l2inf=l2infs, dyadic_sup=float(np.max(l2s)), neck_l2_total=neck_l2,
-            fit_exponent=fit_p, energy_total=total))
-    return reports
+    return NeckReport(
+        a=a, annuli=annuli, l2=l2s, l21=l21s, l2inf=l2infs,
+        dyadic_sup=float(np.max(l2s)), neck_l2_total=neck_l2,
+        fit_exponent=fit_p, energy_total=total)

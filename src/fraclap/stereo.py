@@ -47,8 +47,9 @@ def unproject(x):
 
 def angle_of(x):
     """Circle angle of unproject(x), in (-pi, pi]."""
-    p = unproject(x)
-    return np.arctan2(p[..., 1], p[..., 0])
+    x = np.asarray(x, dtype=float)
+    # unproject(x) scaled by its positive denominator 1 + x^2
+    return np.arctan2(1.0 - x ** 2, 2.0 * x)
 
 
 def conformal_speed(theta):
@@ -60,9 +61,9 @@ def conformal_speed(theta):
     return 1.0 + np.sin(np.asarray(theta, dtype=float))
 
 
-def _project_angle(theta):
-    # proj(cos t, sin t) without building the point array
-    return np.cos(theta) / (1.0 + np.sin(theta))
+def project_angle(theta):
+    """proj(cos theta, sin theta) without building the point array."""
+    return np.cos(theta) / conformal_speed(theta)
 
 
 def pushforward(u, circle_grid=None):
@@ -79,10 +80,9 @@ def pushforward(u, circle_grid=None):
     grid = circle_grid or CircleGrid(n_modes=DEFAULT_CIRCLE_POINTS // 2)
     th = grid.nodes()
     interp = fracops.line_interpolant(u)
-    s = 1.0 + np.sin(th)
     out = np.empty((grid.n_points, u.m))
-    regular = s > 1e-12
-    out[regular] = interp(_project_angle(th[regular]))
+    regular = conformal_speed(th) > 1e-12
+    out[regular] = interp(project_angle(th[regular]))
     if np.any(~regular):
         out[~regular] = u.tail.mean_limit()
     return Field(grid, out)
@@ -138,7 +138,7 @@ def transfer_routes(u, arc_halfwidth, circle_grid=None):
     th = th[keep]
     circle_route = fracops.frac_laplacian_circle(v, 0.5).samples[keep]
     interp = fracops.line_interpolant(fracops.frac_laplacian_line_spectral(u, 0.5))
-    return th, circle_route, interp(_project_angle(th)) / conformal_speed(th)[:, None]
+    return th, circle_route, interp(project_angle(th)) / conformal_speed(th)[:, None]
 
 
 def transfer_identity_check(u, arc_halfwidth=0.2, circle_grid=None):

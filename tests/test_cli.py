@@ -2,7 +2,10 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -281,11 +284,38 @@ def test_every_option_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch
     (["flow", "--seed", "-1"], "seed must be non-negative"),
     (["pohozaev", "--geometry", "line", "--t-values", "-1"], "t values must be positive"),
     (["pohozaev", "--geometry", "plane", "--t-values", "2"], "t=2 too large for the grid"),
-], ids=["threads-0", "seed-negative", "line-t-negative", "plane-t-too-large"])
+    (["norms", "--outer", ","], "option outer needs at least one value"),
+    (["commutators", "--resolutions", ","], "option resolutions needs at least one value"),
+    (["counterexample", "--n", ","], "option n needs at least one value"),
+    (["pohozaev", "--t-values", ","], "option t_values needs at least one value"),
+    (["selftest", "--only", ","], "option only needs at least one value"),
+    (["kernel", "--half-width", "1e308"], "non-finite spacing"),
+    (["kernel", "foo"], "invalid choice"),
+], ids=["threads-0", "seed-negative", "line-t-negative", "plane-t-too-large",
+        "norms-outer-empty", "commutators-resolutions-empty", "counterexample-n-empty",
+        "pohozaev-t-values-empty", "selftest-only-empty", "kernel-half-width-huge",
+        "kernel-unknown-action"])
 def test_rejected_inputs_exit_2_with_the_message(capsys, argv, message):
     code, out, err = _run(capsys, argv)
     assert code == 2 and out == ""
     assert message in json.loads(err)["message"]
+
+
+def test_non_finite_report_exits_2_and_writes_nothing(tmp_path):
+    # (t + 1)^4 overflows to inf at t = 1e300, so the closed form's relative
+    # error is NaN; run as a user would, where the overflow warnings only print
+    out_path = tmp_path / "report.json"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fraclap.cli", "pohozaev", "--geometry", "line",
+         "--t-values", "1e300", "--out", str(out_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    diag = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert diag["error"] == "config" and "pohozaev" in diag["message"]
+    assert not out_path.exists()
 
 
 def test_config_common_section_rejects_unknown_key(tmp_path, capsys):

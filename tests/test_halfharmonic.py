@@ -9,25 +9,8 @@ from fraclap.geometry import CircleGrid, LineGrid, field_from_function
 from fraclap.halfharmonic import (PlaneDistribution, bubbling_experiment,
                                   el_residual, energy, gradient_check,
                                   gradient_flow, horizontality_residual,
-                                  mobius_compose, perturbed_identity,
-                                  sphere_distribution)
-
-
-def _identity_map(grid):
-    return field_from_function(grid, lambda t: np.stack([np.cos(t), np.sin(t)]))
-
-
-def _perturbed_identity(grid, amp=0.05, seed=7):
-    th = grid.nodes()
-    rng = np.random.default_rng(seed)
-    bump = np.zeros_like(th)
-    for mode in range(1, 6):
-        bump += rng.normal() * np.cos(mode * th + rng.uniform(0, 2 * np.pi))
-    bump *= amp / np.max(np.abs(bump))
-    samples = np.stack([np.cos(th) - bump * np.sin(th),
-                        np.sin(th) + bump * np.cos(th)], axis=-1)
-    samples /= np.linalg.norm(samples, axis=1, keepdims=True)
-    return field_from_function(grid, lambda t: t).with_samples(samples)
+                                  identity_map, mobius_compose,
+                                  perturbed_identity, sphere_distribution)
 
 
 def test_sphere_distribution_operations():
@@ -58,20 +41,20 @@ def test_sphere_tangent_is_the_projector(m):
 
 def test_energy_of_degree_maps():
     g = CircleGrid(64)
-    assert np.isclose(energy(_identity_map(g)), 2 * np.pi, rtol=1e-12)
+    assert np.isclose(energy(identity_map(g)), 2 * np.pi, rtol=1e-12)
     deg2 = field_from_function(g, lambda t: np.stack([np.cos(2 * t), np.sin(2 * t)]))
     assert np.isclose(energy(deg2), 4 * np.pi, rtol=1e-12)
 
 
 def test_identity_is_critical():
     g = CircleGrid(64)
-    res = el_residual(_identity_map(g), sphere_distribution(2))
+    res = el_residual(identity_map(g), sphere_distribution(2))
     assert np.max(np.abs(res.samples)) < 1e-12
 
 
 def test_horizontality_residual_is_the_normal_derivative():
     g = CircleGrid(64)
-    u = _identity_map(g)
+    u = identity_map(g)
     # maps into the sphere have tangent derivatives: the normal part is round-off
     sphere_res = horizontality_residual(u, sphere_distribution(2)).samples
     assert np.max(np.abs(sphere_res)) < 1e-12
@@ -84,7 +67,7 @@ def test_horizontality_residual_is_the_normal_derivative():
 
 def test_flow_relaxes_to_identity_energy():
     g = CircleGrid(n_modes=64)
-    states = gradient_flow(_perturbed_identity(g), sphere_distribution(2),
+    states = gradient_flow(perturbed_identity(g, 0.05, 7), sphere_distribution(2),
                            tol=1e-6, max_iter=5000)
     final = states[-1]
     assert final.el_residual_norm <= 1e-6
@@ -100,7 +83,7 @@ def test_flow_relaxes_to_identity_energy():
 
 def test_flow_reports_a_stall():
     # no residual reaches 1e-20: the step size runs out first
-    states = gradient_flow(_perturbed_identity(CircleGrid(n_modes=16)),
+    states = gradient_flow(perturbed_identity(CircleGrid(n_modes=16), 0.05, 7),
                            sphere_distribution(2), tol=1e-20)
     final = states[-1]
     assert final.stalled and final.step < 1e-14
@@ -111,7 +94,7 @@ def test_flow_reports_a_stall():
 
 
 def test_flow_step_costs_two_fft_pairs(monkeypatch):
-    u0 = _perturbed_identity(CircleGrid(n_modes=64), amp=0.2, seed=3)
+    u0 = perturbed_identity(CircleGrid(n_modes=64), 0.2, 3)
     calls = collections.Counter()
 
     def counted(name):
@@ -168,14 +151,14 @@ def test_flow_rejects_off_target_start():
 
 def test_gradient_check_direction():
     g = CircleGrid(n_modes=64)
-    u = _perturbed_identity(g, amp=0.1, seed=3)
+    u = perturbed_identity(g, 0.1, 3)
     analytic, fd = gradient_check(u, sphere_distribution(2))
     assert abs(analytic - fd) < 1e-5 * max(1.0, abs(analytic))
 
 
 def test_mobius_compose_preserves_energy():
     g = CircleGrid(128)
-    u = _identity_map(g)
+    u = identity_map(g)
     e0 = energy(u)
     comp = mobius_compose(u, 0.5)
     assert abs(energy(comp) - e0) < 1e-8 * e0
@@ -189,14 +172,13 @@ def test_mobius_compose_preserves_energy():
 def test_bubbling_requires_critical_input():
     g = CircleGrid(n_modes=64)
     with pytest.raises(ValueError):
-        bubbling_experiment(_perturbed_identity(g), [0.9])
+        bubbling_experiment(perturbed_identity(g, 0.05, 7), 0.9)
 
 
 def test_bubbling_identity_report():
     g = CircleGrid(n_modes=256)
-    rep = bubbling_experiment(_identity_map(g), [0.9])[0]
+    rep = bubbling_experiment(identity_map(g), 0.9)
     assert rep.a == 0.9
-    assert np.isclose(rep.concentration_scale, 0.1)
     assert np.isclose(rep.energy_total, 2 * np.pi, rtol=1e-8)
     # annuli are dyadic and nested inside (lam (1-a), R / (2 lam))
     for (r0, r1), (s0, s1) in zip(rep.annuli, rep.annuli[1:]):
