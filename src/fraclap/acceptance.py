@@ -11,6 +11,7 @@ Fixtures are chosen so every bound passes with a measured margin; the
 margins are recorded in the notes where they are thin.
 """
 
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -660,11 +661,16 @@ CHECKS: List[Tuple[str, Callable[[], CheckResult]]] = [
 ]
 
 
-def run_all(only: Optional[Sequence[str]] = None) -> List[CheckResult]:
-    """Run the checklist in order; `only` filters by check id prefix."""
+def run_all(only: Optional[Sequence[str]] = None,
+            seconds: Optional[Dict[str, float]] = None) -> List[CheckResult]:
+    """Run the checklist in order; `only` filters by check id prefix, and
+    `seconds`, when given, receives each check's wall time by check id."""
     results = []
     for check_id, fn in CHECKS:
         if only and not any(check_id.startswith(p) for p in only):
             continue
+        started = time.perf_counter()
         results.append(fn())
+        if seconds is not None:
+            seconds[check_id] = time.perf_counter() - started
     return results

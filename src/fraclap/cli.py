@@ -5,7 +5,8 @@ counterexample, selftest. Options come from flags or from an INI-style
 config file ([common] section plus one section per subcommand; flags win).
 Reports are deterministic for a fixed (config, seed, threads) triple: the
 "results" object is byte-identical across reruns, while "meta" carries the
-wall clock, config hash, and artifact version.
+wall clock, config hash, artifact version, and the count of warnings the run
+raised (recorded instead of printed).
 
 Exit codes: 0 when every enabled assertion lands as expected (checks marked
 expect_pass=false count as expected when they fail), 1 on an assertion
@@ -22,6 +23,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -535,8 +537,10 @@ def _run_counterexample(opts, ctx):
 
 def _run_selftest(opts, ctx):
     only = opts["only"] or None
-    results = acceptance.run_all(only)
+    seconds: Dict[str, float] = {}
+    results = acceptance.run_all(only, seconds)
     _require(results, "selftest: no checks match the requested prefixes")
+    ctx.meta["check_seconds"] = {k: round(v, 3) for k, v in seconds.items()}
     for r in results:
         sys.stderr.write(acceptance.format_line(r) + "\n")
     counts: Dict[str, int] = {}
@@ -715,7 +719,11 @@ def _main(argv: Optional[Sequence[str]]) -> int:
     ctx = RunContext(seed=seed, threads=threads)
 
     started = time.time()
-    payload, checks, table = spec.runner(opts, ctx)
+    # numpy's warnings go to meta as a count instead of onto stderr, whose one
+    # line is the exit-2 diagnostic; the filters stay as they are, so a
+    # warning made an error still raises
+    with warnings.catch_warnings(record=True) as caught:
+        payload, checks, table = spec.runner(opts, ctx)
 
     results = dict(payload)
     results["checks"] = [c.to_dict() for c in checks]
@@ -728,6 +736,7 @@ def _main(argv: Optional[Sequence[str]]) -> int:
             "seed": seed,
             "threads": threads,
             "wall_clock_s": round(time.time() - started, 3),
+            "warnings": len(caught),
             **ctx.meta,
         },
         "results": results,

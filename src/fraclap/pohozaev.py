@@ -27,8 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import (CircleGrid, Field, LineGrid, gauss_legendre, panel_rule,
-                       rfft_frequencies, rfft_multiply)
+from .geometry import (CircleGrid, Field, LineGrid, TailModel, gauss_legendre,
+                       panel_rule, rfft_frequencies, rfft_multiply)
 from . import fracops
 
 _FLOOR = 1e-14
@@ -278,17 +278,24 @@ def m_minus(w, t_grid):
 
 def _cosine_transform(w):
     # unitary Fourier transform restricted to even real fields, evaluated on
-    # the field's own grid by direct summation over the positive half
+    # the field's own grid as a sum over the positive half. The grid is
+    # cell-centred, so x_a t_b = h^2 (a+1/2)(b+1/2) there, which is
+    # (h^2/2) ((a+1/2)^2 + (b+1/2)^2 - (a-b)^2): the cosine sum is a chirp-z
+    # transform, computed exactly by Bluestein's algorithm (a chirp, one
+    # zero-padded FFT convolution in a - b, the chirp again)
     grid = w.grid
-    x = grid.nodes()
-    pos = x > 0
-    tpos = x[pos]
-    wpos = 0.5 * (w.samples[pos] + w.samples[grid.reflected_indices()][pos])
-    kernel = np.cos(np.outer(np.abs(x), tpos))
-    vals = np.sqrt(2.0 / np.pi) * grid.h * (kernel @ wpos)
-    from .geometry import TailModel
-
-    return Field(grid, vals, tail=TailModel.even(power=2.0, coef=0.0, m=w.m))
+    half = grid.n_points // 2
+    wpos = 0.5 * (w.samples + w.samples[grid.reflected_indices()])[half:]
+    alpha = grid.h ** 2
+    chirp = np.exp(0.5j * alpha * (np.arange(half) + 0.5) ** 2)[:, None]
+    size = 1 << (2 * half - 1).bit_length()
+    lag = np.arange(size)
+    lag = np.minimum(lag, size - lag)  # circular |a - b|; the unused middle is harmless
+    conv = np.fft.ifft(np.fft.fft(chirp * wpos, size, axis=0)
+                       * np.fft.fft(np.exp(-0.5j * alpha * lag ** 2))[:, None], axis=0)
+    pos = np.sqrt(2.0 / np.pi) * grid.h * (chirp * conv[:half]).real
+    return Field(grid, np.concatenate([pos[::-1], pos]),
+                 tail=TailModel.even(power=2.0, coef=0.0, m=w.m))
 
 
 def _paired_with_m_plus(a, b):

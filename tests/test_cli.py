@@ -229,6 +229,17 @@ def test_selftest_subset(capsys):
     assert "06-pohozaev-circle" in err  # progress lines go to stderr
 
 
+def test_selftest_reports_check_seconds_in_meta(capsys):
+    code, out, _ = _run(capsys, ["selftest", "--only", "15"])
+    assert code == 0
+    rep = _report(out)
+    seconds = rep["meta"]["check_seconds"]
+    assert list(seconds) == ["15-moment-operators"]
+    assert 0.0 < seconds["15-moment-operators"] <= rep["meta"]["wall_clock_s"]
+    assert rep["meta"]["warnings"] == 0
+    assert "check_seconds" not in rep["results"]
+
+
 def test_selftest_unknown_prefix(capsys):
     assert _run(capsys, ["selftest", "--only", "99"])[0] == 2
 
@@ -303,7 +314,7 @@ def test_rejected_inputs_exit_2_with_the_message(capsys, argv, message):
 
 def test_non_finite_report_exits_2_and_writes_nothing(tmp_path):
     # (t + 1)^4 overflows to inf at t = 1e300, so the closed form's relative
-    # error is NaN; run as a user would, where the overflow warnings only print
+    # error is NaN; run as a user would, where the overflow warnings would print
     out_path = tmp_path / "report.json"
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -313,7 +324,9 @@ def test_non_finite_report_exits_2_and_writes_nothing(tmp_path):
          "--t-values", "1e300", "--out", str(out_path)],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2 and proc.stdout == ""
-    diag = json.loads(proc.stderr.strip().splitlines()[-1])
+    # the overflow warnings are counted, not printed: stderr is the one line
+    (line,) = proc.stderr.strip().splitlines()
+    diag = json.loads(line)
     assert diag["error"] == "config" and "pohozaev" in diag["message"]
     assert not out_path.exists()
 

@@ -71,6 +71,21 @@ def test_quadrature_agrees_with_spectral():
     assert np.max(np.abs(a.samples[mid] - b.samples[mid])) < 1e-3
 
 
+def test_quadrature_converges_at_third_order():
+    # observed orders on the Lorentzian at L = 50, h = 0.049 .. 0.0061:
+    # 2.988, 2.996, 2.992; the floor sits just below so a lost order fails
+    errs = []
+    for n in (2 ** 11, 2 ** 12, 2 ** 13, 2 ** 14):
+        g = LineGrid(50.0, n)
+        x = g.nodes()
+        out = frac_laplacian_line_quadrature(_lorentzian_field(g), 0.5,
+                                             convention="normalized")
+        exact = (1.0 - x * x) / (1.0 + x * x) ** 2
+        errs.append(np.max(np.abs(out.samples[:, 0] - exact)[np.abs(x) <= 10.0]))
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(orders >= 2.9), orders
+
+
 def test_quadrature_input_guards():
     f = _lorentzian_field(LineGrid(20.0, 256))
     with pytest.raises(ValueError):

@@ -1,12 +1,15 @@
 """Weighted-moment identities and the M+/M- averaging operators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fraclap.acceptance import check_moment_operators
 from fraclap.geometry import (CircleGrid, LineGrid, TailModel,
                               field_from_function)
-from fraclap.pohozaev import (m_adjoint_check, m_kernel_minus, m_kernel_plus,
-                              m_minus, m_plus, m_plus_even_matrix,
+from fraclap.pohozaev import (_cosine_transform, m_adjoint_check, m_kernel_minus,
+                              m_kernel_plus, m_minus, m_plus, m_plus_even_matrix,
                               m_plus_mellin_symbol, plane_field_from_function,
                               residual_circle, residual_circle_t,
                               residual_line, residual_plane)
@@ -124,6 +127,44 @@ def test_m_plus_adjoint_pairing():
         m_adjoint_check(w1, field_from_function(LineGrid(50.0, 2 ** 12),
                                                 lambda x: np.exp(-x * x),
                                                 tail=TailModel.even(4.0, 0.0)))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="the dense reference needs extended precision")
+def test_cosine_transform_matches_the_dense_sum():
+    # two components, neither exactly even: the transform sees the even part.
+    # In double precision the dense sum itself errs by up to 2.4e-15 of the
+    # max here (rounded cos arguments), so it is summed in extended precision
+    g = LineGrid(20.0, 2 ** 10)
+    half = g.n_points // 2
+    f = field_from_function(g, lambda x: np.stack([np.exp(-0.5 * x * x) * (1 + 0.3 * x),
+                                                   1.0 / (1.0 + x * x) + 0.1 * np.tanh(x)]))
+    even = 0.5 * (f.samples + f.samples[::-1])[half:]
+    a, h = np.arange(half) + 0.5, np.longdouble(g.h)  # positive nodes x_a = a h
+    dense = np.sqrt(2.0 / np.pi) * h * np.cos(np.outer(a, a) * h * h) @ even
+    dense = np.concatenate([dense[::-1], dense]).astype(float)
+    fast = _cosine_transform(f).samples
+    assert fast.shape == (g.n_points, 2)
+    assert np.max(np.abs(fast - dense)) <= 1e-15 * np.max(np.abs(dense))
+
+
+def test_cosine_transform_of_a_gaussian_on_a_fine_grid():
+    # the dense (n/2, n) cosine matrix would take 16 GB at n = 2^16
+    g = LineGrid(60.0, 2 ** 16)
+    x = g.nodes()
+    out = _cosine_transform(field_from_function(g, lambda x: np.exp(-x * x)))
+    assert np.max(np.abs(out.samples[:, 0] - np.exp(-0.25 * x * x) / np.sqrt(2.0))) < 1e-14
+
+
+def test_moment_operators_check_stays_small_in_memory():
+    tracemalloc.start()
+    try:
+        r = check_moment_operators()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.passed
+    assert peak < 40e6
 
 
 def test_mellin_symbol_values():
