@@ -7,8 +7,8 @@ demonstrably does not produce (each has a companion check pinning what the
 code actually computes, so a silent change in either direction is caught).
 The test suite mirrors those as strict expected failures.
 
-Fixtures are chosen so every bound passes with a measured margin; the
-margins are recorded in the notes where they are thin.
+A check passes when each of its gates (one bound on one value) holds. Fixtures
+are chosen so every gate holds with a measured margin, its headroom.
 """
 
 import time
@@ -29,32 +29,52 @@ from . import norms
 from . import pohozaev
 from . import stereo
 
-__all__ = ["CheckResult", "CHECKS", "run_all", "format_line"]
+__all__ = ["Gate", "CheckResult", "CHECKS", "run_all", "format_line"]
 
-# The experiments and gates below are shared with the CLI runners. They call
-# library functions through the module attribute, so a patched one sees them.
-# The runners also share these bounds of checks 05-08 and 10, and the
-# heights of checks 05 and 07 as their pohozaev defaults.
+# The experiments and gates below are shared with the CLI runners, so each
+# bound is written once. They call library functions through the module
+# attribute, so a patched one sees them. The heights of checks 05 and 07 are
+# also the runners' pohozaev defaults.
 POHOZAEV_LINE_T = (0.5, 1.0, 2.0, 5.0)
 POHOZAEV_PLANE_T = (1.0,)
-POHOZAEV_LINE_TOL = 1e-3
-POHOZAEV_CIRCLE_TOL = 1e-10
-POHOZAEV_PLANE_TOL = 1e-4
-STEREO_CLOSED_FORM_TOL = 1e-6
-STEREO_TWO_ROUTE_TOL = 1e-3
-FLOW_ENERGY_TOL = 1e-4
-FLOW_GRADIENT_TOL = 1e-5
+
+
+@dataclass(frozen=True)
+class Gate:
+    """Holds when lo <= value <= hi (lo < value when strict); NaN fails."""
+    name: str
+    value: float
+    lo: float = -np.inf
+    hi: float = np.inf
+    strict: bool = False
+
+    @property
+    def holds(self) -> bool:
+        above = self.lo < self.value if self.strict else self.lo <= self.value
+        return bool(above and self.value <= self.hi)
 
 
 @dataclass(frozen=True)
 class CheckResult:
     check_id: str
-    passed: bool
     value: float
     target: str
+    gates: Tuple[Gate, ...]
     expect_pass: bool = True
     note: str = ""
     details: Dict[str, float] = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return all(g.holds for g in self.gates)
+
+    @property
+    def headroom(self) -> Dict[str, float]:
+        """Each gate's value over its upper bound, or lower bound over value (1 is on
+        the bound, 3 digits); only finite, positive bounds and finite ratios count."""
+        upper = {g.name: float(g.value) / g.hi for g in self.gates if 0.0 < g.hi < np.inf}
+        lower = {g.name: g.lo / float(g.value) for g in self.gates if 0.0 < g.lo < np.inf and g.value}
+        return {k: float("%.3g" % r) for k, r in {**lower, **upper}.items() if np.isfinite(r)}
 
     @property
     def status(self) -> str:
@@ -103,8 +123,8 @@ def check_circle_multiplier() -> CheckResult:
         err = out.samples[:, 0] - k * np.cos(k * th)
         worst = max(worst, float(np.linalg.norm(err) / (k * np.sqrt(grid.n_points / 2.0))))
     return CheckResult(
-        "01-circle-multiplier", worst <= 1e-12, worst,
-        "<= 1e-12 (relative l2, k = 1..32, 4096 points)")
+        "01-circle-multiplier", worst, "<= 1e-12 (relative l2, k = 1..32, 4096 points)",
+        (Gate("relative_l2", worst, hi=1e-12),))
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +146,12 @@ def check_poisson_kernel() -> CheckResult:
     conv = fracops.line_convolve(Field(grid, gt[:, None]), Field(grid, gs[:, None]))
     semi = float(np.max(np.abs(conv.samples[:, 0] - fracops.poisson_kernel_line(t + s, x)[0])))
 
-    passed = exact_gap == 0.0 and mass_gap <= 1e-9 and semi <= 1e-6
+    gates = (Gate("point_value_gap", exact_gap, hi=0.0), Gate("mass_gap", mass_gap, hi=1e-9),
+             Gate("semigroup_max", semi, hi=1e-6))
     return CheckResult(
-        "02-poisson-kernel-line", passed, max(mass_gap, semi),
-        "G(1,0) exact; mass within 1e-9; semigroup within 1e-6",
-        details={"point_value_gap": exact_gap, "mass_gap": mass_gap,
-                 "semigroup_max": semi})
+        "02-poisson-kernel-line", max(mass_gap, semi),
+        "G(1,0) exact; mass within 1e-9; semigroup within 1e-6", gates,
+        details={g.name: g.value for g in gates})
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +171,11 @@ def check_line_closed_form() -> CheckResult:
     e_quad = float(np.max(np.abs(quadrature.samples[:, 0] - exact)[window]))
 
     # the spectral margin is thin (periodization dominated, deterministic)
-    passed = e_spec <= 1e-6 and e_quad <= 1e-3
+    gates = (Gate("spectral_max", e_spec, hi=1e-6), Gate("quadrature_max", e_quad, hi=1e-3))
     return CheckResult(
-        "03-line-closed-form", passed, max(e_spec, e_quad),
-        "spectral <= 1e-6, quadrature <= 1e-3 on |x| <= 10",
-        details={"spectral_max": e_spec, "quadrature_max": e_quad})
+        "03-line-closed-form", max(e_spec, e_quad),
+        "spectral <= 1e-6, quadrature <= 1e-3 on |x| <= 10", gates,
+        details={g.name: g.value for g in gates})
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +207,9 @@ def check_inverse_quarter_kernels() -> CheckResult:
     gap = max(float(np.max(np.abs(out_even - k_even))),
               float(np.max(np.abs(out_odd - k_odd))))
     return CheckResult(
-        "04a-inverse-quarter-kernels", gap <= 1e-3, gap,
+        "04a-inverse-quarter-kernels", gap,
         "<= 1e-3 against the coded reference kernels on |x| <= 10",
-        expect_pass=False,
+        (Gate("kernel_gap", gap, hi=1e-3),), expect_pass=False,
         note="the reference kernels are -2 times the actual transforms; "
              "04b pins the ratio")
 
@@ -199,8 +219,9 @@ def check_inverse_quarter_ratio() -> CheckResult:
     gap = max(float(np.max(np.abs(out_even + 0.5 * k_even))),
               float(np.max(np.abs(out_odd + 0.5 * k_odd))))
     return CheckResult(
-        "04b-inverse-quarter-ratio", gap <= 1e-3, gap,
-        "transforms equal -1/2 of the reference kernels, <= 1e-3")
+        "04b-inverse-quarter-ratio", gap,
+        "transforms equal -1/2 of the reference kernels, <= 1e-3",
+        (Gate("ratio_gap", gap, hi=1e-3),))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +230,7 @@ def check_inverse_quarter_ratio() -> CheckResult:
 
 def pohozaev_line(t_values):
     """Line identity for the inverse stereographic projection against its
-    closed form 4 pi^2/(t+1)^4: (t, lhs, rhs, closed form, max relative error)."""
+    closed form 4 pi^2/(t+1)^4: (t, lhs, rhs, closed form, max relative error gate)."""
     grid = LineGrid(400.0, 1 << 15)
     tail = TailModel(1.0, np.array([0.0, -1.0]), np.array([0.0, -1.0]),
                      np.array([2.0, 0.0]), np.array([-2.0, 0.0]))
@@ -220,19 +241,23 @@ def pohozaev_line(t_values):
     lhs, rhs = np.asarray(rep.lhs), np.asarray(rep.rhs)
     rel = max(float(np.max(np.abs(lhs - target) / target)),
               float(np.max(np.abs(rhs - target) / target)))
-    return tv, lhs, rhs, target, rel
+    return tv, lhs, rhs, target, Gate("relative_error", rel, hi=1e-3)
 
 
 def check_pohozaev_line() -> CheckResult:
-    tv, _, _, _, rel = pohozaev_line(POHOZAEV_LINE_T)
+    tv, _, _, _, gate = pohozaev_line(POHOZAEV_LINE_T)
     return CheckResult(
-        "05-pohozaev-line", rel <= POHOZAEV_LINE_TOL, rel,
-        "both sides match 4 pi^2/(t+1)^4 within 1e-3, t in {0.5,1,2,5}",
+        "05-pohozaev-line", gate.value,
+        "both sides match 4 pi^2/(t+1)^4 within 1e-3, t in {0.5,1,2,5}", (gate,),
         details={"t_values": list(tv)})
 
 
 # ---------------------------------------------------------------------------
 # 06: first-mode moment identity on the circle, Moebius stable
+
+
+def moment_gate(residuals) -> Gate:
+    return Gate("moment_residual", float(np.max(residuals)), hi=1e-10)
 
 
 def check_pohozaev_circle() -> CheckResult:
@@ -241,13 +266,14 @@ def check_pohozaev_circle() -> CheckResult:
     rep = pohozaev.residual_circle(ident)
     moment_gap = max(float(np.max(np.abs(rep.u_plus - np.array([0.5, 0.0])))),
                      float(np.max(np.abs(rep.u_minus - np.array([0.0, 0.5])))))
-    worst = moment_gap
+    residuals = [moment_gap]
     for u in [ident] + [halfharmonic.mobius_compose(ident, a) for a in (0.3, 0.6, 0.9)]:
         rep = pohozaev.residual_circle(u)
-        worst = max(worst, rep.moment_gap, rep.moment_dot)
+        residuals += [rep.moment_gap, rep.moment_dot]
+    gate = moment_gate(residuals)
     return CheckResult(
-        "06-pohozaev-circle", worst <= POHOZAEV_CIRCLE_TOL, worst,
-        "moments (1/2,0),(0,1/2); norm gap and dot <= 1e-10, also composed",
+        "06-pohozaev-circle", gate.value,
+        "moments (1/2,0),(0,1/2); norm gap and dot <= 1e-10, also composed", (gate,),
         details={"identity_moment_gap": moment_gap})
 
 
@@ -262,19 +288,17 @@ PLANE_PRESETS = {
 
 
 def pohozaev_plane(preset, t_values):
-    """Plane identity for a preset map on 512^2 nodes: (report, max relative residual)."""
+    """Plane identity for a preset map on 512^2 nodes: (report, residual gate)."""
     u = pohozaev.plane_field_from_function(8.0, 512, PLANE_PRESETS[preset])
     rep = pohozaev.residual_plane(u, (0.0, 0.0), t_values)
-    return rep, float(np.max(rep.relative_residual()))
+    return rep, Gate(preset, float(np.max(rep.relative_residual())), hi=1e-4)
 
 
 def check_pohozaev_plane() -> CheckResult:
-    worst = 0.0
-    for preset in PLANE_PRESETS:
-        worst = max(worst, pohozaev_plane(preset, POHOZAEV_PLANE_T)[1])
+    gates = tuple(pohozaev_plane(preset, POHOZAEV_PLANE_T)[1] for preset in PLANE_PRESETS)
     return CheckResult(
-        "07-pohozaev-plane", worst <= POHOZAEV_PLANE_TOL, worst,
-        "relative residual <= 1e-4 for identity and z^2 at t=1, 512^2")
+        "07-pohozaev-plane", max(g.value for g in gates),
+        "relative residual <= 1e-4 for identity and z^2 at t=1, 512^2", gates)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +307,7 @@ def check_pohozaev_plane() -> CheckResult:
 
 def stereo_closed_form(arc_halfwidth):
     """Both routes for 1/(1+x^2) against sin(theta)/2 outside the south-pole
-    arc: (kept angles, circle route, line route, target, max error)."""
+    arc: (kept angles, circle route, line route, target, max error gate)."""
     grid = LineGrid(10000.0, 1 << 20)
     x = grid.nodes()
     u = Field(grid, (1.0 / (1.0 + x * x))[:, None], tail=TailModel.even(2.0, 1.0))
@@ -292,7 +316,7 @@ def stereo_closed_form(arc_halfwidth):
     target = np.sin(th) / 2.0
     worst = max(float(np.max(np.abs(lhs - target))),
                 float(np.max(np.abs(rhs - target))))
-    return th, lhs, rhs, target, worst
+    return th, lhs, rhs, target, Gate("closed_form_max", worst, hi=1e-6)
 
 
 def stereo_random(seed, arc_halfwidth):
@@ -304,19 +328,17 @@ def stereo_random(seed, arc_halfwidth):
     centers = rng.uniform(-3.0, 3.0, size=5)
     vals = sum(c / (1.0 + (x - a) ** 2) for c, a in zip(coef, centers))
     u = Field(grid, vals[:, None], tail=TailModel.even(2.0, float(np.sum(coef))))
-    return stereo.transfer_identity_check(u, arc_halfwidth=arc_halfwidth,
-                                          circle_grid=CircleGrid(n_modes=2048))
+    rep = stereo.transfer_identity_check(u, arc_halfwidth=arc_halfwidth,
+                                         circle_grid=CircleGrid(n_modes=2048))
+    return rep, Gate("random_two_route_max", float(rep["max_abs_residual"]), hi=1e-3)
 
 
 def check_stereo_transfer() -> CheckResult:
-    closed = stereo_closed_form(0.2)[-1]
-    random_gap = float(stereo_random(11, 0.2)["max_abs_residual"])
-
-    passed = closed <= STEREO_CLOSED_FORM_TOL and random_gap <= STEREO_TWO_ROUTE_TOL
+    gates = (stereo_closed_form(0.2)[-1], stereo_random(11, 0.2)[1])
     return CheckResult(
-        "08-stereo-transfer", passed, max(closed, random_gap),
-        "closed form vs sin(t)/2 <= 1e-6; random smooth two-route <= 1e-3",
-        details={"closed_form_max": closed, "random_two_route_max": random_gap})
+        "08-stereo-transfer", max(g.value for g in gates),
+        "closed form vs sin(t)/2 <= 1e-6; random smooth two-route <= 1e-3", gates,
+        details={g.name: g.value for g in gates})
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +361,11 @@ def check_commutators() -> CheckResult:
         ref = commutators.convolution_reference(which, q, v)
         oracle_gap = max(oracle_gap, float(np.max(np.abs(got.samples - ref.samples))))
 
-    passed = max(t_const, lam_const) <= 1e-12 and oracle_gap <= 1e-10
+    gates = (Gate("constants", max(t_const, lam_const), hi=1e-12),
+             Gate("oracle_gap", oracle_gap, hi=1e-10))
     return CheckResult(
-        "09-commutator-compensation", passed, max(t_const, lam_const, oracle_gap),
-        "degeneracy on constants <= 1e-12; oracle agreement <= 1e-10",
+        "09-commutator-compensation", max(t_const, lam_const, oracle_gap),
+        "degeneracy on constants <= 1e-12; oracle agreement <= 1e-10", gates,
         details={"t_const": t_const, "lambda_const": lam_const,
                  "oracle_gap": oracle_gap})
 
@@ -352,33 +375,29 @@ def check_commutators() -> CheckResult:
 
 
 def flow_experiment(u0, tol, max_iter, fd_check):
-    """Flow into the unit circle from u0: (states, energy increases, final gap
-    from 2 pi, finite-difference gradient error at u0 if fd_check else None)."""
+    """Flow into the unit circle from u0: (states, gates on the energy
+    increases, the final residual, the final gap from 2 pi and, if fd_check,
+    the finite-difference gradient error at u0)."""
     dist = halfharmonic.sphere_distribution(2)
-    grad_rel = None
+    gates = ()
     if fd_check:
         analytic, fd = halfharmonic.gradient_check(u0, dist)
-        grad_rel = abs(analytic - fd) / abs(analytic)
+        gates = (Gate("gradient_rel", abs(analytic - fd) / abs(analytic), hi=1e-5),)
     states = halfharmonic.gradient_flow(u0, dist, tol=tol, max_iter=max_iter)
     energies = np.array([s.energy for s in states])
-    violations = int(np.sum(np.diff(energies) > 0.0))
-    energy_gap = abs(states[-1].energy - 2.0 * np.pi)
-    return states, violations, energy_gap, grad_rel
+    return states, (Gate("violations", int(np.sum(np.diff(energies) > 0.0)), hi=0),
+                    Gate("el_residual", states[-1].el_residual_norm, hi=tol),
+                    Gate("energy_gap", abs(states[-1].energy - 2.0 * np.pi), hi=1e-4)) + gates
 
 
 def check_flow_convergence() -> CheckResult:
     u0 = halfharmonic.perturbed_identity(CircleGrid(n_modes=128), 0.05, 7)
-    states, violations, energy_gap, grad_rel = flow_experiment(u0, 1e-6, 20000, True)
-    last = states[-1]
-
-    passed = (energy_gap <= FLOW_ENERGY_TOL and last.el_residual_norm <= 1e-6
-              and violations == 0 and grad_rel <= FLOW_GRADIENT_TOL)
+    states, gates = flow_experiment(u0, 1e-6, 20000, True)
+    details = {g.name: float(g.value) for g in gates}
     return CheckResult(
-        "10-flow-convergence", passed, max(energy_gap, last.el_residual_norm),
-        "energy 2 pi +- 1e-4; residual <= 1e-6; monotone; gradient fd <= 1e-5",
-        details={"energy_gap": energy_gap, "el_residual": last.el_residual_norm,
-                 "iterations": float(last.iteration), "violations": float(violations),
-                 "gradient_rel": grad_rel})
+        "10-flow-convergence", max(details["energy_gap"], details["el_residual"]),
+        "energy 2 pi +- 1e-4; residual <= 1e-6; monotone; gradient fd <= 1e-5", gates,
+        details=dict(details, iterations=float(states[-1].iteration)))
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +416,12 @@ def check_mobius_invariance() -> CheckResult:
     comp9 = halfharmonic.mobius_compose(ident, 0.9)
     el = float(np.max(np.linalg.norm(halfharmonic.el_residual(comp9, dist).samples, axis=1)))
 
-    passed = worst_de <= 1e-6 and el <= 1e-6
+    gates = (Gate("energy_rel_change", worst_de, hi=1e-6),
+             Gate("composed_el_residual", el, hi=1e-6))
     return CheckResult(
-        "11-mobius-invariance", passed, max(worst_de, el),
-        "|dE|/E <= 1e-6 for a in {0.3,0.6,0.9}; composed residual <= 1e-6",
-        details={"energy_rel_change": worst_de, "composed_el_residual": el})
+        "11-mobius-invariance", max(worst_de, el),
+        "|dE|/E <= 1e-6 for a in {0.3,0.6,0.9}; composed residual <= 1e-6", gates,
+        details={g.name: g.value for g in gates})
 
 
 # ---------------------------------------------------------------------------
@@ -419,28 +439,29 @@ def bubbling_reports(n_modes, k_max, lam, big_r, threads):
             [1.0 - 10.0 ** -k for k in range(1, k_max + 1)]))
 
 
-def strictly_decreasing(values) -> bool:
-    return bool(np.all(np.diff(np.array(values)) < 0.0))
+def decreasing_gate(values) -> Gate:
+    return Gate("min_decrease", float(np.min(-np.diff(np.array(values)))), lo=0.0, strict=True)
 
 
-def neck_exponents_ok(exponents) -> bool:
-    return all(abs(e - 0.5) <= 0.15 for e in exponents)
+def neck_exponent_gate(exponents) -> Gate:
+    return Gate("exponent_gap", float(np.max(np.abs(np.array(exponents) - 0.5))), hi=0.15)
 
 
 def check_bubbling_monotone() -> CheckResult:
     sups = [r.dyadic_sup for r in bubbling_reports(256, 4, 2.0, 2.0, 1)]
     return CheckResult(
-        "12a-bubbling-monotone", strictly_decreasing(sups), float(sups[-1]),
+        "12a-bubbling-monotone", float(sups[-1]),
         "dyadic-annulus sup strictly decreasing over a = 1 - 10^-k, k = 1..4",
+        (decreasing_gate(sups),),
         details={"sup_k%d" % (k + 1): float(s) for k, s in enumerate(sups)})
 
 
 def check_bubbling_exponent() -> CheckResult:
     exps = [r.fit_exponent for r in bubbling_reports(256, 4, 2.0, 2.0, 1)]
     return CheckResult(
-        "12b-bubbling-exponent", neck_exponents_ok(exps), float(exps[-1]),
+        "12b-bubbling-exponent", float(exps[-1]),
         "fitted neck exponent within 0.5 +- 0.15 where the smallness gate holds",
-        expect_pass=False,
+        (neck_exponent_gate(exps),), expect_pass=False,
         note="the gate-passing annuli are the far field of a single bubble, "
              "whose magnitude decays with exponent 3/2; measured fits land "
              "there (1.42..1.50)",
@@ -451,16 +472,17 @@ def check_bubbling_exponent() -> CheckResult:
 # 13: scaling family with persistent window energy and vanishing neck
 
 
-def decay_u_ok(slope) -> bool:
-    return abs(slope + 1.5) <= 0.05
+def decay_u_gate(slope) -> Gate:
+    return Gate("slope_gap", abs(slope + 1.5), hi=0.05)
 
 
-def decay_v_ok(slope) -> bool:
-    return abs(slope + 1.25) <= 0.05
+def decay_v_gate(slope) -> Gate:
+    return Gate("slope_gap", abs(slope + 1.25), hi=0.05)
 
 
-def window_ok(window_norms) -> bool:
-    return all(1.0 <= w <= 1.3 for w in window_norms)
+def window_gates(window_norms) -> Tuple[Gate, Gate]:
+    return (Gate("window_min", float(np.min(window_norms)), lo=1.0),
+            Gate("window_max", float(np.max(window_norms)), hi=1.3))
 
 
 def neck_slope(radii, neck_norms) -> float:
@@ -468,23 +490,24 @@ def neck_slope(radii, neck_norms) -> float:
     return float(np.polyfit(np.log(radii), np.log(neck_norms), 1)[0])
 
 
-def neck_slope_ok(slope) -> bool:
-    return abs(slope + 0.25) <= 0.1
+def neck_slope_gate(slope) -> Gate:
+    return Gate("neck_slope_gap", abs(slope + 0.25), hi=0.1)
 
 
 def check_counterexample_decay_u() -> CheckResult:
     slope = counterexample.neck_report(100, 4.0).decay_slope_u
     return CheckResult(
-        "13a-counterexample-decay-u", decay_u_ok(slope), slope,
-        "log-log slope of the u potential on [10, 1e3] within -1.5 +- 0.05")
+        "13a-counterexample-decay-u", slope,
+        "log-log slope of the u potential on [10, 1e3] within -1.5 +- 0.05",
+        (decay_u_gate(slope),))
 
 
 def check_counterexample_decay_v() -> CheckResult:
     slope = counterexample.neck_report(100, 4.0).decay_slope_v
     return CheckResult(
-        "13b-counterexample-decay-v", decay_v_ok(slope), slope,
+        "13b-counterexample-decay-v", slope,
         "log-log slope of the v potential on [10, 1e3] within -1.25 +- 0.05",
-        expect_pass=False,
+        (decay_v_gate(slope),), expect_pass=False,
         note="the v potential changes sign near t = 10 and approaches its "
              "t^(-5/4) asymptote only like t^(-1/4); on this window the fit "
              "gives about -0.70. 13c pins the asymptotic constant instead")
@@ -496,8 +519,9 @@ def check_counterexample_decay_v_limit() -> CheckResult:
     limit = counterexample.ENVELOPE_DECAY_LIMIT
     rel = abs(scaled - limit) / abs(limit)
     return CheckResult(
-        "13c-counterexample-decay-v-limit", rel <= 0.15, scaled,
+        "13c-counterexample-decay-v-limit", scaled,
         "t^(5/4) q_v at t = 1e5 within 15%% of the limit %.6f" % limit,
+        (Gate("relative_gap", rel, hi=0.15),),
         details={"limit": limit, "relative_gap": rel})
 
 
@@ -540,12 +564,13 @@ def check_counterexample_window() -> CheckResult:
     details["evenness"] = evenness
     details["antisymmetry"] = antisym
 
-    passed = (window_ok(window) and neck_slope_ok(slope) and cov <= 1e-10
-              and antisym == 0.0 and evenness <= 1e-12)
+    gates = window_gates(window) + (
+        neck_slope_gate(slope), Gate("change_of_variables_rel", cov, hi=1e-10),
+        Gate("antisymmetry", antisym, hi=0.0), Gate("evenness", evenness, hi=1e-12))
     return CheckResult(
-        "13d-counterexample-window", passed, max(window),
+        "13d-counterexample-window", max(window),
         "window norms in [1, 1.3]; neck slope -0.25 +- 0.1; scaling identity "
-        "<= 1e-10; antisymmetry exact; evenness <= 1e-12",
+        "<= 1e-10; antisymmetry exact; evenness <= 1e-12", gates,
         details=details)
 
 
@@ -568,33 +593,25 @@ def inverse_sqrt_annuli(inner, outers):
 
 
 def check_lorentz_norms() -> CheckResult:
-    details: Dict[str, float] = {}
     grid = LineGrid(10.0, 1 << 12)
     x = grid.nodes()
-    tol = np.sqrt(grid.h)
-    indicator_ok = True
-    indicator_gap = 0.0
+    gaps = []
     for ell in (1.0, 3.0):
         f = Field(grid, (np.abs(x) < ell / 2.0).astype(float)[:, None])
-        gap = max(abs(norms.lorentz_21(f) - np.sqrt(ell)),
-                  abs(norms.lorentz_2inf(f) - np.sqrt(ell)))
-        indicator_gap = max(indicator_gap, gap)
-        indicator_ok = indicator_ok and gap <= tol
-    details["indicator_gap"] = indicator_gap
+        gaps += [abs(norm(f) - np.sqrt(ell)) for norm in (norms.lorentz_21, norms.lorentz_2inf)]
 
     rows = inverse_sqrt_annuli(0.1, (1.0, 10.0, 100.0))
     strong, weak, predicted = (np.array([r[j] for r in rows]) for j in (2, 4, 5))
     dev = float(np.max(np.abs(weak - weak.mean()) / weak.mean()))
     growth = float(np.max(np.abs(strong - predicted) / predicted))
-    details["weak_deviation_from_mean"] = dev
-    details["l2_growth_rel"] = growth
-
-    passed = indicator_ok and dev <= 0.05 and growth <= 0.05
+    gates = (Gate("indicator_gap", float(np.max(gaps)), hi=np.sqrt(grid.h)),
+             Gate("weak_deviation_from_mean", dev, hi=0.05),
+             Gate("l2_growth_rel", growth, hi=0.05))
     return CheckResult(
-        "14-lorentz-norms", passed, max(dev, growth),
+        "14-lorentz-norms", max(dev, growth),
         "indicator norms = sqrt(l) +- sqrt(h); weak norm stable and L2 "
-        "growing as sqrt(2 log(R/r)), both within 5%",
-        details=details)
+        "growing as sqrt(2 log(R/r)), both within 5%", gates,
+        details={g.name: g.value for g in gates})
 
 
 # ---------------------------------------------------------------------------
@@ -625,11 +642,12 @@ def check_moment_operators() -> CheckResult:
     matrix = pohozaev.m_plus_even_matrix()
     sigma_min = matrix["sigma_min"]
 
-    passed = parity <= 1e-12 and adjoint_gap <= 1e-3 and sigma_min > 0.0
+    gates = (Gate("parity", parity, hi=1e-12), Gate("adjoint_gap", adjoint_gap, hi=1e-3),
+             Gate("sigma_min", sigma_min, lo=0.0, strict=True))
     return CheckResult(
-        "15-moment-operators", passed, max(parity, adjoint_gap),
+        "15-moment-operators", max(parity, adjoint_gap),
         "parity <= 1e-12; adjoint pairing gap <= 1e-3; sigma_min > 0 "
-        "(condition number reported, no threshold)",
+        "(condition number reported, no threshold)", gates,
         details={"parity": parity, "adjoint_gap": adjoint_gap,
                  "pair_truth_gap": truth_gap, "sigma_min": sigma_min,
                  "cond": matrix["cond"]})

@@ -161,11 +161,6 @@ def _require(condition: bool, message: str):
         raise ConfigError(message)
 
 
-def _check(check_id, passed, value, target, expect_pass=True, note=""):
-    return CheckResult(check_id, bool(passed), float(value), target,
-                       expect_pass=expect_pass, note=note)
-
-
 # ---------------------------------------------------------------------------
 # kernel
 
@@ -279,9 +274,9 @@ def _run_pohozaev(opts, ctx):
                    "moment_gap": gap, "moment_dot": dot}
         if preset == "mobius":
             payload["a"] = opts["a"]
-        tol = acceptance.POHOZAEV_CIRCLE_TOL
-        checks = [_check("pohozaev-circle-residual", gap <= tol and dot <= tol,
-                         max(gap, dot), "moment norm gap and dot product <= 1e-10")]
+        gate = acceptance.moment_gate((gap, dot))
+        checks = [CheckResult("pohozaev-circle-residual", gate.value,
+                              "moment norm gap and dot product <= 1e-10", (gate,))]
         header = ("component", "u_plus", "u_minus")
         rows = np.array([(j, rep.u_plus[j], rep.u_minus[j]) for j in range(2)])
         return payload, checks, (header, rows)
@@ -289,15 +284,15 @@ def _run_pohozaev(opts, ctx):
     if geometry == "line":
         _require(preset == "identity-map",
                  "pohozaev: the line geometry supports preset identity-map")
-        tv, lhs, rhs, target, rel = acceptance.pohozaev_line(
+        tv, lhs, rhs, target, gate = acceptance.pohozaev_line(
             opts["t_values"] or acceptance.POHOZAEV_LINE_T)
         payload = {"geometry": "line", "preset": preset,
                    "t_values": [float(t) for t in tv],
                    "lhs": [float(v) for v in lhs], "rhs": [float(v) for v in rhs],
                    "closed_form": [float(v) for v in target],
-                   "max_relative_error": rel}
-        checks = [_check("pohozaev-line-closed-form", rel <= acceptance.POHOZAEV_LINE_TOL, rel,
-                         "both sides match 4 pi^2/(t+1)^4 within 1e-3")]
+                   "max_relative_error": gate.value}
+        checks = [CheckResult("pohozaev-line-closed-form", gate.value,
+                              "both sides match 4 pi^2/(t+1)^4 within 1e-3", (gate,))]
         header = ("t", "lhs", "rhs", "closed_form", "residual")
         rows = np.column_stack([tv, lhs, rhs, target, lhs - rhs])
         return payload, checks, (header, rows)
@@ -305,14 +300,14 @@ def _run_pohozaev(opts, ctx):
     _require(preset in acceptance.PLANE_PRESETS,
              "pohozaev: plane presets are " + ", ".join(acceptance.PLANE_PRESETS))
     t_values = opts["t_values"] or acceptance.POHOZAEV_PLANE_T
-    rep, rel = acceptance.pohozaev_plane(preset, t_values)
+    rep, gate = acceptance.pohozaev_plane(preset, t_values)
     lhs, rhs = np.asarray(rep.lhs), np.asarray(rep.rhs)
     payload = {"geometry": "plane", "preset": preset,
                "t_values": [float(t) for t in t_values],
                "lhs": [float(v) for v in lhs], "rhs": [float(v) for v in rhs],
-               "max_relative_residual": rel}
-    checks = [_check("pohozaev-plane-residual", rel <= acceptance.POHOZAEV_PLANE_TOL, rel,
-                     "relative residual <= 1e-4")]
+               "max_relative_residual": gate.value}
+    checks = [CheckResult("pohozaev-plane-residual", gate.value, "relative residual <= 1e-4",
+                          (gate,))]
     header = ("t", "lhs", "rhs", "residual")
     rows = np.column_stack([np.asarray(t_values), lhs, rhs, lhs - rhs])
     return payload, checks, (header, rows)
@@ -326,26 +321,25 @@ def _run_stereo(opts, ctx):
     arc = opts["arc_halfwidth"]
     _require(0.0 < arc < 1.5, "stereo: arc-halfwidth must sit in (0, 1.5)")
     if opts["case"] == "closed-form":
-        th, lhs, rhs, target, worst = acceptance.stereo_closed_form(arc)
+        th, lhs, rhs, target, gate = acceptance.stereo_closed_form(arc)
         payload = {"case": "closed-form", "arc_halfwidth": arc,
-                   "max_abs_error": worst,
+                   "max_abs_error": gate.value,
                    "n_points_checked": int(th.size)}
-        checks = [_check("stereo-closed-form", worst <= acceptance.STEREO_CLOSED_FORM_TOL, worst,
-                         "both routes equal sin(t)/2 within 1e-6 outside the arc")]
+        checks = [CheckResult("stereo-closed-form", gate.value,
+                              "both routes equal sin(t)/2 within 1e-6 outside the arc", (gate,))]
         header = ("theta", "circle_route", "line_route", "target")
         rows = np.column_stack([th, lhs, rhs, target])
         return payload, checks, (header, rows)
 
-    rep = acceptance.stereo_random(ctx.seed, arc)
-    worst = float(rep["max_abs_residual"])
+    rep, gate = acceptance.stereo_random(ctx.seed, arc)
     payload = {"case": "random", "arc_halfwidth": arc,
-               "max_abs_residual": worst,
+               "max_abs_residual": gate.value,
                "max_relative_residual": float(rep["max_relative_residual"]),
                "n_points_checked": int(rep["n_points_checked"])}
-    checks = [_check("stereo-two-route", worst <= acceptance.STEREO_TWO_ROUTE_TOL, worst,
-                     "two-route agreement <= 1e-3 outside the arc")]
+    checks = [CheckResult("stereo-two-route", gate.value,
+                          "two-route agreement <= 1e-3 outside the arc", (gate,))]
     header = ("max_abs_residual", "max_relative_residual", "n_points_checked")
-    rows = np.array([(worst, rep["max_relative_residual"], rep["n_points_checked"])])
+    rows = np.array([(gate.value, rep["max_relative_residual"], rep["n_points_checked"])])
     return payload, checks, (header, rows)
 
 
@@ -381,33 +375,27 @@ def _run_flow(opts, ctx):
                  "flow: the initial field must be a 2-component circle field")
 
     fd_check = default_recipe and opts["perturbation"] <= 0.2
-    states, violations, energy_gap, grad_rel = acceptance.flow_experiment(
-        u0, tol, max_iter, fd_check)
+    states, gates = acceptance.flow_experiment(u0, tol, max_iter, fd_check)
+    monotone, converged, energy, *gradient = gates
     last = states[-1]
     ctx.meta.update(stalled=last.stalled, backtracks=last.backtracks)
 
     payload = {"iterations": int(last.iteration),
                "final_energy": float(last.energy),
                "el_residual": float(last.el_residual_norm),
-               "energy_gap_from_2pi": float(energy_gap),
-               "monotone_violations": violations,
+               "energy_gap_from_2pi": float(energy.value),
+               "monotone_violations": monotone.value,
                "recorded_states": len(states),
                "initial": opts["initial"] or ""}
-    checks = [
-        _check("flow-monotone", violations == 0, violations,
-               "energy nonincreasing across recorded states"),
-        _check("flow-converged", last.el_residual_norm <= tol,
-               last.el_residual_norm, "final residual <= tol"),
-    ]
+    targets = (("flow-monotone", "energy nonincreasing across recorded states"),
+               ("flow-converged", "final residual <= tol"),
+               ("flow-energy-target", "final energy within 1e-4 of 2 pi"),
+               ("flow-gradient-fd", "analytic derivative matches finite differences "
+                                    "within 1e-5 relative"))
     if fd_check:
-        payload["gradient_fd_rel"] = float(grad_rel)
-        checks.append(_check("flow-energy-target",
-                             energy_gap <= acceptance.FLOW_ENERGY_TOL, energy_gap,
-                             "final energy within 1e-4 of 2 pi"))
-        checks.append(_check("flow-gradient-fd",
-                             grad_rel <= acceptance.FLOW_GRADIENT_TOL, grad_rel,
-                             "analytic derivative matches finite differences "
-                             "within 1e-5 relative"))
+        payload["gradient_fd_rel"] = float(gradient[0].value)
+    checks = [CheckResult(check_id, float(g.value), target, (g,)) for (check_id, target), g
+              in zip(targets, gates if fd_check else (monotone, converged))]
     header = ("iteration", "energy", "el_residual", "step")
     rows = np.array([(s.iteration, s.energy, s.el_residual_norm, s.step)
                      for s in states])
@@ -445,13 +433,14 @@ def _run_bubble(opts, ctx):
     checks = []
     sups = [e["dyadic_sup"] for e in entries]
     if lam == 2.0 and big_r == 2.0 and len(sups) >= 2 and all(s is not None for s in sups):
-        checks.append(_check("bubble-monotone", acceptance.strictly_decreasing(sups),
-                             sups[-1], "dyadic sup strictly decreasing in k"))
+        checks.append(CheckResult("bubble-monotone", float(sups[-1]),
+                                  "dyadic sup strictly decreasing in k",
+                                  (acceptance.decreasing_gate(sups),)))
         exps = [e["fit_exponent"] for e in entries if e["fit_exponent"] is not None]
         if exps:
-            checks.append(_check(
-                "bubble-exponent", acceptance.neck_exponents_ok(exps), exps[-1],
-                "fitted neck exponent within 0.5 +- 0.15", expect_pass=False,
+            checks.append(CheckResult(
+                "bubble-exponent", float(exps[-1]), "fitted neck exponent within 0.5 +- 0.15",
+                (acceptance.neck_exponent_gate(exps),), expect_pass=False,
                 note="gate-passing annuli are the far field of a single "
                      "bubble (exponent 3/2); see the selftest notes"))
     header = ("a", "inner", "outer", "l2", "l21", "l2inf")
@@ -502,18 +491,20 @@ def _run_counterexample(opts, ctx):
     slope_u = reports[0].decay_slope_u
     slope_v = reports[0].decay_slope_v
     checks = [
-        _check("counterexample-decay-u", acceptance.decay_u_ok(slope_u), slope_u,
-               "u potential log-log slope within -1.5 +- 0.05 on [10, 1e3]"),
-        _check("counterexample-decay-v", acceptance.decay_v_ok(slope_v), slope_v,
-               "v potential log-log slope within -1.25 +- 0.05 on [10, 1e3]",
-               expect_pass=False,
-               note="sign change near t = 10 plus a t^(-1/4) transient; the "
-                    "selftest pins the asymptotic constant instead"),
+        CheckResult("counterexample-decay-u", float(slope_u),
+                    "u potential log-log slope within -1.5 +- 0.05 on [10, 1e3]",
+                    (acceptance.decay_u_gate(slope_u),)),
+        CheckResult("counterexample-decay-v", float(slope_v),
+                    "v potential log-log slope within -1.25 +- 0.05 on [10, 1e3]",
+                    (acceptance.decay_v_gate(slope_v),), expect_pass=False,
+                    note="sign change near t = 10 plus a t^(-1/4) transient; the "
+                         "selftest pins the asymptotic constant instead"),
     ]
     windows = [r.u_n_window_l2 for r in reports if r.n >= 100]
     if windows:
-        checks.append(_check("counterexample-window", acceptance.window_ok(windows),
-                             max(windows), "window norms in [1, 1.3] for n >= 100"))
+        checks.append(CheckResult("counterexample-window", float(max(windows)),
+                                  "window norms in [1, 1.3] for n >= 100",
+                                  acceptance.window_gates(windows)))
     n_top = max(n for n, _ in feasible)
     ladder = sorted(r for n, r in feasible if n == n_top)
     if len(ladder) >= 3:
@@ -524,10 +515,9 @@ def _run_counterexample(opts, ctx):
         # the -1/4 power law is asymptotic in n; at small n the logarithmic
         # corrections dominate the fit, so only assert it in its regime
         if n_top >= 1_000_000:
-            checks.append(_check("counterexample-neck-slope",
-                                 acceptance.neck_slope_ok(slope), slope,
-                                 "neck L2 log-log slope within -0.25 +- 0.1 "
-                                 "at the largest n"))
+            checks.append(CheckResult("counterexample-neck-slope", slope,
+                                      "neck L2 log-log slope within -0.25 +- 0.1 "
+                                      "at the largest n", (acceptance.neck_slope_gate(slope),)))
     return payload, checks, (header, rows)
 
 
@@ -542,7 +532,7 @@ def _run_selftest(opts, ctx):
     _require(results, "selftest: no checks match the requested prefixes")
     ctx.meta["check_seconds"] = {k: round(v, 3) for k, v in seconds.items()}
     for r in results:
-        sys.stderr.write(acceptance.format_line(r) + "\n")
+        sys.stderr.write("%7.3fs %s\n" % (seconds[r.check_id], acceptance.format_line(r)))
     counts: Dict[str, int] = {}
     for r in results:
         counts[r.status] = counts.get(r.status, 0) + 1
@@ -737,6 +727,7 @@ def _main(argv: Optional[Sequence[str]]) -> int:
             "threads": threads,
             "wall_clock_s": round(time.time() - started, 3),
             "warnings": len(caught),
+            "headroom": {c.check_id: c.headroom for c in checks},
             **ctx.meta,
         },
         "results": results,

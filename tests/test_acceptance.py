@@ -7,10 +7,12 @@ direction is caught. The analyses live in the check notes in
 fraclap.acceptance and the per-check details.
 """
 
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fraclap import acceptance, cli, fracops
@@ -136,6 +138,61 @@ def test_run_all_summary():
     assert len(results) == len(acceptance.CHECKS)
     mismatched = [r.check_id for r in results if not r.ok]
     assert mismatched == []
+
+
+# Gates: each check's pass/fail decision is the conjunction of its gates, and
+# each gate makes the same comparison the check made before it had gates.
+
+
+def test_passed_is_the_conjunction_of_the_gates():
+    for check_id, _ in acceptance.CHECKS:
+        r = _result(check_id)
+        assert r.gates, check_id
+        assert r.passed == all(g.holds for g in r.gates), check_id
+    for check_id in ("04a-inverse-quarter-kernels", "12b-bubbling-exponent",
+                     "13b-counterexample-decay-v"):
+        assert not all(g.holds for g in _result(check_id).gates), check_id
+
+
+def test_nan_fails_every_gate():
+    nan = float("nan")
+    for gate in (acceptance.Gate("x", nan), acceptance.Gate("x", nan, hi=1.0),
+                 acceptance.Gate("x", nan, lo=0.0), acceptance.Gate("x", nan, lo=0.0, strict=True),
+                 acceptance.decreasing_gate([2.0, nan]), acceptance.neck_exponent_gate([0.5, nan]),
+                 *acceptance.window_gates([1.1, nan]), acceptance.moment_gate([0.0, nan])):
+        assert not gate.holds, gate
+
+
+def test_strict_gates_fail_on_equality():
+    sigma_min = next(g for g in _result("15-moment-operators").gates if g.name == "sigma_min")
+    assert sigma_min.holds and sigma_min.strict
+    assert not dataclasses.replace(sigma_min, value=0.0).holds
+    assert dataclasses.replace(sigma_min, value=5e-324).holds
+    assert acceptance.decreasing_gate([3.0, 2.0, 1.0]).holds
+    assert not acceptance.decreasing_gate([3.0, 2.0, 2.0]).holds
+    assert not acceptance.decreasing_gate([1.0, 2.0]).holds
+
+
+def test_slope_gates_bound_the_distance_not_the_slope():
+    # |slope + 1.5| <= 0.05 is not the interval [-1.55, -1.45] in floating
+    # point: at slope = -1.45 the sum rounds to 0.05000000000000004
+    edges = (-1.55, -1.45, -1.25 - 0.05, -1.25 + 0.05, -0.35, -0.15)
+    slopes = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)] + list(edges)
+    for s in slopes:
+        assert acceptance.decay_u_gate(s).holds == (abs(s + 1.5) <= 0.05), s
+        assert acceptance.decay_v_gate(s).holds == (abs(s + 1.25) <= 0.05), s
+        assert acceptance.neck_slope_gate(s).holds == (abs(s + 0.25) <= 0.1), s
+    assert not acceptance.decay_u_gate(-1.45).holds and -1.55 <= -1.45 <= -1.45
+
+
+def test_headroom_leaves_out_unbounded_and_non_finite_ratios():
+    gates = (acceptance.Gate("upper", 0.5, hi=2.0), acceptance.Gate("lower", 4.0, lo=1.0),
+             acceptance.Gate("exact", 0.0, hi=0.0), acceptance.Gate("open", 3.0),
+             acceptance.Gate("strict", 1.0, lo=0.0, strict=True),
+             acceptance.Gate("nan", float("nan"), hi=1.0), acceptance.Gate("zero", 0.0, lo=1.0))
+    r = acceptance.CheckResult("x", 0.0, "", gates)
+    assert r.headroom == {"upper": 0.25, "lower": 0.25}
+    assert not r.passed
 
 
 # The CLI runners and the checks share their experiments: a runner at the

@@ -240,6 +240,37 @@ def test_selftest_reports_check_seconds_in_meta(capsys):
     assert "check_seconds" not in rep["results"]
 
 
+def test_selftest_reports_headroom_and_seconds(capsys):
+    code, out, err = _run(capsys, ["selftest", "--only", "03,13"])
+    assert code == 0
+    meta = _report(out)["meta"]
+    ids = ["03-line-closed-form", "13a-counterexample-decay-u", "13b-counterexample-decay-v",
+           "13c-counterexample-decay-v-limit", "13d-counterexample-window"]
+    assert list(meta["check_seconds"]) == ids
+    assert sorted(meta["headroom"]) == ids
+    headroom = meta["headroom"]
+    # the thinnest margins of the checklist sit just inside their bounds
+    assert 0.7 < headroom["03-line-closed-form"]["spectral_max"] < 1.0
+    assert 0.8 < headroom["13d-counterexample-window"]["window_max"] < 1.0
+    assert 0.8 < headroom["13d-counterexample-window"]["window_min"] < 1.0
+    # an exact gate has no ratio; an expected failure sits beyond its bound
+    assert "antisymmetry" not in headroom["13d-counterexample-window"]
+    assert headroom["13b-counterexample-decay-v"]["slope_gap"] > 1.0
+    for check_id, seconds in meta["check_seconds"].items():
+        assert re.search(r"%.3fs \[\w+ *\] %s" % (seconds, check_id), err), check_id
+
+
+def test_headroom_covers_every_command_check(capsys):
+    code, out, _ = _run(capsys, ["flow", "--n-modes", "16"])
+    assert code == 0
+    rep = _report(out)
+    headroom = rep["meta"]["headroom"]
+    assert sorted(c["check"] for c in rep["results"]["checks"]) == sorted(headroom)
+    assert headroom["flow-monotone"] == {}  # violations == 0 has no ratio
+    assert 0.0 < headroom["flow-converged"]["el_residual"] <= 1.0
+    assert 0.0 < headroom["flow-gradient-fd"]["gradient_rel"] < 1.0
+
+
 def test_selftest_unknown_prefix(capsys):
     assert _run(capsys, ["selftest", "--only", "99"])[0] == 2
 

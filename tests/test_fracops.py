@@ -86,6 +86,24 @@ def test_quadrature_converges_at_third_order():
     assert np.all(orders >= 2.9), orders
 
 
+def test_spectral_route_converges_at_second_order_in_the_half_width():
+    # the spectral route's error on |x| <= 10 is periodization, O(L^-2) for the
+    # Lorentzian: at h = 0.05 and L = 125 .. 1000 the errors run from 5.26e-5
+    # to 8.22e-7, orders 2.000, 1.999, 1.999; the floor sits just below
+    def error(half_width, h):
+        g = LineGrid(half_width, int(round(2.0 * half_width / h)))
+        x = g.nodes()
+        out = frac_laplacian_line_spectral(_lorentzian_field(g), 0.5)
+        exact = (1.0 - x * x) / (1.0 + x * x) ** 2
+        return np.max(np.abs(out.samples[:, 0] - exact)[np.abs(x) <= 10.0])
+
+    errs = np.array([error(L, 0.05) for L in (125.0, 250.0, 500.0, 1000.0)])
+    orders = np.log2(errs[:-1] / errs[1:])
+    assert np.all(orders >= 1.95), orders
+    # the spacing does not enter: halving h leaves the error unchanged to 5 digits
+    assert error(250.0, 0.025) == pytest.approx(errs[1], rel=1e-5)
+
+
 def test_quadrature_input_guards():
     f = _lorentzian_field(LineGrid(20.0, 256))
     with pytest.raises(ValueError):
