@@ -266,6 +266,8 @@ def _run_pohozaev(opts, ctx):
             u = Field(grid, np.stack([np.cos(2 * th), np.sin(2 * th)], axis=1))
         else:
             u = halfharmonic.mobius_compose(halfharmonic.identity_map(grid), opts["a"])
+            # the node count at which the composition's energy settled
+            ctx.meta["mobius_points"] = u.grid.n_points
         rep = pohozaev.residual_circle(u)
         gap, dot = rep.moment_gap, rep.moment_dot
         payload = {"geometry": "circle", "preset": preset,

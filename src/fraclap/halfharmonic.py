@@ -30,6 +30,7 @@ _FD_EPS = 1e-5              # difference step of gradient_check
 _MOBIUS_TOL = 1e-8          # relative energy change that ends the refinement
 _MOBIUS_N_MAX = 1 << 22     # node cap of the Moebius refinement
 _NODES_PER_ANNULUS = 24     # Gauss nodes per neck annulus
+_NECK_BLOCK = 32            # evaluation points per block of the neck quadrature
 
 
 @dataclass(frozen=True)
@@ -309,6 +310,22 @@ def _mobius_angles(theta, a):
     return np.angle((z - a) / (1.0 - a * z))
 
 
+def _line_mobius_angles(x, a):
+    """Circle angle of phi_a(unproject(x)), that is angle_of((x - a)/(1 - a x)).
+
+    Conjugated by the stereographic projection, phi_a is the real map
+    x -> (x - a)/(1 - a x).  Scaled by (1 - a x)^2 > 0, the two components of
+    angle_of's arctan2 factor as (1 - a)(1 + a) (1 - x)(1 + x) and
+    2 ((x - 1) + (1 - a)) ((1 - a) + a (1 - x)), and no factor cancels near
+    x = 1 as a -> 1: the angle is exact to round-off where the composition
+    concentrates.
+    """
+    x = np.asarray(x, dtype=float)
+    b = 1.0 - a
+    return np.arctan2(b * (1.0 + a) * ((1.0 - x) * (1.0 + x)),
+                      2.0 * ((x - 1.0) + b) * (b + a * (1.0 - x)))
+
+
 def mobius_compose(u: Field, a: float) -> Field:
     """Sample u(phi_a(e^{i theta})) with phi_a(z) = (z - a)/(1 - a z).
 
@@ -355,8 +372,7 @@ def _bubble_quarter_lap(w_eval, w_inf, center, scale):
     n_seg = 28
     rule_c = gauss_legendre(10)
 
-    def apply(xs):
-        xs = np.asarray(xs, dtype=float)
+    def block(xs):
         d = np.abs(xs - center)[:, None]
 
         # A: r in (0, d/2], r = rho^2 kills the r^{1/2} kink of the pair
@@ -391,6 +407,13 @@ def _bubble_quarter_lap(w_eval, w_inf, center, scale):
         integral = np.einsum("pq,pqm->pm", k, pair)
         tail = 4.0 * (wx - w_inf[None, :]) / np.sqrt(r_max)
         return _QUARTER_CONSTANT * (integral + tail)
+
+    def apply(xs):
+        # a block's radii, weights and pairs are (_NECK_BLOCK, 576, m): they
+        # stay in cache, and every point's value is the one it has alone
+        xs = np.asarray(xs, dtype=float)
+        return np.concatenate([block(xs[i:i + _NECK_BLOCK])
+                               for i in range(0, len(xs), _NECK_BLOCK)])
 
     return apply
 
@@ -462,7 +485,7 @@ def bubbling_experiment(u: Field, a: float, lam: float = 2.0,
     center = _locate_concentration(ev, a, scale)
 
     def w_eval(xs):
-        return ev(_mobius_angles(stereo.angle_of(xs), a))
+        return ev(_line_mobius_angles(xs, a))
 
     w_inf = w_eval(np.array([1.0e30]))[0]
     quarter = _bubble_quarter_lap(w_eval, w_inf, center, scale)

@@ -48,6 +48,16 @@ def test_pohozaev_mobius_preset(capsys):
     assert _report(out)["results"]["a"] == 0.3
 
 
+def test_mobius_refinement_size_goes_to_meta(capsys):
+    code, out, _ = _run(capsys, ["pohozaev", "--preset", "mobius", "--a", "0.6"])
+    rep = _report(out)
+    # the 1024-node identity settles one doubling later
+    assert code == 0 and rep["meta"]["mobius_points"] == 2048
+    assert "mobius_points" not in rep["results"]
+    code, out, _ = _run(capsys, ["pohozaev", "--preset", "identity-map"])
+    assert "mobius_points" not in _report(out)["meta"]
+
+
 def test_results_are_idempotent(tmp_path, capsys):
     argv = ["counterexample", "sweep", "--n", "100,1000", "--R", "4,16"]
     outs = []

@@ -1,12 +1,20 @@
 """Constrained gradient flow, Moebius composition, neck diagnostics."""
 
 import collections
+import tracemalloc
+from fractions import Fraction
+from math import gamma
 
 import numpy as np
 import pytest
 
-from fraclap.geometry import CircleGrid, LineGrid, field_from_function
-from fraclap.halfharmonic import (PlaneDistribution, bubbling_experiment,
+from fraclap import stereo
+from fraclap.geometry import (CircleGrid, LineGrid, field_from_function,
+                              gauss_legendre, panel_rule)
+from fraclap.halfharmonic import (_NODES_PER_ANNULUS, PlaneDistribution,
+                                  _bubble_quarter_lap, _circle_evaluator,
+                                  _line_mobius_angles, _locate_concentration,
+                                  _mobius_angles, bubbling_experiment,
                                   el_residual, energy, gradient_check,
                                   gradient_flow, horizontality_residual,
                                   identity_map, mobius_compose,
@@ -188,3 +196,81 @@ def test_bubbling_identity_report():
     assert len(rep.l2) == len(rep.annuli) == len(rep.l21) == len(rep.l2inf)
     # frozen: the dyadic sup of the quarter-Laplacian magnitude at a = 0.9
     assert np.isclose(rep.dyadic_sup, 0.71690943, atol=1e-6)
+
+
+def _neck(k):
+    """The neck quadrature of identity o phi_a, a = 1 - 10^-k, as
+    bubbling_experiment builds it, and the annulus nodes it evaluates."""
+    a = 1.0 - 10.0 ** -k
+    u = identity_map(CircleGrid(n_modes=256))
+    ev = _circle_evaluator(u)
+    center = _locate_concentration(ev, a, 1.0 - a)
+
+    def w_eval(xs):
+        return ev(_line_mobius_angles(xs, a))
+
+    quarter = _bubble_quarter_lap(w_eval, w_eval(np.array([1.0e30]))[0], center, 1.0 - a)
+    annuli = bubbling_experiment(u, a).annuli
+    dists = panel_rule([r0 for r0, _ in annuli] + [annuli[-1][1]],
+                       gauss_legendre(_NODES_PER_ANNULUS))[0]
+    return a, quarter, np.concatenate([center + dists, center - dists])
+
+
+def test_line_mobius_angle_is_the_circle_composition():
+    x = np.linspace(-30.0, 30.0, 601)
+    for a in (-0.7, 0.0, 0.3, 0.9):
+        old = _mobius_angles(stereo.angle_of(x), a)
+        gap = np.angle(np.exp(1j * (_line_mobius_angles(x, a) - old)))
+        assert np.max(np.abs(gap)) < 1e-14
+
+
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_line_mobius_angle_is_exact_near_the_bubble(k):
+    # reference: both arctan2 components in exact rational arithmetic, each
+    # rounded once, so the reference angle is good to an ulp or two
+    a = 1.0 - 10.0 ** -k
+    x = 1.0 + (1.0 - a) * np.concatenate([-np.geomspace(1e-3, 1e3, 100),
+                                          np.geomspace(1e-3, 1e3, 100)])
+    fa = Fraction(a)
+    ref = []
+    for xi in x:
+        y = (Fraction(xi) - fa) / (1 - fa * Fraction(xi))
+        ref.append(np.arctan2(float(1 - y * y), float(2 * y)))
+    assert np.max(np.abs(_line_mobius_angles(x, a) - np.array(ref))) <= 1e-15
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+def test_neck_quadrature_matches_the_closed_form(k):
+    # identity o phi_a on the line is R unproject((x - c)/b), c = 2a/(1+a^2),
+    # b = (1-a^2)/(1+a^2), R = [[b, c], [-c, b]]; the second component plus i
+    # times the first is -1 + 2/(1 - iy), analytic in the upper half plane,
+    # so (-D)^{1/4} of it is 2 Gamma(3/2) (1 - iy)^{-3/2}, scaled by b^{-1/2}
+    a, quarter, xs = _neck(k)
+    s = 1.0 + a * a
+    b = (1.0 - a) * (1.0 + a) / s
+    c = 2.0 * a / s
+    # x - c = (x - 1) + (1 - a)^2/(1 + a^2), free of cancellation at x ~ 1
+    z = gamma(1.5) * (1.0 + 1j * ((xs - 1.0) + (1.0 - a) ** 2 / s) / b) ** -1.5
+    exact = (np.stack([-2.0 * z.imag, 2.0 * z.real], axis=1)
+             @ np.array([[b, -c], [c, b]]) / np.sqrt(b))
+    err = np.max(np.linalg.norm(quarter(xs) - exact, axis=1))
+    assert err <= 1e-9 * np.max(np.linalg.norm(exact, axis=1))
+
+
+def test_neck_quadrature_blocks_leave_each_point_alone():
+    # 720 nodes: 22 full blocks and a half one
+    _, quarter, xs = _neck(5)
+    rows = np.concatenate([quarter(xs[i:i + 1]) for i in range(len(xs))])
+    assert np.array_equal(quarter(xs), rows)
+
+
+def test_neck_experiment_stays_small_in_memory():
+    u = identity_map(CircleGrid(n_modes=256))
+    tracemalloc.start()
+    try:
+        rep = bubbling_experiment(u, 1.0 - 1e-7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.annuli) == 22
+    assert peak < 8 * 2 ** 20

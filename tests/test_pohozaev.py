@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fraclap import acceptance
 from fraclap.acceptance import check_moment_operators
 from fraclap.geometry import (CircleGrid, LineGrid, TailModel,
                               field_from_function)
@@ -73,6 +74,33 @@ def test_residual_plane_linear_map():
     rep = residual_plane(u, (0.0, 0.0), (0.5, 1.0))
     assert np.max(np.abs(rep.residual)) == 0.0
     assert rep.hypothesis_residual < 1e-10
+
+
+def _exp_half(x, y):
+    # exp(z/2): conformal, but no polynomial, so central differences err
+    return np.exp(x / 2)[..., None] * np.stack([np.cos(y / 2), np.sin(y / 2)], axis=-1)
+
+
+def test_plane_gate_fails_on_a_non_conformal_map(monkeypatch):
+    # check 07's gate on (x + y^2/2, y): with the t = 1 weight, the radial
+    # energy is 16 and the angular one 8 (in units of the weight's mass)
+    monkeypatch.setitem(acceptance.PLANE_PRESETS, "bend",
+                        lambda x, y: np.stack([x + y * y / 2, y], axis=-1))
+    rep, gate = acceptance.pohozaev_plane("bend", acceptance.POHOZAEV_PLANE_T)
+    assert abs(gate.value - 0.5) < 1e-5
+    assert not gate.holds
+
+
+def test_plane_gate_measures_a_non_polynomial_conformal_map(monkeypatch):
+    monkeypatch.setitem(acceptance.PLANE_PRESETS, "exp-half", _exp_half)
+    gate = acceptance.pohozaev_plane("exp-half", acceptance.POHOZAEV_PLANE_T)[1]
+    assert gate.holds and 5e-5 < gate.value
+    # the residual is the central differences' h^2 error, not round-off
+    coarse = [float(np.max(residual_plane(plane_field_from_function(8.0, n, _exp_half),
+                                          (0.0, 0.0), (1.0,)).relative_residual()))
+              for n in (128, 256)]
+    orders = np.log2(np.array(coarse) / np.array([coarse[1], gate.value]))
+    assert np.all(np.abs(orders - 2.0) < 0.01)
 
 
 def test_residual_plane_rejects_wide_weight():
