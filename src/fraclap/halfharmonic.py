@@ -485,7 +485,10 @@ def bubbling_experiment(u: Field, a: float, lam: float = 2.0,
     center = _locate_concentration(ev, a, scale)
 
     def w_eval(xs):
-        return ev(_line_mobius_angles(xs, a))
+        # moved into the spline's base period [0, 2 pi], the angles need
+        # neither its periodic wrap (a float modulo per point) nor extrapolation
+        theta = _line_mobius_angles(xs, a)
+        return ev(np.where(theta < 0.0, theta + 2.0 * np.pi, theta), extrapolate=False)
 
     w_inf = w_eval(np.array([1.0e30]))[0]
     quarter = _bubble_quarter_lap(w_eval, w_inf, center, scale)
