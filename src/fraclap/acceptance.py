@@ -63,6 +63,8 @@ class CheckResult:
     expect_pass: bool = True
     note: str = ""
     details: Dict[str, float] = field(default_factory=dict)
+    # numerical-health values for the report's meta, kept out of results
+    health: Dict[str, float] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -175,7 +177,8 @@ def check_line_closed_form() -> CheckResult:
     return CheckResult(
         "03-line-closed-form", max(e_spec, e_quad),
         "spectral <= 1e-6, quadrature <= 1e-3 on |x| <= 10", gates,
-        details={g.name: g.value for g in gates})
+        details={g.name: g.value for g in gates},
+        health={"tail_quad_abserr": fracops.tail_quad_abserr(f, 0.5)})
 
 
 # ---------------------------------------------------------------------------

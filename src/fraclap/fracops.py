@@ -10,6 +10,8 @@ multiplier route.
 
 import threading
 import warnings
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -24,6 +26,7 @@ __all__ = [
     "frac_laplacian_circle",
     "frac_laplacian_line_spectral",
     "frac_laplacian_line_quadrature",
+    "tail_quad_abserr",
     "riesz_transform",
     "inverse_quarter_laplacian",
     "poisson_kernel_line",
@@ -90,25 +93,20 @@ def frac_laplacian_line_quadrature(f, s, convention="paper"):
                          "the far field is treated as zero")
     n, h, L = f.grid.n_points, f.grid.h, f.grid.half_width
     u = f.samples
-    j = np.arange(1, n)
-    w = (j * h) ** (-1.0 - 2.0 * s) * h
+    spec, w_node = _pair_weights(f.grid, s)
 
     # pair sums sum_j w_j (u[i+j] + u[i-j]) as one zero-padded transform
     # pair: convolution with w (the u[i-j] half) plus cross-correlation with
     # w (the u[i+j] half) multiplies the spectrum of u by fw + conj(fw).
     # Out-of-range samples contribute zero here and are replaced by the tail
-    # correction below.
-    fw = np.fft.rfft(np.concatenate([[0.0], w]), 2 * n)
+    # correction below. The 2n-point transforms are dropped as soon as they
+    # are used, before the O(n) terms below allocate theirs.
     fu = np.fft.rfft(u, 2 * n, axis=0)
-    pair_sums = np.fft.irfft(fu * (2.0 * fw.real)[:, None], 2 * n, axis=0)[:n]
-
-    w_total = np.concatenate([[0.0], np.cumsum(w)])  # w_total[k] = sum of first k weights
-    x = f.grid.nodes()
-    idx = np.arange(n)
-    # number of in-range offsets on each side
-    k_right = n - 1 - idx
-    k_left = idx
-    out = (w_total[k_right] + w_total[k_left])[:, None] * u - pair_sums
+    fu *= spec[:, None]
+    pair_sums = np.fft.irfft(fu, 2 * n, axis=0)[:n]
+    del fu
+    out = w_node[:, None] * u - pair_sums
+    del pair_sums
 
     # local part: int_0^(h/2) (2f(t) - f(t+r) - f(t-r)) r^(-1-2s) dr
     # with the integrand ~ -f''(t) r^(1-2s)
@@ -121,6 +119,7 @@ def frac_laplacian_line_quadrature(f, s, convention="paper"):
     # beyond-grid part: int over |y| > L of (f(t) - f(y)) |t-y|^(-1-2s) dy.
     # The f(t) piece is analytic; the f(y) piece uses the tail model on a
     # coarse set of nodes (it is a smooth function of t) and is interpolated.
+    x = f.grid.nodes()
     dist_r = L - x
     dist_l = L + x
     out += u * (dist_r ** (-2.0 * s) + dist_l ** (-2.0 * s))[:, None] / (2.0 * s)
@@ -132,34 +131,91 @@ def frac_laplacian_line_quadrature(f, s, convention="paper"):
     return Field(f.grid, out)
 
 
+# The grid-only tables of the quadrature route are computed once per key and
+# shared, read-only. A pair-weight entry holds two float64 arrays of n values,
+# about 16 MB at 2^20 points; two entries cover both orders s = 1/2 and
+# s = 1/4 on one grid. A tail table holds 65 nodes and is a few kB.
+_PAIR_WEIGHT_ENTRIES = 2
+_TAIL_TABLE_ENTRIES = 32
+
+
+@lru_cache(maxsize=_PAIR_WEIGHT_ENTRIES)
+def _pair_weights(grid, s):
+    """Spectrum and row sums of the weights w_j = (j h)^(-1-2s) h, j = 1..n-1.
+
+    Returns 2 Re rfft([0, w], 2n), the pair-sum multiplier, and for every
+    node the total weight of its in-range offsets on both sides.
+    """
+    n, h = grid.n_points, grid.h
+    # the kept arrays are allocated before the temporaries, so that freeing
+    # the temporaries can give their memory back
+    spec, w_node = np.empty(n + 1), np.empty(n)
+    w = (np.arange(1, n) * h) ** (-1.0 - 2.0 * s) * h
+    np.multiply(2.0, np.fft.rfft(np.concatenate([[0.0], w]), 2 * n).real, out=spec)
+    # w_total[k] = sum of the first k weights; node i has n - 1 - i offsets
+    # to its right and i to its left
+    w_total = np.concatenate([[0.0], np.cumsum(w)])
+    np.add(w_total[::-1], w_total, out=w_node)
+    spec.flags.writeable = False
+    w_node.flags.writeable = False
+    return spec, w_node
+
+
+class _TailTable(NamedTuple):
+    """The field-independent part of the tail correction on its 65 nodes.
+
+    Row 0 is the right end (y > L), row 1 the left end (y < -L). For a tail
+    limit + coef |y|^-p, the integral over one end at node t is
+    factor * limit + coef * value, where factor = (L -+ t)^(-2s) / (2s) and
+    value = int_L^inf y^-p (y -+ t)^(-1-2s) dy, with quad's error estimate
+    in abserr.
+    """
+    t_nodes: np.ndarray
+    factor: np.ndarray
+    value: np.ndarray
+    abserr: np.ndarray
+
+
+@lru_cache(maxsize=_TAIL_TABLE_ENTRIES)
+def _tail_table(grid, s, power):
+    L = grid.half_width
+    # clustered toward the ends, where the correction varies fastest, but
+    # kept strictly inside the node range
+    t_max = L - 0.5 * grid.h
+    t_nodes = t_max * np.sin(np.linspace(-0.5 * np.pi, 0.5 * np.pi, 65))
+    factor, value, abserr = (np.empty((2, len(t_nodes))) for _ in range(3))
+    for i, tn in enumerate(t_nodes):
+        for side, sign in enumerate((+1, -1)):
+            factor[side, i] = (L - sign * tn) ** (-2.0 * s) / (2.0 * s)
+            value[side, i], abserr[side, i] = quad(
+                lambda y: y ** (-power) * (y - sign * tn) ** (-1.0 - 2.0 * s),
+                L, np.inf, epsabs=1e-13, epsrel=1e-11)
+    for a in (t_nodes, factor, value, abserr):
+        a.flags.writeable = False
+    return _TailTable(t_nodes, factor, value, abserr)
+
+
 def _tail_far_contribution(f, s):
     """int_{|y|>L} tail(y) |t-y|^(-1-2s) dy at every node, interpolated.
 
     Smooth in t, so 65 Chebyshev-like nodes and a cubic spline are plenty.
     """
-    grid, tail = f.grid, f.tail
-    L = grid.half_width
-    x = grid.nodes()
-    # clustered toward the ends, where the correction varies fastest, but
-    # kept strictly inside the node range
-    t_max = L - 0.5 * grid.h
-    t_nodes = t_max * np.sin(np.linspace(-0.5 * np.pi, 0.5 * np.pi, 65))
+    tail = f.tail
+    tab = _tail_table(f.grid, s, tail.power)
+    fac, val = tab.factor[:, :, None], tab.value[:, :, None]
+    vals = ((fac[0] * tail.limit_pos + tail.coef_pos * val[0])
+            + (fac[1] * tail.limit_neg + tail.coef_neg * val[1]))
+    return CubicSpline(tab.t_nodes, vals, axis=0)(f.grid.nodes())
 
-    def one_side(tn, sign):
-        # int_L^inf (limit + coef y^-p) (y - sign*tn)^(-1-2s) dy  for the
-        # right end (sign=+1); mirrored for the left end.
-        lim = tail.limit_pos if sign > 0 else tail.limit_neg
-        coef = tail.coef_pos if sign > 0 else tail.coef_neg
-        base = (L - sign * tn) ** (-2.0 * s) / (2.0 * s) * lim
-        p = tail.power
-        val, _ = quad(lambda y: y ** (-p) * (y - sign * tn) ** (-1.0 - 2.0 * s),
-                      L, np.inf, epsabs=1e-13, epsrel=1e-11)
-        return base + coef * val
 
-    vals = np.empty((len(t_nodes), f.m))
-    for i, tn in enumerate(t_nodes):
-        vals[i] = one_side(tn, +1) + one_side(tn, -1)
-    return CubicSpline(t_nodes, vals, axis=0)(x)
+def tail_quad_abserr(f, s):
+    """Largest quad error estimate behind the tail correction of f at order s.
+
+    An absolute estimate: quad stops once it is below max(1e-13,
+    1e-11 |integral|), so for the small integrals of a wide grid it sits near
+    the 1e-13 floor, far above the actual error.
+    """
+    return float(np.max(_tail_table(f.grid, s, f.tail.power).abserr))
 
 
 def riesz_transform(f):

@@ -270,6 +270,19 @@ def test_selftest_reports_headroom_and_seconds(capsys):
         assert re.search(r"%.3fs \[\w+ *\] %s" % (seconds, check_id), err), check_id
 
 
+def test_selftest_reports_the_tail_quad_error_estimate(capsys):
+    # check 03 is the selftest's one trip through the quadrature route; a
+    # second run in this process reads its cached tail table
+    reports = [_report(_run(capsys, ["selftest", "--only", "03"])[1]) for _ in range(2)]
+    for rep in reports:
+        abserr = rep["meta"]["tail_quad_abserr"]
+        assert np.isfinite(abserr) and 0.0 < abserr <= 1e-13
+        assert "tail_quad_abserr" not in json.dumps(rep["results"])
+    assert reports[0]["results"] == reports[1]["results"]
+    assert reports[0]["meta"]["tail_quad_abserr"] == reports[1]["meta"]["tail_quad_abserr"]
+    assert "tail_quad_abserr" not in _report(_run(capsys, ["selftest", "--only", "06"])[1])["meta"]
+
+
 def test_headroom_covers_every_command_check(capsys):
     code, out, _ = _run(capsys, ["flow", "--n-modes", "16"])
     assert code == 0

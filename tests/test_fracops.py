@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
+from fraclap import fracops
 from fraclap.fracops import (frac_laplacian_circle, frac_laplacian_line_quadrature,
                              frac_laplacian_line_spectral, inverse_quarter_laplacian,
                              line_convolve, line_interpolant, poisson_kernel_circle,
@@ -102,6 +103,136 @@ def test_spectral_route_converges_at_second_order_in_the_half_width():
     assert np.all(orders >= 1.95), orders
     # the spacing does not enter: halving h leaves the error unchanged to 5 digits
     assert error(250.0, 0.025) == pytest.approx(errs[1], rel=1e-5)
+
+
+def _uncached_quadrature(f, s, convention):
+    # the quadrature route as it was before its grid tables were cached,
+    # computing every weight, transform and quad integral on each call
+    from scipy.integrate import quad
+    n, h, L = f.grid.n_points, f.grid.h, f.grid.half_width
+    u = f.samples
+    j = np.arange(1, n)
+    w = (j * h) ** (-1.0 - 2.0 * s) * h
+    fw = np.fft.rfft(np.concatenate([[0.0], w]), 2 * n)
+    fu = np.fft.rfft(u, 2 * n, axis=0)
+    pair_sums = np.fft.irfft(fu * (2.0 * fw.real)[:, None], 2 * n, axis=0)[:n]
+    w_total = np.concatenate([[0.0], np.cumsum(w)])
+    x = f.grid.nodes()
+    idx = np.arange(n)
+    out = (w_total[n - 1 - idx] + w_total[idx])[:, None] * u - pair_sums
+    fpp = np.empty_like(u)
+    fpp[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) / h ** 2
+    fpp[0] = fpp[1]
+    fpp[-1] = fpp[-2]
+    out -= fpp * (0.5 * h) ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
+    out += u * ((L - x) ** (-2.0 * s) + (L + x) ** (-2.0 * s))[:, None] / (2.0 * s)
+    if f.tail is not None:
+        tail = f.tail
+        t_nodes = (L - 0.5 * h) * np.sin(np.linspace(-0.5 * np.pi, 0.5 * np.pi, 65))
+
+        def one_side(tn, sign):
+            lim = tail.limit_pos if sign > 0 else tail.limit_neg
+            coef = tail.coef_pos if sign > 0 else tail.coef_neg
+            base = (L - sign * tn) ** (-2.0 * s) / (2.0 * s) * lim
+            p = tail.power
+            val, _ = quad(lambda y: y ** (-p) * (y - sign * tn) ** (-1.0 - 2.0 * s),
+                          L, np.inf, epsabs=1e-13, epsrel=1e-11)
+            return base + coef * val
+
+        vals = np.empty((len(t_nodes), f.m))
+        for i, tn in enumerate(t_nodes):
+            vals[i] = one_side(tn, +1) + one_side(tn, -1)
+        out -= CubicSpline(t_nodes, vals, axis=0)(x)
+    if convention == "normalized":
+        out = out * singular_constant(s)
+    return out
+
+
+def _clear_quadrature_tables():
+    fracops._pair_weights.cache_clear()
+    fracops._tail_table.cache_clear()
+
+
+def _route_fields(grid):
+    x = grid.nodes()
+    arctan = TailModel(1.0, np.array([0.5 * np.pi, 0.0]), np.array([-0.5 * np.pi, 0.0]),
+                       np.array([-1.0, 2.0]), np.array([1.0, 3.0]))
+    return {
+        # two components, distinct limits and coefficients at the two ends
+        "m2": Field(grid, np.stack([np.arctan(x), 2.0 / (1.0 + x * x) + 1.0 / (1.0 + x * x) ** 2],
+                                   axis=1), tail=arctan),
+        # one tail power, two coefficients: they share one tail table
+        "even_a": Field(grid, (1.0 / (1.0 + x * x))[:, None], tail=TailModel.even(2.0, 1.0)),
+        "even_b": Field(grid, (0.6 / (1.0 + (x - 0.4) ** 2))[:, None],
+                        tail=TailModel.even(2.0, 0.6)),
+        "odd": Field(grid, (2.0 * x / (1.0 + x * x) ** 2)[:, None], tail=TailModel.odd(3.0, 2.0)),
+        "no_tail": Field(grid, np.exp(-x * x)[:, None]),
+    }
+
+
+@pytest.mark.parametrize("s", [0.5, 0.25])
+@pytest.mark.parametrize("convention", ["paper", "normalized"])
+def test_cached_quadrature_tables_are_bit_identical(s, convention):
+    grid = LineGrid(80.0, 2 ** 12)
+    fields = _route_fields(grid)
+    _clear_quadrature_tables()
+    for name, f in fields.items():
+        want = _uncached_quadrature(f, s, convention).tobytes()
+        for call in ("first", "repeat"):
+            got = frac_laplacian_line_quadrature(f, s, convention=convention).samples
+            assert got.tobytes() == want, (name, call)
+    # one pair-weight entry for the grid; tail tables for powers 1, 2 and 3
+    assert fracops._pair_weights.cache_info().currsize == 1
+    assert fracops._tail_table.cache_info().currsize == 3
+
+
+def test_cached_quadrature_tables_are_read_only():
+    f = _lorentzian_field(LineGrid(40.0, 512))
+    frac_laplacian_line_quadrature(f, 0.5)
+    spec, w_node = fracops._pair_weights(f.grid, 0.5)
+    for a in (spec, w_node, *fracops._tail_table(f.grid, 0.5, 2.0)):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+def test_tail_quad_runs_once_per_grid_order_and_power(monkeypatch):
+    calls = []
+    real_quad = fracops.quad
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_quad(*args, **kwargs)
+    monkeypatch.setattr(fracops, "quad", counted)
+    _clear_quadrature_tables()
+    grid = LineGrid(60.0, 1024)
+    x = grid.nodes()
+    f = _lorentzian_field(grid)
+
+    def used(*fields_and_orders):
+        before = len(calls)
+        for g, s in fields_and_orders:
+            frac_laplacian_line_quadrature(g, s)
+        return len(calls) - before
+
+    assert used((f, 0.5)) == 130  # 65 nodes, one integral per end
+    assert used((f, 0.5), (f, 0.5)) == 0
+    other_coef = Field(grid, (3.0 / (1.0 + x * x))[:, None], tail=TailModel.even(2.0, 3.0))
+    assert used((other_coef, 0.5)) == 0
+    assert used((f, 0.25)) == 130
+    odd = Field(grid, (2.0 * x / (1.0 + x * x) ** 2)[:, None], tail=TailModel.odd(3.0, 2.0))
+    assert used((odd, 0.5)) == 130
+    # same node count, different half-width: a different grid and table
+    wider = _lorentzian_field(LineGrid(90.0, 1024))
+    assert used((wider, 0.5)) == 130
+    assert used((wider, 0.5), (f, 0.5)) == 0
+
+
+def test_tail_quad_error_estimate():
+    # on check 03's grid the estimate sits at quad's 1e-13 absolute floor
+    f = _lorentzian_field(LineGrid(1000.0, 2 ** 16))
+    err = fracops.tail_quad_abserr(f, 0.5)
+    assert 0.0 < err <= 1e-13
+    assert err == np.max(fracops._tail_table(f.grid, 0.5, 2.0).abserr)
 
 
 def test_quadrature_input_guards():
