@@ -534,10 +534,9 @@ def _run_selftest(opts, ctx):
     _require(results, "selftest: no checks match the requested prefixes")
     ctx.meta["check_seconds"] = {k: round(v, 3) for k, v in seconds.items()}
     for r in results:
+        sys.stderr.write("%7.3fs %s\n" % (seconds[r.check_id], acceptance.format_line(r)))
         for key, value in r.health.items():
             ctx.meta[key] = max(value, ctx.meta.get(key, value))
-    for r in results:
-        sys.stderr.write("%7.3fs %s\n" % (seconds[r.check_id], acceptance.format_line(r)))
     counts: Dict[str, int] = {}
     for r in results:
         counts[r.status] = counts.get(r.status, 0) + 1
