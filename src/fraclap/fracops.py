@@ -312,15 +312,30 @@ def line_convolve(f, g):
 _BLOCK = 256
 _MARGIN = 48
 
+# A block's fine values come from the field's trigonometric interpolant by
+# Gaussian gridding (Greengard & Lee, SIAM Rev. 46(3), 2004). The build
+# samples the interpolant _OVERSAMPLE times per node, each frequency nu (in
+# cycles per oversampled sample, |nu| <= 1/(2 _OVERSAMPLE)) divided by
+# exp(-pi nu^2 / _BETA); a fine value is then the unit-area Gaussian filter
+# sqrt(_BETA) exp(-pi _BETA d^2) summed over the 2 _SPREAD samples nearest
+# it, d samples away. This _BETA gives the filter's truncation and its
+# aliasing the same size, exp(-pi (R - 1/2) S / R) before deconvolution.
+# Against the exact 4x refinement, R = 2 and S = 16 measure relative errors
+# of 2e-16 (a Lorentzian at 2^20 nodes) and 2e-15 (white noise up to the
+# Nyquist frequency); S = 12 lets white noise reach 1e-12.
+_OVERSAMPLE = 2
+_SPREAD = 16
+_BETA = (_OVERSAMPLE - 0.5) / (_OVERSAMPLE * _SPREAD)
+
 
 def line_interpolant(f):
     """Callable evaluating a line field anywhere, via spectral refinement.
 
-    Zero-pads the spectrum by a factor refine = max(4, ceil(h / 0.008)),
-    which keeps the refined spacing near 0.008 or below, interpolates the
-    oversampled values with the not-a-knot cubic spline through all of
-    them, and falls back to the tail model outside the node range. Good to
-    ~1e-9 for smooth well-resolved fields.
+    Interpolates the field's trigonometric interpolant, sampled refine =
+    max(4, ceil(h / 0.008)) times per node (a refined spacing near 0.008 or
+    below), with the not-a-knot cubic spline through all of those fine
+    samples, and falls back to the tail model outside the node range. Good
+    to ~1e-9 for smooth well-resolved fields.
 
     The Nyquist mode refines to the cosine through its samples (the rule of
     geometry.rfft_resize), so the interpolant reproduces every sample at the
@@ -329,7 +344,10 @@ def line_interpolant(f):
     The spline is fitted only where it is evaluated: the first query in a
     block of fine intervals fits that block, and the interpolant keeps the
     coefficients for later calls, so the cost follows the queries, not the
-    grid.
+    grid. The build does one transform, to a deconvolved grid of twice the
+    field's nodes; a block's fit spreads its fine samples from that grid
+    with a fixed 32-tap Gaussian filter, which matches the zero-padded
+    refinement to round-off (about 2e-15 relative for white noise).
     """
     if not isinstance(f.grid, LineGrid):
         raise TypeError("expected a line field")
@@ -344,24 +362,70 @@ class _LineInterpolant:
     """
 
     def __init__(self, f, refine):
-        n_fine = refine * f.grid.n_points
-        # refined node k sits at -L + h/2 + k h/refine; the last
-        # (refine - 1) // 2 of them lie beyond L and wrap around to the
-        # front, so a roll puts the fine values in increasing node order
-        n_wrap = (refine - 1) // 2
-        fine = np.fft.irfft(rfft_resize(f.rfft(), n_fine), n_fine, axis=0)
-        self._values = np.roll(fine, n_wrap, axis=0)
+        n = f.grid.n_points
+        self._n_fine = refine * n
+        # fine node k sits at -L + h/2 + (k - n_wrap) h/refine: the first
+        # n_wrap = (refine - 1) // 2 of them lie below the field's first node,
+        # where the periodic interpolant continues from beyond L
+        self._n_wrap = (refine - 1) // 2
         self._dx = f.grid.h / refine
-        self._lo = -f.grid.half_width + 0.5 * f.grid.h - n_wrap * self._dx
-        self._hi = self._lo + (n_fine - 1) * self._dx
+        self._lo = -f.grid.half_width + 0.5 * f.grid.h - self._n_wrap * self._dx
+        self._hi = self._lo + (self._n_fine - 1) * self._dx
         self._tail = f.tail
-        n_blocks = -(-(n_fine - 1) // _BLOCK)
+        self._m = f.m
+        # the deconvolved grid, one row per component: sample j sits j h/R
+        # past the field's first node
+        size = _OVERSAMPLE * n
+        nu = np.arange(n // 2 + 1) / size
+        spec = rfft_resize(f.rfft(), size)
+        spec[: n // 2 + 1] *= np.exp(np.pi / _BETA * nu * nu)[:, None]
+        self._grid = np.fft.irfft(spec, size, axis=0).T
+        # fine nodes fall at _period offsets from the samples, repeating every
+        # _period nodes (_step samples): the node a _period + p past the first
+        # node sits at sample _step a + pos[p]. Column p of the filter weighs
+        # the samples from _step a - _SPREAD + 1 on, zero but for the
+        # 2 _SPREAD nearest the node
+        common = np.gcd(_OVERSAMPLE, refine)
+        self._period, self._step = refine // common, _OVERSAMPLE // common
+        pos = _OVERSAMPLE * np.arange(self._period) / refine
+        row = np.arange(2 * _SPREAD + self._step - 1)[:, None]
+        d = row - (_SPREAD - 1) - pos
+        near = (row >= np.floor(pos)) & (row < np.floor(pos) + 2 * _SPREAD)
+        self._filter = np.where(near, np.sqrt(_BETA) * np.exp(-np.pi * _BETA * d * d), 0.0)
+        n_blocks = -(-(self._n_fine - 1) // _BLOCK)
         self._slot = np.full(n_blocks, -1, dtype=np.intp)
         # fitted blocks fill the table's first _n_fitted * _BLOCK rows; its
         # capacity doubles as blocks arrive, up to the whole grid's
         self._coef = np.empty((0, 4, f.m))
         self._n_fitted = 0
         self._lock = threading.Lock()
+
+    def _spread(self, start, width):
+        """Fine values at nodes start + arange(width), shape (width, len(start), m).
+
+        Each window reads one segment of the grid, wrapped around its
+        period, from a whole period of fine nodes on. The segments run end
+        to end through one correlation per filter column, which forms each
+        value as a dot product of fixed length, so a node gets the same
+        value whichever windows share the call.
+        """
+        period, step, m = self._period, self._step, self._m
+        first, offset = np.divmod(start - self._n_wrap, period)
+        n_periods = -(-(period - 1 + width) // period)
+        rows = len(self._filter)
+        span = step * (n_periods - 1) + rows
+        # rows - 1 zeros after the last segment give the correlation one
+        # output per segment sample; those past a segment's n_periods are unused
+        count = m * len(start) * span
+        seg = np.zeros(count + rows - 1)
+        np.take(self._grid, step * first[:, None] - (_SPREAD - 1) + np.arange(span), axis=1,
+                mode="wrap", out=seg[:count].reshape(m, len(start), span))
+        fine = np.empty((m * len(start), n_periods, period))
+        for p in range(period):
+            out = np.correlate(seg, self._filter[:, p], "valid").reshape(-1, span)
+            fine[:, :, p] = out[:, : step * n_periods : step]
+        fine = fine.reshape(m, len(start), n_periods * period)
+        return fine[:, np.arange(len(start)), offset + np.arange(width)[:, None]].transpose(1, 2, 0)
 
     def _fit(self, blocks):
         """Fit the blocks among `blocks` that have no coefficients yet.
@@ -377,10 +441,10 @@ class _LineInterpolant:
         new = np.flatnonzero(todo & (self._slot < 0))
         if len(new) == 0:
             return
-        n_fine, m = self._values.shape
+        n_fine, m = self._n_fine, self._m
         width = min(_BLOCK + 2 * _MARGIN + 1, n_fine)
         start = np.clip(new * _BLOCK - _MARGIN, 0, n_fine - width)
-        windows = self._values[np.arange(width)[:, None] + start]
+        windows = self._spread(start, width)
         spline = CubicSpline(self._dx * np.arange(width), windows.reshape(width, -1), axis=0)
         c = spline.c.reshape(4, width - 1, len(new), m)
         # intervals past the last node land on the window's last interval;
@@ -398,10 +462,10 @@ class _LineInterpolant:
 
     def __call__(self, pts):
         pts = np.atleast_1d(np.asarray(pts, dtype=float))
-        res = np.empty((len(pts), self._values.shape[1]))
+        res = np.empty((len(pts), self._m))
         inside = (pts >= self._lo) & (pts <= self._hi)
         p = pts[inside]
-        i = np.clip(np.floor((p - self._lo) / self._dx).astype(np.intp), 0, len(self._values) - 2)
+        i = np.clip(np.floor((p - self._lo) / self._dx).astype(np.intp), 0, self._n_fine - 2)
         block = i // _BLOCK
         with self._lock:
             self._fit(block)

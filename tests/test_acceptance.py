@@ -66,6 +66,21 @@ def test_07_pohozaev_plane():
     _assert_passes("07-pohozaev-plane")
 
 
+def test_07_fails_on_a_non_conformal_preset(monkeypatch):
+    # both fixtures are conformal polynomials and read exactly 0, so the
+    # check's gate never sees a nonzero residual on them; a bent map in the
+    # same table reads 0.49999787 (radial energy 16 against angular 8 in
+    # units of the t = 1 weight's mass) and fails the check
+    monkeypatch.setitem(acceptance.PLANE_PRESETS, "bend",
+                        lambda x, y: np.stack([x + y * y / 2, y], axis=-1))
+    r = acceptance.check_pohozaev_plane()
+    assert not r.passed and r.status == "fail"
+    assert {g.name: g.value for g in r.gates if g.name != "bend"} == {"identity-map": 0.0,
+                                                                      "z2": 0.0}
+    assert abs(r.value - 0.49999787) < 1e-8
+    assert r.headroom["bend"] == 5000.0
+
+
 def test_08_stereo_transfer():
     _assert_passes("08-stereo-transfer")
 
