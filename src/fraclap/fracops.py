@@ -319,10 +319,11 @@ _MARGIN = 48
 # exp(-pi nu^2 / _BETA); a fine value is then the unit-area Gaussian filter
 # sqrt(_BETA) exp(-pi _BETA d^2) summed over the 2 _SPREAD samples nearest
 # it, d samples away. This _BETA gives the filter's truncation and its
-# aliasing the same size, exp(-pi (R - 1/2) S / R) before deconvolution.
-# Against the exact 4x refinement, R = 2 and S = 16 measure relative errors
-# of 2e-16 (a Lorentzian at 2^20 nodes) and 2e-15 (white noise up to the
-# Nyquist frequency); S = 12 lets white noise reach 1e-12.
+# aliasing the same size, exp(-pi (R - 1/2) S / R) before deconvolution,
+# with R = _OVERSAMPLE and S = _SPREAD. Against the exact zero-padded
+# refinement, R = 2 and S = 16 measure relative errors of 2e-16 (a
+# Lorentzian at 2^20 nodes) and 2e-15 (white noise up to the Nyquist
+# frequency, refine 4 to 49); S = 12 lets white noise reach 1e-12.
 _OVERSAMPLE = 2
 _SPREAD = 16
 _BETA = (_OVERSAMPLE - 0.5) / (_OVERSAMPLE * _SPREAD)
@@ -373,8 +374,8 @@ class _LineInterpolant:
         self._hi = self._lo + (self._n_fine - 1) * self._dx
         self._tail = f.tail
         self._m = f.m
-        # the deconvolved grid, one row per component: sample j sits j h/R
-        # past the field's first node
+        # the deconvolved grid, one row per component: sample j sits
+        # j h / _OVERSAMPLE past the field's first node
         size = _OVERSAMPLE * n
         nu = np.arange(n // 2 + 1) / size
         spec = rfft_resize(f.rfft(), size)

@@ -456,9 +456,9 @@ def test_line_interpolant_shared_between_threads():
 
 def test_line_interpolant_memory_follows_queries():
     # a 2^20 build plus stereo-style queries; a global 4M-node spline would
-    # hold several hundred MB of coefficients and sort keys, and the 4M
-    # zero-padded refined values alone 34 MB; the build's one grid of 2^21
-    # values takes 17 MB
+    # hold several hundred MB of coefficients and sort keys. The build keeps
+    # one grid of 2^21 values (17 MB); an array of all 4M fine values
+    # (34 MB) next to it would break the bound
     g = LineGrid(10000.0, 1 << 20)
     f = _lorentzian_field(g)
     th = CircleGrid(2048).nodes()
