@@ -343,9 +343,46 @@ def rfft_multiply(f, mult):
     Nyquist rule: irfft keeps only the real part of the Nyquist bin, so an
     even real multiplier (|xi|^(2s)) scales the Nyquist mode and an odd one
     (i xi, -i sign xi) removes it.
+
+    Half-size route: a real mult on a line field whose columns are all
+    exactly even, or all exactly odd, about the grid centre (node j <->
+    n-1-j) transforms only the right half, a DCT-II scaled by mult[:n/2]
+    for even fields and a DST-II scaled by mult[1:n/2+1] for odd ones (the
+    last DST bin is the Nyquist mode, so the rule above holds unchanged).
+    The output is then exactly even or odd, agrees with the rfft route to
+    round-off, and f.rfft() is not computed or cached.
     """
     mult = np.reshape(mult, (len(mult), -1))
-    return np.fft.irfft(mult * f.rfft(), f.grid.n_points, axis=0)
+    parity = _line_parity(f) if np.isrealobj(mult) else 0
+    if not parity:
+        return np.fft.irfft(mult * f.rfft(), f.grid.n_points, axis=0)
+    import scipy.fft
+    half = f.grid.n_points // 2
+    if parity > 0:
+        forward, inverse, bins = scipy.fft.dct, scipy.fft.idct, mult[:half]
+    else:
+        forward, inverse, bins = scipy.fft.dst, scipy.fft.idst, mult[1:half + 1]
+    spec = forward(f.samples[half:], type=2, axis=0)
+    spec *= bins
+    out = np.empty(f.samples.shape)
+    out[half:] = inverse(spec, type=2, axis=0, overwrite_x=True)
+    np.multiply(out[:half - 1:-1], parity, out=out[:half])
+    return out
+
+
+def _line_parity(f):
+    """1 if every column of a line field is exactly even about the grid
+    centre, -1 if every column is exactly odd, else 0. The outermost pair
+    is compared first, so most asymmetric fields cost O(1)."""
+    if not isinstance(f.grid, LineGrid):
+        return 0
+    s = f.samples
+    right, left = s[len(s) // 2:], s[len(s) // 2 - 1::-1]
+    if np.array_equal(s[0], s[-1]) and np.array_equal(right, left):
+        return 1
+    if np.array_equal(s[0], -s[-1]) and np.array_equal(right, -left):
+        return -1
+    return 0
 
 
 def rfft_resize(spec, n_new):

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from fraclap.geometry import (CircleGrid, Field, LineGrid, TailModel,
                               even_part, field_from_function, gauss_legendre,
                               line_integral, load_binary, load_csv, odd_part,
-                              panel_rule, resample, rfft_frequencies, save_binary,
-                              save_csv)
+                              panel_rule, resample, rfft_frequencies, rfft_multiply,
+                              save_binary, save_csv)
 
 
 def test_line_grid_nodes_symmetric():
@@ -92,6 +92,51 @@ def test_field_rfft_cached_read_only():
     assert np.allclose(rfft_frequencies(line), 2 * np.pi * np.fft.rfftfreq(16, d=line.h),
                        rtol=1e-15)
     assert not rfft_frequencies(line).flags.writeable
+
+
+def _route_case(case):
+    """Field, real or complex multiplier and expected route of one
+    rfft_multiply case: white noise with m = 3 made exactly even or odd,
+    the Nyquist mode, and three inputs that must keep the rfft route."""
+    kind, n = case
+    grid = LineGrid(5.0, n)
+    rng = np.random.default_rng(n)
+    u = rng.normal(size=(n, 3))
+    even, odd = u + u[::-1], u - u[::-1]
+    freq = rfft_frequencies(grid)
+    mult = rng.uniform(0.5, 2.0, size=(n // 2 + 1, 3))
+    if kind == "nyquist":
+        return Field(grid, (-1.0) ** np.arange(n)), freq ** 1.0, -1
+    if kind == "ulp-off":
+        even[n // 2 + 5, 1] = np.nextafter(even[n // 2 + 5, 1], np.inf)
+        return Field(grid, even), mult, 0
+    if kind == "mixed":
+        return Field(grid, np.column_stack([even[:, 0], odd[:, 1]])), freq, 0
+    if kind == "complex":
+        return Field(grid, even), 1j * freq, 0
+    return Field(grid, even if kind == "even" else odd), mult, 1 if kind == "even" else -1
+
+
+@pytest.mark.parametrize("case", [("even", 1 << 10), ("even", 1 << 16), ("odd", 1 << 10),
+                                  ("odd", 1 << 16), ("nyquist", 64), ("ulp-off", 1 << 10),
+                                  ("mixed", 1 << 10), ("complex", 1 << 10)],
+                         ids=lambda c: "%s-%d" % c)
+def test_rfft_multiply_half_size_route(case):
+    # exactly even or odd line fields under a real multiplier take the
+    # DCT/DST route and match the rfft route to round-off; every other
+    # input keeps the rfft route bit for bit
+    f, mult, parity = _route_case(case)
+    n = f.grid.n_points
+    ref = np.fft.irfft(np.reshape(mult, (n // 2 + 1, -1)) * np.fft.rfft(f.samples, axis=0),
+                       n, axis=0)
+    out = rfft_multiply(f, mult)
+    assert out.shape == ref.shape and out.dtype == ref.dtype
+    assert (f._rfft is None) == bool(parity)
+    if parity:
+        assert np.max(np.abs(out - ref)) <= 2e-15 * np.max(np.abs(ref))
+        assert np.array_equal(out, parity * out[::-1])
+    else:
+        assert np.array_equal(out, ref)
 
 
 def test_field_arithmetic_and_parts():
