@@ -366,7 +366,7 @@ def rfft_multiply(f, mult):
     spec *= bins
     out = np.empty(f.samples.shape)
     out[half:] = inverse(spec, type=2, axis=0, overwrite_x=True)
-    np.multiply(out[:half - 1:-1], parity, out=out[:half])
+    np.multiply(out[half:][::-1], parity, out=out[:half])
     return out
 
 

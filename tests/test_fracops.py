@@ -478,9 +478,9 @@ def test_line_interpolant_memory_follows_queries():
 def test_inverse_quarter_memory_on_an_even_field():
     # check 04's even density on 2^21 points (16 MB) takes the half-size
     # DCT route: output 16 MB, its private copy in the Field 16 MB, and
-    # half-length multiplier and spectrum; the rfft route also kept a 16 MB
-    # spectrum on the input and read 60.8 MB. The frequency table is built
-    # once per grid and shared, so it is built before tracing
+    # half-length multiplier and spectrum, about 44 MB. The bound sits below
+    # the rfft route, which also keeps a 16 MB spectrum on the input (61 MB).
+    # The frequency table is shared per grid, so it is built before tracing
     grid = LineGrid(2000.0, 1 << 21)
     x = grid.nodes()
     f = Field(grid, (x * x - 1.0) / (1.0 + x * x) ** 2, tail=TailModel.even(2.0, 1.0))
