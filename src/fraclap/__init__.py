@@ -8,14 +8,24 @@ diagnostics, and an explicit scaling counterexample, with a CLI front end.
 
 __version__ = "0.1.0"
 
-from . import (  # noqa: F401
-    acceptance,
-    commutators,
-    counterexample,
-    fracops,
-    geometry,
-    halfharmonic,
-    norms,
-    pohozaev,
-    stereo,
+import importlib
+
+# submodules load on first use, so importing one module (say geometry, which
+# needs only numpy) does not import the rest of the package and scipy with it
+_SUBMODULES = (
+    "acceptance",
+    "commutators",
+    "counterexample",
+    "fracops",
+    "geometry",
+    "halfharmonic",
+    "norms",
+    "pohozaev",
+    "stereo",
 )
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,5 +1,9 @@
 """Grids, fields, tails, integration, serialization."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -245,6 +249,67 @@ def test_gauss_legendre_cached_read_only():
     for arr in (x, w):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def _legendre_reference(n, x):
+    """Nodes and weights in long double: 3 Newton steps on the recurrence."""
+    x = np.asarray(x, dtype=np.longdouble)
+    one = np.longdouble(1)
+    for _ in range(3):
+        p_prev, p = np.ones_like(x), x.copy()
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        slope = n * (p_prev - x * p) / ((one - x) * (one + x))
+        x = x - p / slope
+    return x, 2 / ((one - x) * (one + x) * slope * slope)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than float64 here")
+@pytest.mark.parametrize("n", [24, 400, 2000])
+def test_gauss_legendre_matches_long_double_reference(n):
+    x, w = gauss_legendre(n)
+    x_ref, w_ref = _legendre_reference(n, x)
+    assert np.max(np.abs(x - x_ref)) <= 2e-16
+    assert np.max(np.abs(w / w_ref - 1)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 24, 25, 400, 1201, 2000])
+def test_gauss_legendre_structure(n):
+    x, w = gauss_legendre(n)
+    assert np.all(np.diff(x) > 0) and -1.0 < x[0] and x[-1] < 1.0
+    assert np.all(w > 0)
+    # mirrored halves: exact symmetry, and an odd rule's middle node is 0.0
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    if n % 2:
+        assert x[n // 2] == 0.0
+
+
+@pytest.mark.parametrize("n, nodes, weights", [
+    (1, [0.0], [2.0]),
+    (2, [-1 / np.sqrt(3.0), 1 / np.sqrt(3.0)], [1.0, 1.0]),
+    (3, [-np.sqrt(0.6), 0.0, np.sqrt(0.6)], [5 / 9, 8 / 9, 5 / 9]),
+])
+def test_gauss_legendre_closed_forms(n, nodes, weights):
+    x, w = gauss_legendre(n)
+    assert np.max(np.abs(x - nodes)) <= 1e-15
+    assert np.max(np.abs(w - weights)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5])
+def test_gauss_legendre_rejects_invalid_n(n):
+    with pytest.raises(ValueError):
+        gauss_legendre(n)
+
+
+def test_geometry_imports_without_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, %r); import fraclap.geometry; "
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules "
+            "if m.startswith('scipy'))" % str(src))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_resample_line_tail_extension():
