@@ -12,7 +12,6 @@ are chosen so every gate holds with a measured margin, its headroom.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -269,9 +268,9 @@ def check_pohozaev_circle() -> CheckResult:
     rep = pohozaev.residual_circle(ident)
     moment_gap = max(float(np.max(np.abs(rep.u_plus - np.array([0.5, 0.0])))),
                      float(np.max(np.abs(rep.u_minus - np.array([0.0, 0.5])))))
-    residuals = [moment_gap]
-    for u in [ident] + [halfharmonic.mobius_compose(ident, a) for a in (0.3, 0.6, 0.9)]:
-        rep = pohozaev.residual_circle(u)
+    residuals = [moment_gap, rep.moment_gap, rep.moment_dot]
+    for a in (0.3, 0.6, 0.9):
+        rep = pohozaev.residual_circle(halfharmonic.mobius_compose(ident, a))
         residuals += [rep.moment_gap, rep.moment_dot]
     gate = moment_gate(residuals)
     return CheckResult(
@@ -416,8 +415,8 @@ def check_mobius_invariance() -> CheckResult:
     for a in (0.3, 0.6, 0.9):
         comp = halfharmonic.mobius_compose(ident, a)
         worst_de = max(worst_de, abs(halfharmonic.energy(comp) - e0) / e0)
-    comp9 = halfharmonic.mobius_compose(ident, 0.9)
-    el = float(np.max(np.linalg.norm(halfharmonic.el_residual(comp9, dist).samples, axis=1)))
+    # comp is the a = 0.9 composition
+    el = float(np.max(np.linalg.norm(halfharmonic.el_residual(comp, dist).samples, axis=1)))
 
     gates = (Gate("energy_rel_change", worst_de, hi=1e-6),
              Gate("composed_el_residual", el, hi=1e-6))
@@ -433,13 +432,11 @@ def check_mobius_invariance() -> CheckResult:
 
 # 12a and 12b share one run
 @lru_cache(maxsize=1)
-def bubbling_reports(n_modes, k_max, lam, big_r, threads):
+def bubbling_reports(n_modes, k_max, lam, big_r):
     """Neck reports of the identity composed with phi_a, a = 1 - 10^-k, k <= k_max."""
     u = halfharmonic.identity_map(CircleGrid(n_modes=n_modes))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return tuple(pool.map(
-            lambda a: halfharmonic.bubbling_experiment(u, a, lam=lam, big_r=big_r),
-            [1.0 - 10.0 ** -k for k in range(1, k_max + 1)]))
+    return tuple(halfharmonic.bubbling_experiment(u, 1.0 - 10.0 ** -k, lam=lam, big_r=big_r)
+                 for k in range(1, k_max + 1))
 
 
 def decreasing_gate(values) -> Gate:
@@ -451,7 +448,7 @@ def neck_exponent_gate(exponents) -> Gate:
 
 
 def check_bubbling_monotone() -> CheckResult:
-    sups = [r.dyadic_sup for r in bubbling_reports(256, 4, 2.0, 2.0, 1)]
+    sups = [r.dyadic_sup for r in bubbling_reports(256, 4, 2.0, 2.0)]
     return CheckResult(
         "12a-bubbling-monotone", float(sups[-1]),
         "dyadic-annulus sup strictly decreasing over a = 1 - 10^-k, k = 1..4",
@@ -460,7 +457,7 @@ def check_bubbling_monotone() -> CheckResult:
 
 
 def check_bubbling_exponent() -> CheckResult:
-    exps = [r.fit_exponent for r in bubbling_reports(256, 4, 2.0, 2.0, 1)]
+    exps = [r.fit_exponent for r in bubbling_reports(256, 4, 2.0, 2.0)]
     return CheckResult(
         "12b-bubbling-exponent", float(exps[-1]),
         "fitted neck exponent within 0.5 +- 0.15 where the smallness gate holds",

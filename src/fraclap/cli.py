@@ -3,10 +3,10 @@
 Subcommands: kernel, norms, commutators, pohozaev, stereo, flow, bubble,
 counterexample, selftest. Options come from flags or from an INI-style
 config file ([common] section plus one section per subcommand; flags win).
-Reports are deterministic for a fixed (config, seed, threads) triple: the
-"results" object is byte-identical across reruns, while "meta" carries the
-wall clock, config hash, artifact version, and the count of warnings the run
-raised (recorded instead of printed).
+Reports are deterministic for a fixed (config, seed) pair: "results" is
+byte-identical across reruns and thread counts (no subcommand starts threads),
+while "meta" carries the wall clock, config hash, artifact version, --threads
+and the count of warnings the run raised (recorded instead of printed).
 
 Exit codes: 0 when every enabled assertion lands as expected (checks marked
 expect_pass=false count as expected when they fail), 1 on an assertion
@@ -93,7 +93,6 @@ class Command:
 @dataclass(frozen=True)
 class RunContext:
     seed: int
-    threads: int
     # run-health entries a runner adds to the report's meta, outside results
     meta: dict = field(default_factory=dict)
 
@@ -266,7 +265,7 @@ def _run_pohozaev(opts, ctx):
             u = Field(grid, np.stack([np.cos(2 * th), np.sin(2 * th)], axis=1))
         else:
             u = halfharmonic.mobius_compose(halfharmonic.identity_map(grid), opts["a"])
-            # the node count at which the composition's energy settled
+            # the node count at which the composition's spectrum was resolved
             ctx.meta["mobius_points"] = u.grid.n_points
         rep = pohozaev.residual_circle(u)
         gap, dot = rep.moment_gap, rep.moment_dot
@@ -416,7 +415,7 @@ def _run_bubble(opts, ctx):
     n_modes = opts["n_modes"]
     _require(n_modes >= 8, "bubble: n-modes must be at least 8")
 
-    reports = acceptance.bubbling_reports(n_modes, k_max, lam, big_r, ctx.threads)
+    reports = acceptance.bubbling_reports(n_modes, k_max, lam, big_r)
     entries = []
     table = []
     for rep in reports:
@@ -633,7 +632,7 @@ _COMMANDS: Dict[str, Command] = {
 # options every command takes; [common] in a config file
 _COMMON = (
     Option("seed", "int", 0, "RNG seed"),
-    Option("threads", "int", None, "worker pool size (env FRACLAP_THREADS, then cores)"),
+    Option("threads", "int", None, "recorded in meta (env FRACLAP_THREADS, then cores)"),
 )
 
 
@@ -710,7 +709,7 @@ def _main(argv: Optional[Sequence[str]]) -> int:
     _require(seed >= 0, "seed must be non-negative")
     _require(threads >= 1, "threads must be at least 1")
 
-    ctx = RunContext(seed=seed, threads=threads)
+    ctx = RunContext(seed=seed)
 
     started = time.time()
     # numpy's warnings go to meta as a count instead of onto stderr, whose one

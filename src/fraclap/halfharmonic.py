@@ -27,7 +27,7 @@ _STEP_GROW = 1.15           # flow step growth after an accepted step
 _STEP_MAX = 4.0             # flow step cap
 _ARMIJO = 1e-4              # flow sufficient-decrease constant
 _FD_EPS = 1e-5              # difference step of gradient_check
-_MOBIUS_TOL = 1e-8          # relative energy change that ends the refinement
+_RESOLVED = 1e-13           # spectral tail ratio that ends the Moebius refinement
 _MOBIUS_N_MAX = 1 << 22     # node cap of the Moebius refinement
 _NODES_PER_ANNULUS = 24     # Gauss nodes per neck annulus
 _NECK_BLOCK = 32            # evaluation points per block of the neck quadrature
@@ -329,26 +329,29 @@ def _line_mobius_angles(x, a):
 def mobius_compose(u: Field, a: float) -> Field:
     """Sample u(phi_a(e^{i theta})) with phi_a(z) = (z - a)/(1 - a z).
 
-    The composition concentrates near theta = 0 as a -> 1, so the output
-    resolution doubles (starting from the input grid) until its energy moves
-    by less than _MOBIUS_TOL relative between successive levels.
+    The composition concentrates near theta = 0 as a -> 1, so its node count
+    starts at twice the input's and doubles until its spectral tail ratio is
+    at most _RESOLVED or the input's own ratio; ValueError past _MOBIUS_N_MAX.
     """
     if not -1.0 < float(a) < 1.0:
         raise ValueError("mobius parameter must satisfy |a| < 1")
     if not u.is_circle():
         raise ValueError("mobius composition acts on circle fields")
+
+    def tail_ratio(f):  # largest rfft magnitude at k >= n/4 over the largest; 0 if f = 0
+        mag = np.abs(f.rfft())
+        return np.max(mag[f.grid.n_points // 4:]) / max(np.max(mag), np.finfo(float).tiny)
+
     ev = _circle_evaluator(u)
-    n = u.grid.n_points
-    prev_energy = None
+    floor = max(_RESOLVED, tail_ratio(u))
+    n = 2 * u.grid.n_points
     while n <= _MOBIUS_N_MAX:
         grid = CircleGrid(n_modes=n // 2)
         comp = Field(grid, ev(_mobius_angles(grid.nodes(), a)))
-        e = energy(comp)
-        if prev_energy is not None and abs(e - prev_energy) <= _MOBIUS_TOL * max(1.0, prev_energy):
+        if tail_ratio(comp) <= floor:
             return comp
-        prev_energy = e
         n *= 2
-    raise RuntimeError("composition energy did not stabilize below n = %d" % _MOBIUS_N_MAX)
+    raise ValueError("composition with a = %r unresolved at %d nodes" % (float(a), _MOBIUS_N_MAX))
 
 
 _QUARTER_CONSTANT = 1.0 / (2.0 * np.sqrt(2.0 * np.pi))

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fraclap import cli
+from fraclap import acceptance, cli, halfharmonic
 from fraclap.geometry import CircleGrid, LineGrid, field_from_function, save_csv
 
 
@@ -48,14 +48,43 @@ def test_pohozaev_mobius_preset(capsys):
     assert _report(out)["results"]["a"] == 0.3
 
 
-def test_mobius_refinement_size_goes_to_meta(capsys):
-    code, out, _ = _run(capsys, ["pohozaev", "--preset", "mobius", "--a", "0.6"])
+@pytest.mark.parametrize("a", ["0.3", "0.6", "0.9"])
+def test_mobius_refinement_size_goes_to_meta(capsys, a):
+    code, out, _ = _run(capsys, ["pohozaev", "--preset", "mobius", "--a", a])
     rep = _report(out)
-    # the 1024-node identity settles one doubling later
+    # the 1024-node identity is resolved one doubling later
     assert code == 0 and rep["meta"]["mobius_points"] == 2048
     assert "mobius_points" not in rep["results"]
     code, out, _ = _run(capsys, ["pohozaev", "--preset", "identity-map"])
     assert "mobius_points" not in _report(out)["meta"]
+
+
+def test_mobius_preset_resolves_a_sharp_bubble(capsys):
+    code, out, _ = _run(capsys, ["pohozaev", "--preset", "mobius", "--a", "0.999"])
+    rep = _report(out)
+    assert code == 0 and rep["meta"]["mobius_points"] == 131072
+    assert rep["results"]["moment_gap"] <= 1e-10
+
+
+def test_mobius_preset_past_the_node_cap_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(halfharmonic, "_MOBIUS_N_MAX", 1 << 14)
+    out_path = tmp_path / "report.json"
+    code, out, err = _run(capsys, ["pohozaev", "--preset", "mobius", "--a", "0.999",
+                                   "--out", str(out_path)])
+    assert code == 2 and out == ""
+    diag = json.loads(err.strip().splitlines()[-1])
+    assert diag["error"] == "config" and "16384 nodes" in diag["message"]
+    assert not out_path.exists()
+
+
+def test_bubble_results_do_not_depend_on_threads(capsys):
+    outs = []
+    for threads in ("1", "2"):
+        acceptance.bubbling_reports.cache_clear()
+        code, out, _ = _run(capsys, ["bubble", "--threads", threads])
+        assert code == 0
+        outs.append(json.dumps(_report(out)["results"], sort_keys=True))
+    assert outs[0] == outs[1]
 
 
 def test_results_are_idempotent(tmp_path, capsys):

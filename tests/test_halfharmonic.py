@@ -8,7 +8,7 @@ from math import gamma
 import numpy as np
 import pytest
 
-from fraclap import stereo
+from fraclap import halfharmonic, stereo
 from fraclap.geometry import (CircleGrid, LineGrid, field_from_function,
                               gauss_legendre, panel_rule)
 from fraclap.halfharmonic import (_NODES_PER_ANNULUS, PlaneDistribution,
@@ -193,12 +193,27 @@ def test_mobius_compose_resolves_a_moderate_bubble():
     assert _mobius_composition_error(0.9) < 1e-6
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the refinement stops on a relative energy change, and the sampled energy "
-    "of identity o phi_a is 2 pi to round-off at any node count: at a = 0.999 "
-    "it settles at 2048 nodes and misses the exact composition by 0.77"))
-def test_mobius_compose_resolves_a_sharp_bubble():
-    assert _mobius_composition_error(0.999) < 1e-6
+@pytest.mark.parametrize("a,bound", [(0.99, 1e-9), (0.999, 1e-6)])
+def test_mobius_compose_resolves_a_sharp_bubble(a, bound):
+    # resolved at 16384 nodes (error 6.3e-11) and 131072 nodes (1.5e-10);
+    # the composed energy is 2 pi at any node count, so it cannot say when
+    assert _mobius_composition_error(a) < bound
+
+
+def test_mobius_compose_stops_at_twice_an_unresolved_input():
+    # noise up to the input's Nyquist mode sets the tail floor, so the
+    # refinement does not chase it (without the floor it ran to 2^20 and 2^21)
+    u = identity_map(CircleGrid(n_modes=512))
+    noise = np.random.default_rng(0).standard_normal(u.samples.shape)
+    noisy = u.with_samples(u.samples + 1e-3 * noise)
+    for a in (0.6, 0.9):
+        assert mobius_compose(noisy, a).grid.n_points == 2048
+
+
+def test_mobius_compose_raises_value_error_at_the_cap(monkeypatch):
+    monkeypatch.setattr(halfharmonic, "_MOBIUS_N_MAX", 1 << 14)
+    with pytest.raises(ValueError, match="unresolved at 16384 nodes"):
+        mobius_compose(identity_map(CircleGrid(n_modes=512)), 0.999)
 
 
 def test_bubbling_requires_critical_input():

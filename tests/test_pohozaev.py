@@ -91,6 +91,16 @@ def test_plane_gate_fails_on_a_non_conformal_map(monkeypatch):
     assert not gate.holds
 
 
+def test_plane_identity_reads_two_thirds_on_x_squared():
+    # u = (x^2, 0) on check 07's grid: |x . grad u|^2 = 4 x^4 and
+    # |x^perp . grad u|^2 = 4 x^2 y^2, and E[x^4] = 3 E[x^2 y^2] under the
+    # Gaussian weight, so lhs = 3 rhs and the relative residual is 2/3;
+    # central differences are exact on quadratics, so only the box truncates
+    u = plane_field_from_function(8.0, 512, lambda x, y: np.stack([x * x, 0.0 * y], axis=-1))
+    rep = residual_plane(u, (0.0, 0.0), acceptance.POHOZAEV_PLANE_T)
+    assert abs(float(rep.relative_residual()[0]) - 2.0 / 3.0) < 1e-5
+
+
 def test_plane_gate_measures_a_non_polynomial_conformal_map(monkeypatch):
     monkeypatch.setitem(acceptance.PLANE_PRESETS, "exp-half", _exp_half)
     gate = acceptance.pohozaev_plane("exp-half", acceptance.POHOZAEV_PLANE_T)[1]
