@@ -37,7 +37,6 @@ from . import fracops
 from . import halfharmonic
 from . import norms
 from . import pohozaev
-from .acceptance import CheckResult
 from .geometry import (
     CircleGrid,
     Field,
@@ -204,10 +203,10 @@ def _run_kernel(opts, ctx):
 def _run_norms(opts, ctx):
     if opts["profile"] == "indicator":
         ell = opts["length"]
-        _require(0.0 < ell < 20.0, "norms: length must sit inside the grid (0, 20)")
-        grid = LineGrid(10.0, 1 << 12)
-        x = grid.nodes()
-        f = Field(grid, (np.abs(x) < ell / 2.0).astype(float)[:, None])
+        grid = acceptance.INDICATOR_GRID
+        _require(0.0 < ell < 2.0 * grid.half_width,
+                 "norms: length must sit inside the grid (0, %g)" % (2.0 * grid.half_width))
+        f = Field(grid, (np.abs(grid.nodes()) < ell / 2.0).astype(float)[:, None])
         row = (ell, float(np.sqrt(ell)), norms.lp_norm(f, 2.0),
                norms.lorentz_21(f), norms.lorentz_2inf(f))
         header = ("length", "sqrt_length", "l2", "l21", "l2inf")
@@ -218,8 +217,9 @@ def _run_norms(opts, ctx):
         inner = opts["inner"]
         outers = opts["outer"]
         _require(inner > 0.0, "norms: inner radius must be positive")
-        _require(max(outers) <= 2000.0,
-                 "norms: outer radius beyond the pinned grid half-width 2000")
+        half_width = acceptance.ANNULI["half_width"]
+        _require(max(outers) <= half_width,
+                 "norms: outer radius beyond the pinned grid half-width %g" % half_width)
         table = acceptance.inverse_sqrt_annuli(inner, outers)
         header = ("inner", "outer", "l2", "l21", "l2inf", "sqrt_2_log_ratio")
         rows = np.array(table)
@@ -257,7 +257,7 @@ def _run_pohozaev(opts, ctx):
     if geometry == "circle":
         _require(preset in ("identity-map", "mobius", "degree-2"),
                  "pohozaev: circle presets are identity-map, mobius, degree-2")
-        grid = CircleGrid(n_modes=512)
+        grid = CircleGrid(n_modes=acceptance.POHOZAEV_CIRCLE_MODES)
         th = grid.nodes()
         if preset == "identity-map":
             u = halfharmonic.identity_map(grid)
@@ -275,9 +275,7 @@ def _run_pohozaev(opts, ctx):
                    "moment_gap": gap, "moment_dot": dot}
         if preset == "mobius":
             payload["a"] = opts["a"]
-        gate = acceptance.moment_gate((gap, dot))
-        checks = [CheckResult("pohozaev-circle-residual", gate.value,
-                              "moment norm gap and dot product <= 1e-10", (gate,))]
+        checks = [acceptance.moment_claim("pohozaev-circle-residual", (gap, dot))]
         header = ("component", "u_plus", "u_minus")
         rows = np.array([(j, rep.u_plus[j], rep.u_minus[j]) for j in range(2)])
         return payload, checks, (header, rows)
@@ -285,33 +283,29 @@ def _run_pohozaev(opts, ctx):
     if geometry == "line":
         _require(preset == "identity-map",
                  "pohozaev: the line geometry supports preset identity-map")
-        tv, lhs, rhs, target, gate = acceptance.pohozaev_line(
-            opts["t_values"] or acceptance.POHOZAEV_LINE_T)
+        tv, lhs, rhs, target, claim = acceptance.pohozaev_line(
+            "pohozaev-line-closed-form", opts["t_values"] or acceptance.POHOZAEV_LINE_T)
         payload = {"geometry": "line", "preset": preset,
                    "t_values": [float(t) for t in tv],
                    "lhs": [float(v) for v in lhs], "rhs": [float(v) for v in rhs],
                    "closed_form": [float(v) for v in target],
-                   "max_relative_error": gate.value}
-        checks = [CheckResult("pohozaev-line-closed-form", gate.value,
-                              "both sides match 4 pi^2/(t+1)^4 within 1e-3", (gate,))]
+                   "max_relative_error": claim.value}
         header = ("t", "lhs", "rhs", "closed_form", "residual")
         rows = np.column_stack([tv, lhs, rhs, target, lhs - rhs])
-        return payload, checks, (header, rows)
+        return payload, [claim], (header, rows)
 
     _require(preset in acceptance.PLANE_PRESETS,
              "pohozaev: plane presets are " + ", ".join(acceptance.PLANE_PRESETS))
     t_values = opts["t_values"] or acceptance.POHOZAEV_PLANE_T
-    rep, gate = acceptance.pohozaev_plane(preset, t_values)
+    (rep,), claim = acceptance.pohozaev_plane("pohozaev-plane-residual", (preset,), t_values)
     lhs, rhs = np.asarray(rep.lhs), np.asarray(rep.rhs)
     payload = {"geometry": "plane", "preset": preset,
                "t_values": [float(t) for t in t_values],
                "lhs": [float(v) for v in lhs], "rhs": [float(v) for v in rhs],
-               "max_relative_residual": gate.value}
-    checks = [CheckResult("pohozaev-plane-residual", gate.value, "relative residual <= 1e-4",
-                          (gate,))]
+               "max_relative_residual": claim.value}
     header = ("t", "lhs", "rhs", "residual")
     rows = np.column_stack([np.asarray(t_values), lhs, rhs, lhs - rhs])
-    return payload, checks, (header, rows)
+    return payload, [claim], (header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -322,26 +316,22 @@ def _run_stereo(opts, ctx):
     arc = opts["arc_halfwidth"]
     _require(0.0 < arc < 1.5, "stereo: arc-halfwidth must sit in (0, 1.5)")
     if opts["case"] == "closed-form":
-        th, lhs, rhs, target, gate = acceptance.stereo_closed_form(arc)
+        th, lhs, rhs, target, claim = acceptance.stereo_closed_form("stereo-closed-form", arc)
         payload = {"case": "closed-form", "arc_halfwidth": arc,
-                   "max_abs_error": gate.value,
+                   "max_abs_error": claim.value,
                    "n_points_checked": int(th.size)}
-        checks = [CheckResult("stereo-closed-form", gate.value,
-                              "both routes equal sin(t)/2 within 1e-6 outside the arc", (gate,))]
         header = ("theta", "circle_route", "line_route", "target")
         rows = np.column_stack([th, lhs, rhs, target])
-        return payload, checks, (header, rows)
+        return payload, [claim], (header, rows)
 
-    rep, gate = acceptance.stereo_random(ctx.seed, arc)
+    rep, claim = acceptance.stereo_random("stereo-two-route", ctx.seed, arc)
     payload = {"case": "random", "arc_halfwidth": arc,
-               "max_abs_residual": gate.value,
+               "max_abs_residual": claim.value,
                "max_relative_residual": float(rep["max_relative_residual"]),
                "n_points_checked": int(rep["n_points_checked"])}
-    checks = [CheckResult("stereo-two-route", gate.value,
-                          "two-route agreement <= 1e-3 outside the arc", (gate,))]
     header = ("max_abs_residual", "max_relative_residual", "n_points_checked")
-    rows = np.array([(gate.value, rep["max_relative_residual"], rep["n_points_checked"])])
-    return payload, checks, (header, rows)
+    rows = np.array([(claim.value, rep["max_relative_residual"], rep["n_points_checked"])])
+    return payload, [claim], (header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -376,27 +366,23 @@ def _run_flow(opts, ctx):
                  "flow: the initial field must be a 2-component circle field")
 
     fd_check = default_recipe and opts["perturbation"] <= 0.2
-    states, gates = acceptance.flow_experiment(u0, tol, max_iter, fd_check)
-    monotone, converged, energy, *gradient = gates
+    states, claims = acceptance.flow_experiment(u0, tol, max_iter, fd_check)
+    monotone, converged, energy, *gradient = claims
     last = states[-1]
     ctx.meta.update(stalled=last.stalled, backtracks=last.backtracks)
 
     payload = {"iterations": int(last.iteration),
                "final_energy": float(last.energy),
                "el_residual": float(last.el_residual_norm),
-               "energy_gap_from_2pi": float(energy.value),
-               "monotone_violations": monotone.value,
+               "energy_gap_from_2pi": energy.value,
+               "monotone_violations": monotone.gates[0].value,
                "recorded_states": len(states),
                "initial": opts["initial"] or ""}
-    targets = (("flow-monotone", "energy nonincreasing across recorded states"),
-               ("flow-converged", "final residual <= tol"),
-               ("flow-energy-target", "final energy within 1e-4 of 2 pi"),
-               ("flow-gradient-fd", "analytic derivative matches finite differences "
-                                    "within 1e-5 relative"))
     if fd_check:
-        payload["gradient_fd_rel"] = float(gradient[0].value)
-    checks = [CheckResult(check_id, float(g.value), target, (g,)) for (check_id, target), g
-              in zip(targets, gates if fd_check else (monotone, converged))]
+        payload["gradient_fd_rel"] = gradient[0].value
+    # the energy target and the gradient check are claims of the default
+    # recipe at small perturbations
+    checks = claims if fd_check else [monotone, converged]
     header = ("iteration", "energy", "el_residual", "step")
     rows = np.array([(s.iteration, s.energy, s.el_residual_norm, s.step)
                      for s in states])
@@ -415,7 +401,7 @@ def _run_bubble(opts, ctx):
     n_modes = opts["n_modes"]
     _require(n_modes >= 8, "bubble: n-modes must be at least 8")
 
-    reports = acceptance.bubbling_reports(n_modes, k_max, lam, big_r)
+    reports = acceptance.bubbling_reports(n_modes=n_modes, k_max=k_max, lam=lam, big_r=big_r)
     entries = []
     table = []
     for rep in reports:
@@ -431,19 +417,14 @@ def _run_bubble(opts, ctx):
             table.append((rep.a, inner, outer, l2, l21, l2inf))
     payload = {"lambda": lam, "big_r": big_r, "entries": entries}
 
+    # checks 12a and 12b claim these diagnostics at their cutoffs
     checks = []
-    sups = [e["dyadic_sup"] for e in entries]
-    if lam == 2.0 and big_r == 2.0 and len(sups) >= 2 and all(s is not None for s in sups):
-        checks.append(CheckResult("bubble-monotone", float(sups[-1]),
-                                  "dyadic sup strictly decreasing in k",
-                                  (acceptance.decreasing_gate(sups),)))
-        exps = [e["fit_exponent"] for e in entries if e["fit_exponent"] is not None]
-        if exps:
-            checks.append(CheckResult(
-                "bubble-exponent", float(exps[-1]), "fitted neck exponent within 0.5 +- 0.15",
-                (acceptance.neck_exponent_gate(exps),), expect_pass=False,
-                note="gate-passing annuli are the far field of a single "
-                     "bubble (exponent 3/2); see the selftest notes"))
+    sups, exps = [r.dyadic_sup for r in reports], [r.fit_exponent for r in reports]
+    cutoffs = (acceptance.BUBBLE["lam"], acceptance.BUBBLE["big_r"])
+    if (lam, big_r) == cutoffs and len(sups) >= 2 and None not in sups:
+        checks.append(acceptance.monotone_claim("bubble-monotone", sups))
+        if any(e is not None for e in exps):
+            checks.append(acceptance.exponent_claim("bubble-exponent", exps))
     header = ("a", "inner", "outer", "l2", "l21", "l2inf")
     rows = np.array(table)
     return payload, checks, (header, rows)
@@ -489,23 +470,13 @@ def _run_counterexample(opts, ctx):
         "decay_slope_v": float(reports[0].decay_slope_v),
     }
 
-    slope_u = reports[0].decay_slope_u
-    slope_v = reports[0].decay_slope_v
-    checks = [
-        CheckResult("counterexample-decay-u", float(slope_u),
-                    "u potential log-log slope within -1.5 +- 0.05 on [10, 1e3]",
-                    (acceptance.decay_u_gate(slope_u),)),
-        CheckResult("counterexample-decay-v", float(slope_v),
-                    "v potential log-log slope within -1.25 +- 0.05 on [10, 1e3]",
-                    (acceptance.decay_v_gate(slope_v),), expect_pass=False,
-                    note="sign change near t = 10 plus a t^(-1/4) transient; the "
-                         "selftest pins the asymptotic constant instead"),
-    ]
-    windows = [r.u_n_window_l2 for r in reports if r.n >= 100]
+    checks = [acceptance.decay_u_claim("counterexample-decay-u", payload["decay_slope_u"]),
+              acceptance.decay_v_claim("counterexample-decay-v", payload["decay_slope_v"])]
+    # the window and neck claims of check 13d hold from its smallest n and at its largest
+    sweep_n = acceptance.COUNTEREXAMPLE["n"]
+    windows = [r.u_n_window_l2 for r in reports if r.n >= min(sweep_n)]
     if windows:
-        checks.append(CheckResult("counterexample-window", float(max(windows)),
-                                  "window norms in [1, 1.3] for n >= 100",
-                                  acceptance.window_gates(windows)))
+        checks.append(acceptance.window_claim("counterexample-window", windows))
     n_top = max(n for n, _ in feasible)
     ladder = sorted(r for n, r in feasible if n == n_top)
     if len(ladder) >= 3:
@@ -515,10 +486,8 @@ def _run_counterexample(opts, ctx):
         payload["neck_slope"] = slope
         # the -1/4 power law is asymptotic in n; at small n the logarithmic
         # corrections dominate the fit, so only assert it in its regime
-        if n_top >= 1_000_000:
-            checks.append(CheckResult("counterexample-neck-slope", slope,
-                                      "neck L2 log-log slope within -0.25 +- 0.1 "
-                                      "at the largest n", (acceptance.neck_slope_gate(slope),)))
+        if n_top >= max(sweep_n):
+            checks.append(acceptance.neck_slope_claim("counterexample-neck-slope", slope))
     return payload, checks, (header, rows)
 
 
@@ -563,14 +532,14 @@ _COMMANDS: Dict[str, Command] = {
             Option("profile", "str", "inverse-sqrt", "indicator or inverse-sqrt",
                    ("indicator", "inverse-sqrt")),
             Option("length", "float", 1.0, "indicator interval length"),
-            Option("inner", "float", 0.1, "annulus inner radius"),
-            Option("outer", "float-list", (1.0, 10.0, 100.0), "annulus outer radii"),
+            Option("inner", "float", acceptance.ANNULI["inner"], "annulus inner radius"),
+            Option("outer", "float-list", acceptance.ANNULI["outer"], "annulus outer radii"),
         ),
         runner=_run_norms,
         help="Lorentz and Lebesgue norms of the reference profiles"),
     "commutators": Command(
         options=(
-            Option("resolutions", "int-list", (512, 1024, 2048, 4096, 8192),
+            Option("resolutions", "int-list", commutators.RESOLUTIONS,
                    "grid sizes for the compensation sweep"),
         ),
         runner=_run_commutators,
@@ -591,33 +560,34 @@ _COMMANDS: Dict[str, Command] = {
         options=(
             Option("case", "str", "closed-form", "closed-form or random",
                    ("closed-form", "random")),
-            Option("arc_halfwidth", "float", 0.2, "excluded arc half-width"),
+            Option("arc_halfwidth", "float", acceptance.STEREO_ARC, "excluded arc half-width"),
         ),
         runner=_run_stereo,
         help="two-route stereographic transfer of the half Laplacian"),
     "flow": Command(
         options=(
-            Option("n_modes", "int", 128, "circle grid modes"),
-            Option("perturbation", "float", 0.05, "tangent perturbation amplitude"),
-            Option("tol", "float", 1e-6, "residual stopping tolerance"),
-            Option("max_iter", "int", 20000, "iteration cap"),
+            Option("n_modes", "int", acceptance.FLOW["n_modes"], "circle grid modes"),
+            Option("perturbation", "float", acceptance.FLOW["perturbation"],
+                   "tangent perturbation amplitude"),
+            Option("tol", "float", acceptance.FLOW["tol"], "residual stopping tolerance"),
+            Option("max_iter", "int", acceptance.FLOW["max_iter"], "iteration cap"),
             Option("initial", "path", "", "initial field file (.csv or binary)"),
         ),
         runner=_run_flow,
         help="projected gradient flow to a half-harmonic map"),
     "bubble": Command(
         options=(
-            Option("k_max", "int", 4, "largest k in a = 1 - 10^-k"),
-            Option("lam", "float", 2.0, "inner neck cutoff multiplier"),
-            Option("big_r", "float", 2.0, "outer neck cutoff"),
-            Option("n_modes", "int", 256, "circle grid modes"),
+            Option("k_max", "int", acceptance.BUBBLE["k_max"], "largest k in a = 1 - 10^-k"),
+            Option("lam", "float", acceptance.BUBBLE["lam"], "inner neck cutoff multiplier"),
+            Option("big_r", "float", acceptance.BUBBLE["big_r"], "outer neck cutoff"),
+            Option("n_modes", "int", acceptance.BUBBLE["n_modes"], "circle grid modes"),
         ),
         runner=_run_bubble,
         help="neck diagnostics for the concentrating Moebius family"),
     "counterexample": Command(
         options=(
-            Option("n", "int-list", (100, 10_000, 1_000_000), "scaling indices"),
-            Option("R", "float-list", (4.0, 16.0, 64.0, 256.0), "annulus cutoffs"),
+            Option("n", "int-list", acceptance.COUNTEREXAMPLE["n"], "scaling indices"),
+            Option("R", "float-list", acceptance.COUNTEREXAMPLE["R"], "annulus cutoffs"),
         ),
         runner=_run_counterexample, actions=("sweep",),
         help="sweep the scaling family's window and neck norms"),

@@ -158,7 +158,10 @@ def _cosine_series(n, amp, phase):
     return np.fft.irfft(spec, n)
 
 
-def compensation_report(resolutions=(512, 1024, 2048, 4096, 8192), seed=0):
+RESOLUTIONS = (512, 1024, 2048, 4096, 8192)
+
+
+def compensation_report(resolutions=RESOLUTIONS, seed=0):
     """Measure ||op_T(Q, v)||_{L^1} for random unit-seminorm Q, unit-L^2 v.
 
     The interesting question is whether the constant stays bounded as the

@@ -173,8 +173,10 @@ def test_nan_fails_every_gate():
     nan = float("nan")
     for gate in (acceptance.Gate("x", nan), acceptance.Gate("x", nan, hi=1.0),
                  acceptance.Gate("x", nan, lo=0.0), acceptance.Gate("x", nan, lo=0.0, strict=True),
-                 acceptance.decreasing_gate([2.0, nan]), acceptance.neck_exponent_gate([0.5, nan]),
-                 *acceptance.window_gates([1.1, nan]), acceptance.moment_gate([0.0, nan])):
+                 *acceptance.monotone_claim("x", [2.0, nan]).gates,
+                 *acceptance.exponent_claim("x", [0.5, nan]).gates,
+                 *acceptance.window_claim("x", [1.1, nan]).gates,
+                 *acceptance.moment_claim("x", [0.0, nan]).gates):
         assert not gate.holds, gate
 
 
@@ -183,9 +185,13 @@ def test_strict_gates_fail_on_equality():
     assert sigma_min.holds and sigma_min.strict
     assert not dataclasses.replace(sigma_min, value=0.0).holds
     assert dataclasses.replace(sigma_min, value=5e-324).holds
-    assert acceptance.decreasing_gate([3.0, 2.0, 1.0]).holds
-    assert not acceptance.decreasing_gate([3.0, 2.0, 2.0]).holds
-    assert not acceptance.decreasing_gate([1.0, 2.0]).holds
+    def decreasing(values):
+        (gate,) = acceptance.monotone_claim("x", values).gates
+        assert gate.strict
+        return gate.holds
+    assert decreasing([3.0, 2.0, 1.0])
+    assert not decreasing([3.0, 2.0, 2.0])
+    assert not decreasing([1.0, 2.0])
 
 
 def test_slope_gates_bound_the_distance_not_the_slope():
@@ -193,11 +199,14 @@ def test_slope_gates_bound_the_distance_not_the_slope():
     # point: at slope = -1.45 the sum rounds to 0.05000000000000004
     edges = (-1.55, -1.45, -1.25 - 0.05, -1.25 + 0.05, -0.35, -0.15)
     slopes = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)] + list(edges)
+    def holds(claim, slope):
+        (gate,) = claim("x", slope).gates
+        return gate.holds
     for s in slopes:
-        assert acceptance.decay_u_gate(s).holds == (abs(s + 1.5) <= 0.05), s
-        assert acceptance.decay_v_gate(s).holds == (abs(s + 1.25) <= 0.05), s
-        assert acceptance.neck_slope_gate(s).holds == (abs(s + 0.25) <= 0.1), s
-    assert not acceptance.decay_u_gate(-1.45).holds and -1.55 <= -1.45 <= -1.45
+        assert holds(acceptance.decay_u_claim, s) == (abs(s + 1.5) <= 0.05), s
+        assert holds(acceptance.decay_v_claim, s) == (abs(s + 1.25) <= 0.05), s
+        assert holds(acceptance.neck_slope_claim, s) == (abs(s + 0.25) <= 0.1), s
+    assert not holds(acceptance.decay_u_claim, -1.45) and -1.55 <= -1.45 <= -1.45
 
 
 def test_headroom_leaves_out_unbounded_and_non_finite_ratios():
@@ -240,6 +249,39 @@ def test_bubble_cli_matches_check_12a(capsys):
 def test_counterexample_cli_matches_check_13d(capsys):
     res = _cli_results(capsys, "counterexample")
     assert res["neck_slope"] == _result("13d-counterexample-window").details["neck_slope"]
+
+
+# each CLI check at the runner defaults and the checklist check whose claim it states
+_CLI_CLAIMS = {
+    "bubble-monotone": "12a-bubbling-monotone",
+    "bubble-exponent": "12b-bubbling-exponent",
+    "counterexample-decay-u": "13a-counterexample-decay-u",
+    "counterexample-decay-v": "13b-counterexample-decay-v",
+    "counterexample-window": "13d-counterexample-window",
+    "counterexample-neck-slope": "13d-counterexample-window",
+    "flow-monotone": "10-flow-convergence",
+    "flow-converged": "10-flow-convergence",
+    "flow-energy-target": "10-flow-convergence",
+    "flow-gradient-fd": "10-flow-convergence",
+}
+
+
+@pytest.mark.parametrize("command, seed", [("bubble", 0), ("counterexample", 0), ("flow", 7)])
+def test_cli_checks_state_the_checklist_claims(command, seed):
+    # in process and at its defaults (flow at seed 7, check 10's), a runner's
+    # checks carry the gates of their checklist check: same names, bounds and
+    # values, and the same expectation and status
+    spec = cli._COMMANDS[command]
+    opts = {o.name: o.default for o in spec.options}
+    checks = spec.runner(opts, cli.RunContext(seed=seed))[1]
+    assert sorted(c.check_id for c in checks) == sorted(
+        cid for cid in _CLI_CLAIMS if cid.startswith(command))
+    for c in checks:
+        owner = _result(_CLI_CLAIMS[c.check_id])
+        names = {g.name for g in c.gates}
+        assert c.gates == tuple(g for g in owner.gates if g.name in names), c.check_id
+        assert c.expect_pass == owner.expect_pass, c.check_id
+        assert c.status == dataclasses.replace(owner, gates=c.gates).status, c.check_id
 
 
 def test_inverse_quarter_pair_is_built_once(monkeypatch):

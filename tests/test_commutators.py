@@ -84,6 +84,30 @@ def test_matrix_valued_q():
     assert prod.m == 2
 
 
+@pytest.mark.parametrize("grid", [GRID, LineGrid(10.0, 256)], ids=["circle", "line"])
+@pytest.mark.parametrize("m", [2, 4])
+def test_scalar_v_scales_a_vector_or_matrix_q(grid, m):
+    # a scalar v against Q with m > 1 components swaps the roles: every
+    # component of Q is multiplied by v (low modes, so dealiasing is exact)
+    Q = field_from_function(grid, lambda t: np.stack([np.cos(k * t) for k in range(1, m + 1)]))
+    v = field_from_function(grid, lambda t: 0.5 + np.sin(2 * t))
+    prod = multiply(Q, v)
+    assert prod.m == m
+    assert np.max(np.abs(prod.samples - Q.samples * v.samples)) < 1e-13
+
+
+def test_multiply_on_an_odd_mode_count():
+    # 5 modes: 10 points, whose 3/2 padding of 15 points is bumped to 16;
+    # cos(2t) sin(2t) = sin(4t)/2 sits inside the band, so the samples are exact
+    g = CircleGrid(5)
+    th = g.nodes()
+    got = multiply(Field(g, np.cos(2 * th)), Field(g, np.sin(2 * th))).samples[:, 0]
+    assert np.max(np.abs(got - 0.5 * np.sin(4 * th))) < 1e-15
+    # and a product past the band folds nothing back: cos(3t)^2 keeps 1/2 only
+    got = multiply(Field(g, np.cos(3 * th)), Field(g, np.cos(3 * th))).samples[:, 0]
+    assert np.max(np.abs(got - 0.5)) < 1e-15
+
+
 def test_multiply_shape_rules():
     Q3 = field_from_function(GRID, lambda t: np.stack([np.cos(t)] * 3))
     v2 = field_from_function(GRID, lambda t: np.stack([np.sin(t)] * 2))

@@ -86,7 +86,7 @@ def test_plane_gate_fails_on_a_non_conformal_map(monkeypatch):
     # energy is 16 and the angular one 8 (in units of the weight's mass)
     monkeypatch.setitem(acceptance.PLANE_PRESETS, "bend",
                         lambda x, y: np.stack([x + y * y / 2, y], axis=-1))
-    gate = acceptance.pohozaev_plane("bend", acceptance.POHOZAEV_PLANE_T)[1]
+    (gate,) = acceptance.pohozaev_plane("x", ("bend",), acceptance.POHOZAEV_PLANE_T)[1].gates
     assert abs(gate.value - 0.5) < 1e-5
     assert not gate.holds
 
@@ -103,7 +103,7 @@ def test_plane_identity_reads_two_thirds_on_x_squared():
 
 def test_plane_gate_measures_a_non_polynomial_conformal_map(monkeypatch):
     monkeypatch.setitem(acceptance.PLANE_PRESETS, "exp-half", _exp_half)
-    gate = acceptance.pohozaev_plane("exp-half", acceptance.POHOZAEV_PLANE_T)[1]
+    (gate,) = acceptance.pohozaev_plane("x", ("exp-half",), acceptance.POHOZAEV_PLANE_T)[1].gates
     assert gate.holds and 5e-5 < gate.value
     # the residual is the central differences' h^2 error, not round-off
     coarse = [float(np.max(residual_plane(plane_field_from_function(8.0, n, _exp_half),
