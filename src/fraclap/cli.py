@@ -114,13 +114,12 @@ def _coerce(opt: Option, raw, where: str):
 
 
 def _load_config_file(path: str) -> configparser.ConfigParser:
-    if not os.path.exists(path):
-        raise ConfigError("config file not found: %s" % path)
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keys are case-sensitive (R vs r)
     try:
-        parser.read(path)
-    except configparser.Error as exc:
+        with open(path) as fh:
+            parser.read_file(fh)
+    except (OSError, configparser.Error) as exc:
         raise ConfigError("config file %s: %s" % (path, exc))
     known = {"common"} | set(_COMMANDS)
     for section in parser.sections():
@@ -655,12 +654,25 @@ def _config_hash(command: str, opts: dict, seed: int, threads: int) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _write_csv(path: str, header: Sequence[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(list(row))
+def _write_files(text: str, out: Optional[str], csv_path: Optional[str], table) -> None:
+    """Write the report to `out` and the table to `csv_path`; if either
+    cannot be written, remove what was written and raise a ConfigError."""
+    written = []
+    try:
+        if out:
+            with open(out, "w") as fh:
+                written.append(out)
+                fh.write(text)
+        if csv_path:
+            with open(csv_path, "w", newline="") as fh:
+                written.append(csv_path)
+                writer = csv.writer(fh)
+                writer.writerow(table[0])
+                writer.writerows(list(row) for row in table[1])
+    except OSError as exc:
+        for path in written:
+            os.remove(path)
+        raise ConfigError("cannot write the output: %s" % exc)
 
 
 def _main(argv: Optional[Sequence[str]]) -> int:
@@ -710,13 +722,9 @@ def _main(argv: Optional[Sequence[str]]) -> int:
     except ValueError:
         raise ConfigError("%s: the inputs lead to a non-finite value in the report"
                           % args.command)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
+    _write_files(text, args.out, args.csv, table)
+    if not args.out:
         sys.stdout.write(text)
-    if args.csv:
-        _write_csv(args.csv, table[0], table[1])
 
     return 0 if all(c.ok for c in checks) else 1
 

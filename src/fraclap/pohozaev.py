@@ -8,10 +8,6 @@ Three geometric settings share one report type:
   * circle, Poisson-extended: kernels dF/dt and dF/dtheta at height t
   * plane:   Gaussian-weighted radial energy = angular energy
 
-Each verifier also evaluates the hypothesis its identity rests on (pointwise
-orthogonality of the derivative against the half Laplacian, or harmonicity in
-the plane case) so a violated identity can be traced to a violated premise.
-
 M+ and M- average a bounded function against the kernels
 
     k+(x) = sqrt(pi) cos((3/2) arctan x) (1+x^2)^{-3/4}      (even)
@@ -28,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import (CircleGrid, Field, LineGrid, TailModel, gauss_legendre,
-                       panel_rule, rfft_frequencies, rfft_multiply)
+                       panel_rule)
 from . import fracops
 
 _FLOOR = 1e-14
@@ -42,7 +38,6 @@ class PohozaevReport:
     lhs: np.ndarray
     rhs: np.ndarray
     residual: np.ndarray
-    hypothesis_residual: float
     u_plus: Optional[np.ndarray] = None
     u_minus: Optional[np.ndarray] = None
     moment_gap: Optional[float] = None
@@ -53,14 +48,12 @@ class PohozaevReport:
         return np.abs(self.residual) / scale
 
 
-def _hypothesis_residual(u, where=slice(None)):
-    """Max over the nodes `where` of |u' . (-D)^{1/2} u|, the pointwise
-    orthogonality a half-harmonic map satisfies."""
-    half_lap = (fracops.frac_laplacian_circle if u.is_circle()
-                else fracops.frac_laplacian_line_spectral)
-    du = rfft_multiply(u, 1j * rfft_frequencies(u.grid))
-    w = half_lap(u, 0.5)
-    return float(np.max(np.abs(np.sum(du * w.samples, axis=1))[where]))
+def _heights(t_values):
+    """The heights as floats; each must be positive, which rules out NaN."""
+    t_values = tuple(float(t) for t in t_values)
+    if not all(t > 0 for t in t_values):
+        raise ValueError("t values must be positive")
+    return t_values
 
 
 def residual_line(u, t_values, n_quad=2000):
@@ -75,9 +68,7 @@ def residual_line(u, t_values, n_quad=2000):
         raise TypeError("residual_line expects a line field")
     if u.tail is None:
         raise ValueError("residual_line needs a tail model on u")
-    t_values = tuple(float(t) for t in t_values)
-    if any(t <= 0 for t in t_values):
-        raise ValueError("t values must be positive")
+    t_values = _heights(t_values)
     u0 = u.tail.mean_limit()
     interp = fracops.line_interpolant(u)
     phi, wq = panel_rule((-np.pi / 2.0, np.pi / 2.0), gauss_legendre(n_quad))
@@ -91,11 +82,7 @@ def residual_line(u, t_values, n_quad=2000):
         lhs.append(float(np.sum(plus ** 2)))
         rhs.append(float(np.sum(minus ** 2)))
     lhs, rhs = np.array(lhs), np.array(rhs)
-
-    # take the max over the central half only; the outer region carries the
-    # periodization error of the spectral operator for slowly decaying fields
-    hyp = _hypothesis_residual(u, np.abs(u.grid.nodes()) <= 0.5 * u.grid.half_width)
-    return PohozaevReport(t_values, lhs, rhs, lhs - rhs, hyp)
+    return PohozaevReport(t_values, lhs, rhs, lhs - rhs)
 
 
 def residual_circle(u):
@@ -115,7 +102,6 @@ def residual_circle(u):
         lhs,
         rhs,
         lhs - rhs,
-        _hypothesis_residual(u),
         u_plus=u1,
         u_minus=um1,
         moment_gap=float(abs(np.linalg.norm(u1) - np.linalg.norm(um1))),
@@ -127,9 +113,7 @@ def residual_circle_t(u, t_values):
     """Poisson-height variant on the circle; kernels from the kernel module."""
     if not isinstance(u.grid, CircleGrid):
         raise TypeError("residual_circle_t expects a circle field")
-    t_values = tuple(float(t) for t in t_values)
-    if any(t <= 0 for t in t_values):
-        raise ValueError("t values must be positive")
+    t_values = _heights(t_values)
     th = u.grid.nodes()
     h = u.grid.h
     lhs, rhs = [], []
@@ -140,7 +124,7 @@ def residual_circle_t(u, t_values):
         lhs.append(float(np.sum(mt ** 2)))
         rhs.append(float(np.sum(mth ** 2)))
     lhs, rhs = np.array(lhs), np.array(rhs)
-    return PohozaevReport(t_values, lhs, rhs, lhs - rhs, _hypothesis_residual(u))
+    return PohozaevReport(t_values, lhs, rhs, lhs - rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +163,7 @@ def residual_plane(u, x0, t_values):
     far corner of the grid, otherwise t is too large for the box and the
     truncated integrals are not comparable.
     """
-    t_values = tuple(float(t) for t in t_values)
-    if any(t <= 0 for t in t_values):
-        raise ValueError("t values must be positive")
+    t_values = _heights(t_values)
     x0 = np.asarray(x0, dtype=float)
     a = u.axis.half_width
     corners = np.array([[sx * a, sy * a] for sx in (-1, 1) for sy in (-1, 1)])
@@ -205,13 +187,7 @@ def residual_plane(u, x0, t_values):
         lhs.append(float(h * h * np.sum(w * np.sum(radial ** 2, axis=2))))
         rhs.append(float(h * h * np.sum(w * np.sum(angular ** 2, axis=2))))
     lhs, rhs = np.array(lhs), np.array(rhs)
-
-    lap = (s[2:, 1:-1] + s[:-2, 1:-1] + s[1:-1, 2:] + s[1:-1, :-2] - 4 * s[1:-1, 1:-1]) / h ** 2
-    hyp = max(
-        float(np.max(np.abs(np.sum(dux * lap, axis=2)))),
-        float(np.max(np.abs(np.sum(duy * lap, axis=2)))),
-    )
-    return PohozaevReport(t_values, lhs, rhs, lhs - rhs, hyp)
+    return PohozaevReport(t_values, lhs, rhs, lhs - rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,30 @@ def test_counterexample_all_degenerate_is_config_error(tmp_path, capsys):
     assert not out_path.exists()  # nothing written on config errors
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    code, out, err = _run(capsys, ["kernel", "--out", str(tmp_path / "no" / "k.json")])
+    assert code == 2 and out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "config" and "k.json" in diag["message"]
+
+
+def test_unwritable_csv_exits_2_and_leaves_no_report(tmp_path, capsys):
+    out_path = tmp_path / "k.json"
+    code, out, err = _run(capsys, ["kernel", "--out", str(out_path),
+                                   "--csv", str(tmp_path / "no" / "k.csv")])
+    assert code == 2 and out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "config" and "k.csv" in diag["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    # a directory cannot be opened as a file, and is not skipped as missing
+    code, out, err = _run(capsys, ["commutators", "--config", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "config"
+
+
 def test_config_file_and_overrides(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[common]\nseed = 3\n\n[counterexample]\nn = 100,1000\nR = 4\n")

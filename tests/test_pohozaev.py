@@ -9,6 +9,8 @@ from fraclap import acceptance
 from fraclap.acceptance import check_moment_operators
 from fraclap.geometry import (CircleGrid, LineGrid, TailModel,
                               field_from_function)
+from fraclap.halfharmonic import (el_residual, horizontality_residual,
+                                  sphere_distribution)
 from fraclap.pohozaev import (_cosine_transform, m_adjoint_check, m_kernel_minus,
                               m_kernel_plus, m_minus, m_plus, m_plus_even_matrix,
                               m_plus_mellin_symbol, plane_field_from_function,
@@ -29,7 +31,13 @@ def test_residual_line_identity():
     u = _sphere_valued_line_field(g)
     rep = residual_line(u, (0.5, 1.0, 2.0))
     assert np.max(rep.relative_residual()) < 1e-4
-    assert rep.hypothesis_residual < 1e-4
+    # the identity's premise, P_T u' = u' and P_T (-D)^{1/2} u = 0, on the
+    # central half; the outer region carries the spectral operator's
+    # periodization error for this slowly decaying field
+    central = np.abs(g.nodes()) <= 0.5 * g.half_width
+    dist = sphere_distribution(2)
+    assert np.max(np.abs(el_residual(u, dist).samples[central])) < 1e-4
+    assert np.max(np.abs(horizontality_residual(u, dist).samples[central])) < 1e-5
 
 
 def test_residual_line_guards():
@@ -53,7 +61,6 @@ def test_residual_circle_identity_map():
     assert rep.moment_dot < 1e-14
     assert np.allclose(rep.u_plus, [0.5, 0.0], atol=1e-14)
     assert np.allclose(rep.u_minus, [0.0, 0.5], atol=1e-14)
-    assert rep.hypothesis_residual < 1e-10
 
 
 def test_residual_circle_t_variant():
@@ -73,7 +80,23 @@ def test_residual_plane_linear_map():
     u = plane_field_from_function(8.0, 128, lambda x, y: np.stack([x, y], axis=-1))
     rep = residual_plane(u, (0.0, 0.0), (0.5, 1.0))
     assert np.max(np.abs(rep.residual)) == 0.0
-    assert rep.hypothesis_residual < 1e-10
+
+
+_HEIGHT_CALLS = {
+    "line": lambda t: residual_line(_sphere_valued_line_field(LineGrid(50.0, 512)), t),
+    "circle_t": lambda t: residual_circle_t(
+        field_from_function(CircleGrid(16), lambda s: np.stack([np.cos(s), np.sin(s)])), t),
+    "plane": lambda t: residual_plane(
+        plane_field_from_function(8.0, 16, lambda x, y: np.stack([x, y], axis=-1)),
+        (0.0, 0.0), t),
+}
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("verifier", sorted(_HEIGHT_CALLS))
+def test_heights_must_be_positive(verifier, t):
+    with pytest.raises(ValueError, match="t values must be positive"):
+        _HEIGHT_CALLS[verifier]((1.0, t))
 
 
 def _exp_half(x, y):
