@@ -329,7 +329,7 @@ _SPREAD = 16
 _BETA = (_OVERSAMPLE - 0.5) / (_OVERSAMPLE * _SPREAD)
 
 
-def line_interpolant(f):
+def line_interpolant(f, multiplier=None):
     """Callable evaluating a line field anywhere, via spectral refinement.
 
     Interpolates the field's trigonometric interpolant, sampled refine =
@@ -342,6 +342,16 @@ def line_interpolant(f):
     geometry.rfft_resize), so the interpolant reproduces every sample at the
     field's own nodes.
 
+    With a multiplier, the callable evaluates the Fourier multiplier applied
+    to f instead, built straight from f.rfft() times the multiplier (one
+    value per rfft bin, for every component alike or one column per
+    component, as in geometry.rfft_multiply). The product keeps only the
+    real parts of bins 0 and n/2, as irfft would, so the result equals
+    line_interpolant of Field(f.grid, rfft_multiply(f, multiplier)) to
+    round-off without leaving the spectrum. f's tail model is not the tail
+    of its image, so a multiplied interpolant has none, and a query outside
+    the grid raises.
+
     The spline is fitted only where it is evaluated: the first query in a
     block of fine intervals fits that block, and the interpolant keeps the
     coefficients for later calls, so the cost follows the queries, not the
@@ -352,33 +362,42 @@ def line_interpolant(f):
     """
     if not isinstance(f.grid, LineGrid):
         raise TypeError("expected a line field")
-    return _LineInterpolant(f, max(4, int(np.ceil(f.grid.h / 0.008))))
+    refine = max(4, int(np.ceil(f.grid.h / 0.008)))
+    if multiplier is None:
+        return _LineInterpolant(f.grid, f.rfft(), f.tail, refine)
+    spec = f.rfft() * np.reshape(multiplier, (len(multiplier), -1))
+    spec[[0, -1]] = spec[[0, -1]].real
+    return _LineInterpolant(f.grid, spec, None, refine)
 
 
 class _LineInterpolant:
     """The lazily fitted spline behind `line_interpolant`.
 
+    Built from the rfft spectrum `spec` of the values to interpolate on
+    `grid` (shape (n/2 + 1, m)) and the tail model for queries outside the
+    grid, or None to reject them.
+
     Calls may come from several threads; a lock guards the coefficient
     table while a call fills and reads it.
     """
 
-    def __init__(self, f, refine):
-        n = f.grid.n_points
+    def __init__(self, grid, spec, tail, refine):
+        n = grid.n_points
         self._n_fine = refine * n
         # fine node k sits at -L + h/2 + (k - n_wrap) h/refine: the first
         # n_wrap = (refine - 1) // 2 of them lie below the field's first node,
         # where the periodic interpolant continues from beyond L
         self._n_wrap = (refine - 1) // 2
-        self._dx = f.grid.h / refine
-        self._lo = -f.grid.half_width + 0.5 * f.grid.h - self._n_wrap * self._dx
+        self._dx = grid.h / refine
+        self._lo = -grid.half_width + 0.5 * grid.h - self._n_wrap * self._dx
         self._hi = self._lo + (self._n_fine - 1) * self._dx
-        self._tail = f.tail
-        self._m = f.m
+        self._tail = tail
+        self._m = spec.shape[1]
         # the deconvolved grid, one row per component: sample j sits
         # j h / _OVERSAMPLE past the field's first node
         size = _OVERSAMPLE * n
         nu = np.arange(n // 2 + 1) / size
-        spec = rfft_resize(f.rfft(), size)
+        spec = rfft_resize(spec, size)
         spec[: n // 2 + 1] *= np.exp(np.pi / _BETA * nu * nu)[:, None]
         self._grid = np.fft.irfft(spec, size, axis=0).T
         # fine nodes fall at _period offsets from the samples, repeating every
@@ -397,7 +416,7 @@ class _LineInterpolant:
         self._slot = np.full(n_blocks, -1, dtype=np.intp)
         # fitted blocks fill the table's first _n_fitted * _BLOCK rows; its
         # capacity doubles as blocks arrive, up to the whole grid's
-        self._coef = np.empty((0, 4, f.m))
+        self._coef = np.empty((0, 4, self._m))
         self._n_fitted = 0
         self._lock = threading.Lock()
 

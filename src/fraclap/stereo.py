@@ -14,7 +14,6 @@ valid away from the south pole. transfer_identity_check measures both sides.
 """
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .geometry import (
     CircleGrid,
@@ -95,6 +94,8 @@ def pullback(v, line_grid=None):
     in the angle (keeps bounds, no overshoot for manifold-valued data). The
     returned field carries a first-order tail toward the south-pole value.
     """
+    from scipy.interpolate import PchipInterpolator
+
     if not isinstance(v.grid, CircleGrid):
         raise TypeError("pullback expects a circle field")
     grid = line_grid or LineGrid()
@@ -124,20 +125,25 @@ def transfer_routes(u, arc_halfwidth, circle_grid=None):
     """The two routes to the half Laplacian of u o proj.
 
     Circle route: spectral operator on the circle applied to the
-    pushforward. Line route: line operator, sampled at the projected angles,
-    divided by the conformal speed. Angles within arc_halfwidth of the south
-    pole are left out (the projection blows up there).
+    pushforward. Line route: the line operator's interpolant, built from u's
+    spectrum (cached by the pushforward) times |xi| with one transform,
+    sampled at the projected angles and divided by the conformal speed.
+    Angles within arc_halfwidth of the south pole are left out (the
+    projection blows up there); the arc must lie in (0, pi/2).
 
     Returns (kept angles, circle route, line route), the routes of shape
     (angles, m).
     """
+    # |theta + pi/2| below is the circular distance to the pole only up to pi/2
+    if not 0.0 < arc_halfwidth < np.pi / 2.0:
+        raise ValueError("arc_halfwidth must lie in (0, pi/2), got %r" % (arc_halfwidth,))
     v = pushforward(u, circle_grid=circle_grid)
     th = v.grid.nodes()
     th_wrapped = np.mod(th + np.pi, 2 * np.pi) - np.pi
     keep = np.abs(th_wrapped + np.pi / 2.0) >= arc_halfwidth
     th = th[keep]
     circle_route = fracops.frac_laplacian_circle(v, 0.5).samples[keep]
-    interp = fracops.line_interpolant(fracops.frac_laplacian_line_spectral(u, 0.5))
+    interp = fracops.line_interpolant(u, multiplier=rfft_frequencies(u.grid))
     return th, circle_route, interp(project_angle(th)) / conformal_speed(th)[:, None]
 
 

@@ -10,14 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
-from fraclap import fracops
+from fraclap import fracops, geometry
 from fraclap.fracops import (frac_laplacian_circle, frac_laplacian_line_quadrature,
                              frac_laplacian_line_spectral, inverse_quarter_laplacian,
                              line_convolve, line_interpolant, poisson_kernel_circle,
                              poisson_kernel_circle_printed, poisson_kernel_line,
                              riesz_transform, singular_constant)
 from fraclap.geometry import (CircleGrid, Field, LineGrid, TailModel, even_part,
-                              field_from_function, odd_part, rfft_frequencies)
+                              field_from_function, odd_part, rfft_frequencies,
+                              rfft_multiply)
 
 
 def _lorentzian_field(grid):
@@ -422,6 +423,46 @@ def test_line_interpolant_nyquist_rule():
     want = np.stack([nyq, np.cos(3.0 * np.pi * (between + g.half_width) / g.half_width)
                      + 0.5 * nyq], axis=1)
     assert np.max(np.abs(u(between) - want)) <= 1e-12
+
+
+def _multiplier_case(case):
+    """(field, multiplier, query points) for the multiplied interpolant."""
+    rng = np.random.default_rng(21)
+    if case == "even-lorentzian":
+        # check 08's field: exactly even, so rfft_multiply takes the DCT route
+        f = _lorentzian_field(LineGrid(10000.0, 1 << 20))
+        assert geometry._line_parity(f) == 1
+        return f, rfft_frequencies(f.grid), rng.uniform(-50.0, 50.0, 4096)
+    if case == "asymmetric":
+        g = LineGrid(200.0, 1 << 14)
+        x = g.nodes()
+        coef, centers = rng.normal(size=5), rng.uniform(-3.0, 3.0, size=5)
+        vals = sum(c / (1.0 + (x - a) ** 2) for c, a in zip(coef, centers))
+        f = Field(g, vals[:, None], tail=TailModel.even(2.0, float(np.sum(coef))))
+        return f, rfft_frequencies(g), rng.uniform(-20.0, 20.0, 4096)
+    # white noise up to the Nyquist frequency under an odd multiplier, which
+    # removes the Nyquist mode: the rule that pins bins 0 and n/2 to real
+    g = LineGrid(16.0, 1 << 12)
+    f = Field(g, rng.normal(size=(g.n_points, 2)))
+    x = g.nodes()
+    return f, 1j * rfft_frequencies(g), rng.uniform(x[0], x[-1], 4096)
+
+
+@pytest.mark.parametrize("case", ["even-lorentzian", "asymmetric", "nyquist-odd"])
+def test_line_interpolant_multiplier_matches_multiplied_field(case):
+    f, mult, pts = _multiplier_case(case)
+    want = line_interpolant(Field(f.grid, rfft_multiply(f, mult)))(pts)
+    got = line_interpolant(f, multiplier=mult)(pts)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_multiplied_line_interpolant_has_no_tail():
+    # f's tail model is not the tail of its half Laplacian
+    f = _lorentzian_field(LineGrid(30.0, 2 ** 11))
+    u = line_interpolant(f, multiplier=rfft_frequencies(f.grid))
+    assert u(np.array([0.5])).shape == (1, 1)
+    with pytest.raises(ValueError, match="tail model"):
+        u(np.array([0.5, 55.0]))
 
 
 def test_line_interpolant_shared_between_threads():

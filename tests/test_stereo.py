@@ -1,9 +1,12 @@
 """Stereographic transfer between line and circle."""
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fraclap import fracops, stereo
 from fraclap.geometry import CircleGrid, LineGrid, TailModel, field_from_function
 from fraclap.stereo import (angle_of, conformal_speed, project, pullback,
                             pushforward, transfer_identity_check, unproject)
@@ -87,3 +90,45 @@ def test_transfer_identity_smooth_profile():
     rep = transfer_identity_check(u, arc_halfwidth=0.2, circle_grid=CircleGrid(2048))
     assert rep["max_relative_residual"] < 1e-6
     assert rep["n_points_checked"] > 3000
+
+
+def _lorentzian_2_14():
+    return field_from_function(LineGrid(400.0, 2 ** 14), lambda x: 1.0 / (1.0 + x * x),
+                               tail=TailModel.even(2.0, 1.0))
+
+
+@pytest.mark.parametrize("arc", [0.0, -0.1, float("nan"), 1.6, 3.5])
+def test_transfer_rejects_arc_outside_quarter_circle(arc):
+    # the keep rule measures |theta + pi/2|, the distance to the south pole
+    # only up to pi/2; at 0 or below, or NaN, nothing would be left out
+    with pytest.raises(ValueError, match="arc_halfwidth"):
+        transfer_identity_check(_lorentzian_2_14(), arc_halfwidth=arc,
+                                circle_grid=CircleGrid(128))
+
+
+def test_transfer_wide_arc():
+    th = CircleGrid(128).nodes()
+    outside = np.abs(np.angle(np.exp(1j * (th + np.pi / 2.0)))) >= 1.5
+    rep = transfer_identity_check(_lorentzian_2_14(), arc_halfwidth=1.5,
+                                  circle_grid=CircleGrid(128))
+    assert rep["n_points_checked"] == np.sum(outside) > 0
+    assert rep["max_relative_residual"] < 1e-4
+
+
+def test_transfer_line_route_needs_no_line_field(monkeypatch):
+    # the line route starts from u's spectrum and never forms its half
+    # Laplacian as a field
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the line route went through a half-Laplacian field")
+    monkeypatch.setattr(fracops, "frac_laplacian_line_spectral", forbidden)
+    rep = transfer_identity_check(_lorentzian_2_14(), circle_grid=CircleGrid(256))
+    assert rep["max_relative_residual"] < 1e-3
+
+
+def test_stereo_holds_no_scipy_name():
+    # scipy is imported where it is used (pullback), not at module level
+    def origin(value):
+        if isinstance(value, types.ModuleType):
+            return value.__name__
+        return str(getattr(value, "__module__", None) or "")
+    assert [k for k, v in vars(stereo).items() if origin(v).split(".")[0] == "scipy"] == []
