@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 from scipy.special import gamma as _gamma
 
 from .geometry import (CircleGrid, Field, LineGrid, rfft_frequencies,
@@ -200,6 +199,8 @@ def _tail_far_contribution(f, s):
 
     Smooth in t, so 65 Chebyshev-like nodes and a cubic spline are plenty.
     """
+    from scipy.interpolate import CubicSpline
+
     tail = f.tail
     tab = _tail_table(f.grid, s, tail.power)
     fac, val = tab.factor[:, :, None], tab.value[:, :, None]
@@ -304,29 +305,36 @@ def line_convolve(f, g):
     return Field(f.grid, rfft_multiply(f, phase[:, None] * g.rfft()) * f.grid.h)
 
 
-# The interpolant fits its cubic spline lazily, in blocks of this many fine
-# intervals; each block's fit reaches this many extra nodes past the block.
-# A cubic spline's response to its end conditions decays like
-# (2 - sqrt 3)^k ~ 0.27^k over k nodes, so 48 nodes of margin make a windowed
-# fit equal to the global not-a-knot spline up to round-off.
-_BLOCK = 256
-_MARGIN = 48
+_BLOCK = 256  # fine intervals per lazily fitted block of the line spline
 
-# A block's fine values come from the field's trigonometric interpolant by
-# Gaussian gridding (Greengard & Lee, SIAM Rev. 46(3), 2004). The build
-# samples the interpolant _OVERSAMPLE times per node, each frequency nu (in
+# A block's B-spline coefficients come from the field's trigonometric
+# interpolant by Gaussian gridding (Greengard & Lee, SIAM Rev. 46(3), 2004).
+# The build samples it _OVERSAMPLE times per node, each frequency nu (in
 # cycles per oversampled sample, |nu| <= 1/(2 _OVERSAMPLE)) divided by
-# exp(-pi nu^2 / _BETA); a fine value is then the unit-area Gaussian filter
-# sqrt(_BETA) exp(-pi _BETA d^2) summed over the 2 _SPREAD samples nearest
-# it, d samples away. This _BETA gives the filter's truncation and its
-# aliasing the same size, exp(-pi (R - 1/2) S / R) before deconvolution,
-# with R = _OVERSAMPLE and S = _SPREAD. Against the exact zero-padded
-# refinement, R = 2 and S = 16 measure relative errors of 2e-16 (a
-# Lorentzian at 2^20 nodes) and 2e-15 (white noise up to the Nyquist
+# exp(-pi nu^2 / _BETA) and multiplied by the cubic B-spline prefilter
+# 6 / (4 + 2 cos(2 pi k / (refine n))) on rfft bin k, which solves the periodic
+# spline's condition (c[j-1] + 4 c[j] + c[j+1]) / 6 = fine sample j for its
+# coefficients c (Unser, Aldroubi & Eden, 1993). A fine value is then the
+# unit-area Gaussian filter sqrt(_BETA) exp(-pi _BETA d^2) summed over the
+# 2 _SPREAD samples nearest it, d samples away. This _BETA gives the filter's
+# truncation and its aliasing the same size, exp(-pi (R - 1/2) S / R) before
+# deconvolution, with R = _OVERSAMPLE and S = _SPREAD. Against the exact
+# zero-padded refinement, R = 2 and S = 16 measure relative errors of 2e-16
+# (a Lorentzian at 2^20 nodes) and 2e-15 (white noise up to the Nyquist
 # frequency, refine 4 to 49); S = 12 lets white noise reach 1e-12.
 _OVERSAMPLE = 2
 _SPREAD = 16
 _BETA = (_OVERSAMPLE - 0.5) / (_OVERSAMPLE * _SPREAD)
+
+
+@lru_cache(maxsize=4)
+def _deconvolution(n, refine):
+    """The build's factor on rfft bins 0..n/2, read-only, shape (n/2 + 1, 1)."""
+    k = np.arange(n // 2 + 1)
+    nu = k / (_OVERSAMPLE * n)
+    fac = np.exp(np.pi / _BETA * nu * nu) * 6.0 / (4.0 + 2.0 * np.cos(2.0 * np.pi / (refine * n) * k))
+    fac.flags.writeable = False
+    return fac[:, None]
 
 
 def line_interpolant(f, multiplier=None):
@@ -334,7 +342,7 @@ def line_interpolant(f, multiplier=None):
 
     Interpolates the field's trigonometric interpolant, sampled refine =
     max(4, ceil(h / 0.008)) times per node (a refined spacing near 0.008 or
-    below), with the not-a-knot cubic spline through all of those fine
+    below), with the periodic cubic spline through all of those fine
     samples, and falls back to the tail model outside the node range. Good
     to ~1e-9 for smooth well-resolved fields.
 
@@ -355,10 +363,10 @@ def line_interpolant(f, multiplier=None):
     The spline is fitted only where it is evaluated: the first query in a
     block of fine intervals fits that block, and the interpolant keeps the
     coefficients for later calls, so the cost follows the queries, not the
-    grid. The build does one transform, to a deconvolved grid of twice the
-    field's nodes; a block's fit spreads its fine samples from that grid
-    with a fixed 32-tap Gaussian filter, which matches the zero-padded
-    refinement to round-off (about 2e-15 relative for white noise).
+    grid. The build does one transform, to a grid of twice the field's
+    nodes whose factor holds the B-spline prefilter; a block's fit spreads
+    its _BLOCK + 3 B-spline coefficients from that grid with a fixed 32-tap
+    Gaussian filter and solves nothing.
     """
     if not isinstance(f.grid, LineGrid):
         raise TypeError("expected a line field")
@@ -375,7 +383,7 @@ class _LineInterpolant:
 
     Built from the rfft spectrum `spec` of the values to interpolate on
     `grid` (shape (n/2 + 1, m)) and the tail model for queries outside the
-    grid, or None to reject them.
+    grid, or None to reject them; its grid holds B-spline coefficients.
 
     Calls may come from several threads; a lock guards the coefficient
     table while a call fills and reads it.
@@ -395,10 +403,9 @@ class _LineInterpolant:
         self._m = spec.shape[1]
         # the deconvolved grid, one row per component: sample j sits
         # j h / _OVERSAMPLE past the field's first node
-        size = _OVERSAMPLE * n
-        nu = np.arange(n // 2 + 1) / size
+        size, fac = _OVERSAMPLE * n, _deconvolution(n, refine)
         spec = rfft_resize(spec, size)
-        spec[: n // 2 + 1] *= np.exp(np.pi / _BETA * nu * nu)[:, None]
+        spec[: n // 2 + 1] *= fac
         self._grid = np.fft.irfft(spec, size, axis=0).T
         # fine nodes fall at _period offsets from the samples, repeating every
         # _period nodes (_step samples): the node a _period + p past the first
@@ -420,63 +427,49 @@ class _LineInterpolant:
         self._n_fitted = 0
         self._lock = threading.Lock()
 
-    def _spread(self, start, width):
-        """Fine values at nodes start + arange(width), shape (width, len(start), m).
+    def _fit(self, blocks):
+        """Fit the blocks among `blocks` that have no coefficients yet.
 
-        Each window reads one segment of the grid, wrapped around its
-        period, from a whole period of fine nodes on. The segments run end
-        to end through one correlation per filter column, which forms each
-        value as a dot product of fixed length, so a node gets the same
-        value whichever windows share the call.
+        Interval i, from fine node i to i + 1, reads the B-spline
+        coefficients c[i - 1 .. i + 2], so a new block spreads the
+        _BLOCK + 3 from the node before it on and turns each 4 into one
+        interval's cubic. Each block reads one segment of the grid, wrapped
+        around its period, from a whole period of fine nodes on. The
+        segments run end to end through one correlation per filter column,
+        which forms each coefficient as a dot product of fixed length, so a
+        node gets the same value whichever blocks share the call.
         """
-        period, step, m = self._period, self._step, self._m
-        first, offset = np.divmod(start - self._n_wrap, period)
-        n_periods = -(-(period - 1 + width) // period)
+        new = np.flatnonzero((np.bincount(blocks, minlength=len(self._slot)) > 0) & (self._slot < 0))
+        if len(new) == 0:
+            return
+        period, step, m, dx = self._period, self._step, self._m, self._dx
+        first, offset = np.divmod(new * _BLOCK - 1 - self._n_wrap, period)
+        n_periods = -(-(period + _BLOCK + 2) // period)
         rows = len(self._filter)
         span = step * (n_periods - 1) + rows
         # rows - 1 zeros after the last segment give the correlation one
         # output per segment sample; those past a segment's n_periods are unused
-        count = m * len(start) * span
+        count = m * len(new) * span
         seg = np.zeros(count + rows - 1)
         np.take(self._grid, step * first[:, None] - (_SPREAD - 1) + np.arange(span), axis=1,
-                mode="wrap", out=seg[:count].reshape(m, len(start), span))
-        fine = np.empty((m * len(start), n_periods, period))
+                mode="wrap", out=seg[:count].reshape(m, len(new), span))
+        fine = np.empty((m * len(new), n_periods, period))
         for p in range(period):
             out = np.correlate(seg, self._filter[:, p], "valid").reshape(-1, span)
             fine[:, :, p] = out[:, : step * n_periods : step]
-        fine = fine.reshape(m, len(start), n_periods * period)
-        return fine[:, np.arange(len(start)), offset + np.arange(width)[:, None]].transpose(1, 2, 0)
-
-    def _fit(self, blocks):
-        """Fit the blocks among `blocks` that have no coefficients yet.
-
-        Each new block gets a window of fine values reaching _MARGIN nodes
-        past it, moved inward at the ends of the grid so that the window's
-        not-a-knot end is the global spline's there. The nodes are uniform,
-        so all windows share one set of relative nodes and a single spline
-        fit takes them as columns.
-        """
-        todo = np.zeros(len(self._slot), dtype=bool)
-        todo[blocks] = True
-        new = np.flatnonzero(todo & (self._slot < 0))
-        if len(new) == 0:
-            return
-        n_fine, m = self._n_fine, self._m
-        width = min(_BLOCK + 2 * _MARGIN + 1, n_fine)
-        start = np.clip(new * _BLOCK - _MARGIN, 0, n_fine - width)
-        windows = self._spread(start, width)
-        spline = CubicSpline(self._dx * np.arange(width), windows.reshape(width, -1), axis=0)
-        c = spline.c.reshape(4, width - 1, len(new), m)
-        # intervals past the last node land on the window's last interval;
-        # no query reads them
-        local = np.minimum((new * _BLOCK - start)[:, None] + np.arange(_BLOCK), width - 2)
-        rows = c[:, local, np.arange(len(new))[:, None]]
+        fine = fine.reshape(m, len(new), n_periods * period)
+        c = fine[:, np.arange(len(new)), offset + np.arange(_BLOCK + 3)[:, None]]
+        c0, c1, c2, c3 = c[:, :-3], c[:, 1:-2], c[:, 2:-1], c[:, 3:]
+        horner = np.stack([(c3 - c0 + 3.0 * (c1 - c2)) / (6.0 * dx ** 3),
+                           (c0 - 2.0 * c1 + c2) / (2.0 * dx * dx),
+                           (c2 - c0) / (2.0 * dx),
+                           (c0 + 4.0 * c1 + c2) / 6.0])
         used, need = self._n_fitted * _BLOCK, (self._n_fitted + len(new)) * _BLOCK
         if need > len(self._coef):
             grown = np.empty((min(max(need, 2 * len(self._coef)), len(self._slot) * _BLOCK), 4, m))
             grown[:used] = self._coef[:used]
             self._coef = grown
-        self._coef[used:need] = rows.transpose(1, 2, 0, 3).reshape(-1, 4, m)
+        self._coef[used:need] = horner.transpose(3, 2, 0, 1).reshape(-1, 4, m)
         self._slot[new] = self._n_fitted + np.arange(len(new))
         self._n_fitted += len(new)
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from .geometry import (
     CircleGrid,
-    DEFAULT_CIRCLE_POINTS,
     Field,
     LineGrid,
     TailModel,
@@ -76,7 +75,7 @@ def pushforward(u, circle_grid=None):
         raise TypeError("pushforward expects a line field")
     if u.tail is None:
         raise ValueError("pushforward needs a tail model on u")
-    grid = circle_grid or CircleGrid(n_modes=DEFAULT_CIRCLE_POINTS // 2)
+    grid = circle_grid or CircleGrid()
     th = grid.nodes()
     interp = fracops.line_interpolant(u)
     out = np.empty((grid.n_points, u.m))
@@ -128,8 +127,8 @@ def transfer_routes(u, arc_halfwidth, circle_grid=None):
     pushforward. Line route: the line operator's interpolant, built from u's
     spectrum (cached by the pushforward) times |xi| with one transform,
     sampled at the projected angles and divided by the conformal speed.
-    Angles within arc_halfwidth of the south pole are left out (the
-    projection blows up there); the arc must lie in (0, pi/2).
+    Angles within arc_halfwidth in (0, pi/2) of the south pole are left out
+    (the projection blows up there); the rest must project onto u's nodes.
 
     Returns (kept angles, circle route, line route), the routes of shape
     (angles, m).
@@ -137,14 +136,21 @@ def transfer_routes(u, arc_halfwidth, circle_grid=None):
     # |theta + pi/2| below is the circular distance to the pole only up to pi/2
     if not 0.0 < arc_halfwidth < np.pi / 2.0:
         raise ValueError("arc_halfwidth must lie in (0, pi/2), got %r" % (arc_halfwidth,))
-    v = pushforward(u, circle_grid=circle_grid)
-    th = v.grid.nodes()
+    if not isinstance(u.grid, LineGrid):
+        raise TypeError("transfer_routes expects a line field")
+    th = (circle_grid or CircleGrid()).nodes()
     th_wrapped = np.mod(th + np.pi, 2 * np.pi) - np.pi
     keep = np.abs(th_wrapped + np.pi / 2.0) >= arc_halfwidth
     th = th[keep]
+    x = project_angle(th)
+    if np.max(np.abs(x)) > u.grid.half_width - 0.5 * u.grid.h:
+        raise ValueError("arc_halfwidth %r keeps angles that project to |x| = %.6g, beyond the "
+                         "line grid's nodes (half-width %.6g)"
+                         % (arc_halfwidth, np.max(np.abs(x)), u.grid.half_width))
+    v = pushforward(u, circle_grid=circle_grid)
     circle_route = fracops.frac_laplacian_circle(v, 0.5).samples[keep]
     interp = fracops.line_interpolant(u, multiplier=rfft_frequencies(u.grid))
-    return th, circle_route, interp(project_angle(th)) / conformal_speed(th)[:, None]
+    return th, circle_route, interp(x) / conformal_speed(th)[:, None]
 
 
 def transfer_identity_check(u, arc_halfwidth=0.2, circle_grid=None):

@@ -1,9 +1,11 @@
 """Fractional Laplacians, Riesz transform, Poisson kernels, convolution."""
 
+import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,12 +350,13 @@ def test_line_interpolant_accuracy_and_tail():
     assert np.allclose(u(far)[:, 0], 1.0 / far ** 2)
 
 
-def _refined_reference(f, refine):
-    """Global not-a-knot spline through the zero-pad-refined samples.
+def _zero_padded(f, refine):
+    """Zero-pad refinement of f, refine samples per node, in sorted order.
 
     The Nyquist coefficient goes to frequency -n/2 alone and the real part
-    is kept, which is the half-split cosine rule. Returns the spline and its
-    sorted nodes.
+    is kept, which is the half-split cosine rule. The fine nodes past the
+    grid's right end wrap to its left end, so they fill one period from the
+    first wrapped node on. Returns the nodes and the samples.
     """
     n, L, h = f.grid.n_points, f.grid.half_width, f.grid.h
     spec = f.spectrum()
@@ -364,7 +367,33 @@ def _refined_reference(f, refine):
     x = -L + 0.5 * h + np.arange(refine * n) * (h / refine)
     x[x > L] -= 2.0 * L
     order = np.argsort(x)
-    return CubicSpline(x[order], fine[order], axis=0), x[order]
+    return x[order], fine[order]
+
+
+def _refined_reference(f, refine):
+    """Periodic cubic spline through one period of the refined samples.
+
+    Returns the spline and its sorted nodes.
+    """
+    x, fine = _zero_padded(f, refine)
+    period = x[0] + 2.0 * f.grid.half_width
+    spline = CubicSpline(np.append(x, period), np.vstack([fine, fine[:1]]), axis=0,
+                         bc_type="periodic")
+    return spline, x
+
+
+def _line_spline_case(half_width, refine, rng):
+    """(field, its tail) of the global-spline tests: a Lorentzian and a
+    noise column, m = 2 like the pohozaev line fixture."""
+    g = LineGrid(half_width, 2 ** 10)
+    x = g.nodes()
+    tail = TailModel.even(2.0, [1.0, 0.0], m=2)
+    # the noise column puts energy up to the Nyquist frequency, where a fit
+    # that ends too close to its blocks would be visibly off the global one
+    f = Field(g, np.stack([1.0 / (1.0 + x * x), rng.normal(size=g.n_points)], axis=1),
+              tail=tail)
+    assert max(4, int(np.ceil(g.h / 0.008))) == refine
+    return f, tail
 
 
 @pytest.mark.parametrize("half_width, refine", [(16.0, 4), (20.0, 5), (30.0, 8)],
@@ -375,14 +404,9 @@ def test_line_interpolant_matches_global_spline(half_width, refine):
     # interpolant refines by max(4, ceil(h / 0.008)): spacings 0.031, 0.039
     # and 0.059 give 4, 5 and 8; at the odd refine the fine nodes fall at five
     # different offsets from the samples the interpolant spreads them from
-    g = LineGrid(half_width, 2 ** 10)
-    x = g.nodes()
-    tail = TailModel.even(2.0, [1.0, 0.0], m=2)
     rng = np.random.default_rng(3)
-    # the noise column puts energy up to the Nyquist frequency, where a fit
-    # that ends too close to its blocks would be visibly off the global one
-    f = Field(g, np.stack([1.0 / (1.0 + x * x), rng.normal(size=g.n_points)], axis=1),
-              tail=tail)
+    f, tail = _line_spline_case(half_width, refine, rng)
+    g, x = f.grid, f.grid.nodes()
     spline, nodes = _refined_reference(f, refine)
     lo, hi = nodes[0], nodes[-1]
     scattered = rng.uniform(lo, hi, 300)
@@ -405,6 +429,24 @@ def test_line_interpolant_matches_global_spline(half_width, refine):
         assert np.max(np.abs(got[inside] - spline(pts[inside]))) <= tol
         assert np.array_equal(got[~inside], tail.eval(pts[~inside]))
     assert np.array_equal(u(scattered[:100]), u(scattered)[:100])
+
+
+@pytest.mark.parametrize("half_width, refine", [(16.0, 4), (20.0, 5), (30.0, 8)],
+                         ids=["4", "5", "8"])
+def test_line_interpolant_as_accurate_at_the_ends(half_width, refine):
+    # against the trigonometric interpolant, at the midpoints of the fine
+    # intervals (the odd nodes of the twice finer refinement), the noise
+    # column is no worse within 20 fine nodes of the grid's ends than
+    # inside; the not-a-knot spline is 4.7 to 6 times worse there
+    f, _ = _line_spline_case(half_width, refine, np.random.default_rng(3))
+    nodes, _ = _zero_padded(f, refine)
+    lo, hi, dx = nodes[0], nodes[-1], f.grid.h / refine
+    x, exact = _zero_padded(f, 2 * refine)
+    mid = (x > lo) & (x < hi) & (np.abs((x - lo) / dx % 1.0 - 0.5) < 0.25)
+    err = np.abs(line_interpolant(f)(x[mid])[:, 1] - exact[mid, 1])
+    ends = np.minimum(x[mid] - lo, hi - x[mid]) < 20.0 * dx
+    assert 30 < np.sum(ends) < 50
+    assert np.max(err[ends]) <= np.max(err[~ends])
 
 
 def test_line_interpolant_nyquist_rule():
@@ -463,6 +505,19 @@ def test_multiplied_line_interpolant_has_no_tail():
     assert u(np.array([0.5])).shape == (1, 1)
     with pytest.raises(ValueError, match="tail model"):
         u(np.array([0.5, 55.0]))
+
+
+def test_line_modules_import_without_scipy_interpolate():
+    # the line interpolant fits its spline with no solve; only the tail
+    # table's non-uniform spline needs scipy.interpolate, imported where used
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, %r); "
+            "import fraclap.fracops, fraclap.stereo, fraclap.pohozaev; "
+            "assert 'scipy.interpolate' not in sys.modules, sorted(m for m in sys.modules "
+            "if m.startswith('scipy.interpolate'))" % str(src))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_line_interpolant_shared_between_threads():

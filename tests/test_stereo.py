@@ -106,6 +106,20 @@ def test_transfer_rejects_arc_outside_quarter_circle(arc):
                                 circle_grid=CircleGrid(128))
 
 
+def test_transfer_rejects_arc_projecting_past_the_line_grid(monkeypatch):
+    # at arc 0.01 the kept angles nearest the pole project to |x| = 162.97,
+    # past LineGrid(30, 2^11); the line route has no tail model there, so the
+    # call stops before it builds the pushforward or either route
+    def forbidden(*args, **kwargs):
+        raise AssertionError("transfer_routes built something first")
+    monkeypatch.setattr(stereo, "pushforward", forbidden)
+    monkeypatch.setattr(fracops, "line_interpolant", forbidden)
+    u = field_from_function(LineGrid(30.0, 2 ** 11), lambda x: 1.0 / (1.0 + x * x),
+                            tail=TailModel.even(2.0, 1.0))
+    with pytest.raises(ValueError, match=r"arc_halfwidth 0\.01 .*\|x\| = 162\.97.*half-width 30\b"):
+        transfer_identity_check(u, arc_halfwidth=0.01, circle_grid=CircleGrid(256))
+
+
 def test_transfer_wide_arc():
     th = CircleGrid(128).nodes()
     outside = np.abs(np.angle(np.exp(1j * (th + np.pi / 2.0)))) >= 1.5
