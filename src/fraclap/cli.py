@@ -250,10 +250,16 @@ def _run_commutators(opts, ctx):
 # ---------------------------------------------------------------------------
 # pohozaev
 
+_DEFAULT_A = 0.6   # the default of --a, which only the mobius preset reads
+
 
 def _run_pohozaev(opts, ctx):
     geometry, preset = opts["geometry"], opts["preset"]
+    _require(preset == "mobius" or opts["a"] == _DEFAULT_A,
+             "pohozaev: --a applies only to the mobius preset")
     if geometry == "circle":
+        _require(not opts["t_values"],
+                 "pohozaev: --t-values applies only to the line and plane geometries")
         _require(preset in ("identity-map", "mobius", "degree-2"),
                  "pohozaev: circle presets are identity-map, mobius, degree-2")
         grid = CircleGrid(n_modes=acceptance.POHOZAEV_CIRCLE_MODES)
@@ -548,7 +554,7 @@ _COMMANDS: Dict[str, Command] = {
             Option("geometry", "str", "circle", "line, circle, or plane",
                    ("line", "circle", "plane")),
             Option("preset", "str", "identity-map", "test map preset"),
-            Option("a", "float", 0.6, "mobius parameter for the mobius preset"),
+            Option("a", "float", _DEFAULT_A, "mobius parameter for the mobius preset"),
             Option("t_values", "float-list", (),
                    "heights for the line and plane identities "
                    "(default: the geometry's selftest heights)"),
@@ -614,25 +620,50 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _add_options(parser: _Parser, spec: Command) -> None:
+    """The action word, the command's options, the common ones and the file
+    paths, as flags of `parser`."""
+    if spec.actions:
+        parser.add_argument("action", nargs="?", default=spec.actions[0],
+                            choices=spec.actions)
+    for opt in spec.options + _COMMON:
+        parser.add_argument("--" + opt.name.replace("_", "-"), dest=opt.name,
+                            default=None, metavar=opt.kind.upper(), help=opt.help)
+    parser.add_argument("--config", default=None, metavar="PATH",
+                        help="INI config file; flags override it")
+    parser.add_argument("--out", default=None, metavar="PATH",
+                        help="write the JSON report here instead of stdout")
+    parser.add_argument("--csv", default=None, metavar="PATH",
+                        help="write the plot-data table here")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fraclap", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version="fraclap " + __version__)
     sub = parser.add_subparsers(dest="command", metavar="command")
     for name, spec in _COMMANDS.items():
-        p = sub.add_parser(name, help=spec.help)
-        if spec.actions:
-            p.add_argument("action", nargs="?", default=spec.actions[0],
-                           choices=spec.actions)
-        for opt in spec.options + _COMMON:
-            p.add_argument("--" + opt.name.replace("_", "-"), dest=opt.name,
-                           default=None, metavar=opt.kind.upper(), help=opt.help)
-        p.add_argument("--config", default=None, metavar="PATH",
-                       help="INI config file; flags override it")
-        p.add_argument("--out", default=None, metavar="PATH",
-                       help="write the JSON report here instead of stdout")
-        p.add_argument("--csv", default=None, metavar="PATH",
-                       help="write the plot-data table here")
+        _add_options(sub.add_parser(name, help=spec.help), spec)
     return parser
+
+
+def _parse(argv: Optional[Sequence[str]]) -> Optional[argparse.Namespace]:
+    """The parsed command line, or None once the usage is printed because it
+    names no command. A command line that opens with a command name is parsed
+    by that command's parser alone, built as the full parser builds its
+    subparser; building all nine costs about as much as a small run."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        parser = _Parser(prog="fraclap " + argv[0])
+        _add_options(parser, _COMMANDS[argv[0]])
+        args = parser.parse_args(argv[1:])
+        args.command = argv[0]
+        return args
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if not args.command:
+        parser.print_help(sys.stderr)
+        return None
+    return args
 
 
 def _default_threads() -> int:
@@ -676,10 +707,8 @@ def _write_files(text: str, out: Optional[str], csv_path: Optional[str], table) 
 
 
 def _main(argv: Optional[Sequence[str]]) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if not args.command:
-        parser.print_help(sys.stderr)
+    args = _parse(argv)
+    if args is None:
         return 2
     spec = _COMMANDS[args.command]
 

@@ -409,10 +409,12 @@ def test_every_option_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch
     (["selftest", "--only", ","], "option only needs at least one value"),
     (["kernel", "--half-width", "1e308"], "non-finite spacing"),
     (["kernel", "foo"], "invalid choice"),
+    (["pohozaev", "--t-values", "0.5,7", "--seed", "5"], "--t-values"),
+    (["pohozaev", "--a", "0.3", "--seed", "5"], "--a"),
 ], ids=["threads-0", "seed-negative", "line-t-negative", "plane-t-too-large",
         "norms-outer-empty", "commutators-resolutions-empty", "counterexample-n-empty",
         "pohozaev-t-values-empty", "selftest-only-empty", "kernel-half-width-huge",
-        "kernel-unknown-action"])
+        "kernel-unknown-action", "circle-t-values", "a-without-mobius"])
 def test_rejected_inputs_exit_2_with_the_message(capsys, argv, message):
     code, out, err = _run(capsys, argv)
     assert code == 2 and out == ""
@@ -463,9 +465,8 @@ def test_readme_command_lines_parse(tmp_path):
              for lang, body in blocks if not lang
              for line in body.splitlines() if line.startswith("fraclap ")]
     assert len(lines) >= 8
-    parser = cli._build_parser()
     for argv in lines:
-        args = parser.parse_args(argv)
+        args = cli._parse(argv)
         spec = cli._COMMANDS[args.command]
         assert not spec.actions or args.action in spec.actions, argv
         cli._effective_options(args.command, args, None)
@@ -476,5 +477,50 @@ def test_readme_command_lines_parse(tmp_path):
     file_cfg = cli._load_config_file(str(cfg))
     for section in file_cfg.sections():
         command = "flow" if section == "common" else section
-        opts = cli._effective_options(command, parser.parse_args([command]), file_cfg)
+        opts = cli._effective_options(command, cli._parse([command]), file_cfg)
         assert set(file_cfg[section]) <= set(opts)
+
+
+# Per command, an abbreviated flag and a --flag=value pair.
+_PARSE_CASES = {
+    "kernel": ["eval", "--geom", "circle", "--samples=512"],
+    "norms": ["--prof", "indicator", "--length=3"],
+    "commutators": ["--resol", "8,16", "--seed=2"],
+    "pohozaev": ["--geom", "line", "--t-values=1,2"],
+    "stereo": ["--arc", "0.5", "--case=random"],
+    "flow": ["--n-mod", "64", "--tol=1e-5"],
+    "bubble": ["--k-m", "4", "--big-r=2"],
+    "counterexample": ["sweep", "--thr", "2", "--R=4,16"],
+    "selftest": ["--on", "06", "--seed=1"],
+}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_command_parser_matches_the_full_parser(capsys, command):
+    helps = []
+    for parse in (cli._parse, cli._build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse([command, "--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and helps[0].startswith("usage: fraclap %s " % command)
+    for argv in ([command], [command] + _PARSE_CASES[command]):
+        args = cli._parse(argv)
+        full = cli._build_parser().parse_args(argv)
+        assert vars(args) == vars(full)
+        assert (cli._effective_options(command, args, None)
+                == cli._effective_options(command, full, None))
+
+
+def test_a_command_call_builds_one_parser(capsys, monkeypatch):
+    made = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    code, _, _ = _run(capsys, ["flow", "--n-modes", "128", "--seed", "3"])
+    assert code == 0
+    assert made == ["fraclap flow"]
