@@ -536,13 +536,11 @@ def neck_slope_claim(check_id, slope) -> CheckResult:
 
 
 def check_counterexample_decay_u() -> CheckResult:
-    rep = counterexample.neck_report(COUNTEREXAMPLE["n"][0], COUNTEREXAMPLE["R"][0])
-    return decay_u_claim("13a-counterexample-decay-u", rep.decay_slope_u)
+    return decay_u_claim("13a-counterexample-decay-u", counterexample.decay_slopes()[0])
 
 
 def check_counterexample_decay_v() -> CheckResult:
-    rep = counterexample.neck_report(COUNTEREXAMPLE["n"][0], COUNTEREXAMPLE["R"][0])
-    return decay_v_claim("13b-counterexample-decay-v", rep.decay_slope_v)
+    return decay_v_claim("13b-counterexample-decay-v", counterexample.decay_slopes()[1])
 
 
 def check_counterexample_decay_v_limit() -> CheckResult:

@@ -452,11 +452,11 @@ def _run_counterexample(opts, ctx):
     _require(feasible, "counterexample: every (n, R) pair is degenerate")
 
     reports = [counterexample.neck_report(n, r) for n, r in feasible]
+    slope_u, slope_v = counterexample.decay_slopes()
 
     rows = np.array([
         (r.n, r.big_r, r.c_n_numeric, r.c_n_paper, r.u_n_window_l2,
-         r.neck_l2_omega, r.neck_l21_omega1, r.decay_slope_u, r.decay_slope_v,
-         r.system_residual)
+         r.neck_l2_omega, r.neck_l21_omega1, slope_u, slope_v, r.system_residual)
         for r in reports])
     header = ("n", "R", "c_n_numeric", "c_n_paper", "window_l2",
               "neck_l2", "neck_l21", "decay_slope_u", "decay_slope_v",
@@ -471,12 +471,12 @@ def _run_counterexample(opts, ctx):
             "system_residual": float(r.system_residual),
         } for r in reports],
         "skipped": skipped,
-        "decay_slope_u": float(reports[0].decay_slope_u),
-        "decay_slope_v": float(reports[0].decay_slope_v),
+        "decay_slope_u": slope_u,
+        "decay_slope_v": slope_v,
     }
 
-    checks = [acceptance.decay_u_claim("counterexample-decay-u", payload["decay_slope_u"]),
-              acceptance.decay_v_claim("counterexample-decay-v", payload["decay_slope_v"])]
+    checks = [acceptance.decay_u_claim("counterexample-decay-u", slope_u),
+              acceptance.decay_v_claim("counterexample-decay-v", slope_v)]
     # the window and neck claims of check 13d hold from its smallest n and at its largest
     sweep_n = acceptance.COUNTEREXAMPLE["n"]
     windows = [r.u_n_window_l2 for r in reports if r.n >= min(sweep_n)]
@@ -620,50 +620,41 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_options(parser: _Parser, spec: Command) -> None:
-    """The action word, the command's options, the common ones and the file
-    paths, as flags of `parser`."""
-    if spec.actions:
-        parser.add_argument("action", nargs="?", default=spec.actions[0],
-                            choices=spec.actions)
-    for opt in spec.options + _COMMON:
-        parser.add_argument("--" + opt.name.replace("_", "-"), dest=opt.name,
-                            default=None, metavar=opt.kind.upper(), help=opt.help)
-    parser.add_argument("--config", default=None, metavar="PATH",
-                        help="INI config file; flags override it")
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="write the JSON report here instead of stdout")
-    parser.add_argument("--csv", default=None, metavar="PATH",
-                        help="write the plot-data table here")
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="fraclap", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version="fraclap " + __version__)
-    sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, spec in _COMMANDS.items():
-        _add_options(sub.add_parser(name, help=spec.help), spec)
-    return parser
-
-
 def _parse(argv: Optional[Sequence[str]]) -> Optional[argparse.Namespace]:
-    """The parsed command line, or None once the usage is printed because it
-    names no command. A command line that opens with a command name is parsed
-    by that command's parser alone, built as the full parser builds its
-    subparser; building all nine costs about as much as a small run."""
+    """The parsed command line, or None once the usage is printed.
+
+    A command runs only when the command line opens with its name; that
+    command's parser alone declares its action word, its options, the common
+    ones and the file paths. Any other line ends in the usage, the version or
+    an error: the top-level parser knows each command by name and help line
+    only."""
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in _COMMANDS:
+        spec = _COMMANDS[argv[0]]
         parser = _Parser(prog="fraclap " + argv[0])
-        _add_options(parser, _COMMANDS[argv[0]])
+        if spec.actions:
+            parser.add_argument("action", nargs="?", default=spec.actions[0],
+                                choices=spec.actions)
+        for opt in spec.options + _COMMON:
+            parser.add_argument("--" + opt.name.replace("_", "-"), dest=opt.name,
+                                default=None, metavar=opt.kind.upper(), help=opt.help)
+        parser.add_argument("--config", default=None, metavar="PATH",
+                            help="INI config file; flags override it")
+        parser.add_argument("--out", default=None, metavar="PATH",
+                            help="write the JSON report here instead of stdout")
+        parser.add_argument("--csv", default=None, metavar="PATH",
+                            help="write the plot-data table here")
         args = parser.parse_args(argv[1:])
         args.command = argv[0]
         return args
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if not args.command:
-        parser.print_help(sys.stderr)
-        return None
-    return args
+    parser = _Parser(prog="fraclap", description=__doc__.splitlines()[0])
+    parser.add_argument("--version", action="version", version="fraclap " + __version__)
+    sub = parser.add_subparsers(metavar="command")
+    for name, spec in _COMMANDS.items():
+        sub.add_parser(name, help=spec.help, add_help=False)
+    parser.parse_args(argv)
+    parser.print_help(sys.stderr)
+    return None
 
 
 def _default_threads() -> int:

@@ -38,6 +38,7 @@ __all__ = [
     "scaled_sequence",
     "annulus_nodes",
     "neck_report",
+    "decay_slopes",
 ]
 
 # decay of t^(5/4) (-Delta)^(1/4) v as t -> infinity, bare normalization:
@@ -81,8 +82,6 @@ class CounterexampleReport:
     u_n_window_l2: float
     neck_l2_omega: float
     neck_l21_omega1: float
-    decay_slope_u: float
-    decay_slope_v: float
     system_residual: float
 
 
@@ -317,11 +316,13 @@ def annulus_nodes(n, R):
 
 
 @lru_cache(maxsize=None)
-def _decay_slopes():
-    # log-log fits of the two quarter-Laplacians over t in [10, 1e3].  The
-    # plateau one sits on its t^(-3/2) asymptote already; the envelope one is
-    # still crossing over (sign change just under t = 10, t^(-1/4) transient)
-    # and fits far shallower than its eventual t^(-5/4).
+def decay_slopes():
+    """Log-log slopes (u, v) of the two quarter-Laplacians over t in [10, 1e3].
+
+    The plateau one sits on its t^(-3/2) asymptote already; the envelope one
+    is still crossing over (sign change just under t = 10, t^(-1/4)
+    transient) and fits far shallower than its eventual t^(-5/4).
+    """
     t = np.geomspace(10.0, 1000.0, 25)
     lt = np.log(t)
     slope_u = float(np.polyfit(lt, np.log(np.abs(quarter_laplacian_u(t))), 1)[0])
@@ -373,7 +374,6 @@ def neck_report(n, R):
 
     cn = _normalization(n)
     window_sq = 1.0 + cn.numeric ** 2 * (2.0 / n) * _envelope_window_integral(n)
-    slope_u, slope_v = _decay_slopes()
 
     return CounterexampleReport(
         n=n,
@@ -383,7 +383,5 @@ def neck_report(n, R):
         u_n_window_l2=float(np.sqrt(window_sq)),
         neck_l2_omega=neck_l2,
         neck_l21_omega1=neck_l21,
-        decay_slope_u=slope_u,
-        decay_slope_v=slope_v,
         system_residual=_system_residual(n, cn.numeric),
     )

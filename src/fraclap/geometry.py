@@ -151,6 +151,8 @@ class Field:
     Immutable by convention: operations return new Fields. The spectrum is the
     plain FFT of the samples along axis 0, computed on each call; rfft is its
     real-input half, computed on first use, then cached read-only.
+    Arithmetic (+ and - with a Field or a scalar, * by a scalar) returns a
+    Field with no tail model, since it moves the limits the model records.
     """
 
     def __init__(self, grid, samples, tail=None):
@@ -189,14 +191,14 @@ class Field:
     def __add__(self, other):
         if isinstance(other, Field):
             _check_same_grid(self, other)
-            return Field(self.grid, self.samples + other.samples)
-        return Field(self.grid, self.samples + other, self.tail)
+            other = other.samples
+        return Field(self.grid, self.samples + other)
 
     def __sub__(self, other):
         if isinstance(other, Field):
             _check_same_grid(self, other)
-            return Field(self.grid, self.samples - other.samples)
-        return Field(self.grid, self.samples - other, self.tail)
+            other = other.samples
+        return Field(self.grid, self.samples - other)
 
     def __mul__(self, scalar):
         return Field(self.grid, self.samples * scalar)

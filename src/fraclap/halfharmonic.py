@@ -153,8 +153,10 @@ def _check_on_target(u, dist):
             "field is off the target by %.3e (tolerance %.0e)" % (worst, _ON_TARGET_TOL))
 
 
-def _half_laplacian_samples(u):
-    return rfft_multiply(u, rfft_frequencies(u.grid))
+def _tangential_half_laplacian(u, dist):
+    """P_T(u) (-D)^{1/2} u at the nodes: the left side of the
+    Euler-Lagrange equation."""
+    return dist.tangent(u.samples, rfft_multiply(u, rfft_frequencies(u.grid)))
 
 
 def el_residual(u: Field, dist: PlaneDistribution) -> Field:
@@ -164,7 +166,7 @@ def el_residual(u: Field, dist: PlaneDistribution) -> Field:
     node norm is the headline residual used by the flow and the experiments.
     """
     _check_on_target(u, dist)
-    return u.with_samples(dist.tangent(u.samples, _half_laplacian_samples(u)))
+    return u.with_samples(_tangential_half_laplacian(u, dist))
 
 
 def horizontality_residual(u: Field, dist: PlaneDistribution) -> Field:
@@ -219,7 +221,7 @@ def gradient_flow(u0: Field, dist: PlaneDistribution, tol: float = 1e-6,
     precondition = 1.0 / (1.0 + rfft_frequencies(u.grid))
 
     def directions(fld):
-        g = dist.tangent(fld.samples, _half_laplacian_samples(fld))
+        g = _tangential_half_laplacian(fld, dist)
         d = dist.tangent(fld.samples,
                          rfft_multiply(fld.with_samples(g), precondition))
         return g, d
@@ -278,7 +280,7 @@ def gradient_check(u: Field, dist: PlaneDistribution):
     raw = np.fft.irfft(spec, n=n, axis=0)
     w = dist.tangent(u.samples, raw)
     w /= np.sqrt(h * np.sum(w ** 2))
-    gt = dist.tangent(u.samples, _half_laplacian_samples(u))
+    gt = _tangential_half_laplacian(u, dist)
     analytic = 2.0 * h * float(np.sum(gt * w))
     plus = dist.retraction(u.samples + _FD_EPS * w)
     minus = dist.retraction(u.samples - _FD_EPS * w)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fraclap import acceptance, cli, fracops
+from fraclap import acceptance, cli, counterexample, fracops
 
 _CACHE = {}
 
@@ -118,6 +118,18 @@ def test_13a_counterexample_decay_u():
                    "companion test pins the asymptotic constant")
 def test_13b_counterexample_decay_v():
     _assert_passes("13b-counterexample-decay-v")
+
+
+def test_13a_and_13b_read_the_slopes_without_a_neck_report(monkeypatch):
+    def no_report(n, R):
+        raise AssertionError("the decay slopes depend on neither n nor R")
+
+    monkeypatch.setattr(counterexample, "neck_report", no_report)
+    slopes = counterexample.decay_slopes()
+    for check_id, slope in zip(("13a-counterexample-decay-u",
+                                "13b-counterexample-decay-v"), slopes):
+        r = dict(acceptance.CHECKS)[check_id]()
+        assert r.ok and r.value == slope, acceptance.format_line(r)
 
 
 def test_13c_counterexample_decay_v_limit():

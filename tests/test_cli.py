@@ -481,35 +481,66 @@ def test_readme_command_lines_parse(tmp_path):
         assert set(file_cfg[section]) <= set(opts)
 
 
-# Per command, an abbreviated flag and a --flag=value pair.
+def test_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli._parse(["--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert text.startswith("usage: fraclap ")
+    for name, spec in cli._COMMANDS.items():
+        assert "%s %s" % (name, spec.help) in text
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_command_help_names_every_option(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli._parse([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert text.startswith("usage: fraclap %s " % command)
+    spec = cli._COMMANDS[command]
+    for flag in ["--" + o.name.replace("_", "-") for o in spec.options + cli._COMMON] + [
+            "--config", "--out", "--csv"]:
+        assert flag in text
+
+
+# Per command, an abbreviated flag and a --flag=value pair, and the options
+# they set.
 _PARSE_CASES = {
-    "kernel": ["eval", "--geom", "circle", "--samples=512"],
-    "norms": ["--prof", "indicator", "--length=3"],
-    "commutators": ["--resol", "8,16", "--seed=2"],
-    "pohozaev": ["--geom", "line", "--t-values=1,2"],
-    "stereo": ["--arc", "0.5", "--case=random"],
-    "flow": ["--n-mod", "64", "--tol=1e-5"],
-    "bubble": ["--k-m", "4", "--big-r=2"],
-    "counterexample": ["sweep", "--thr", "2", "--R=4,16"],
-    "selftest": ["--on", "06", "--seed=1"],
+    "kernel": (["eval", "--geom", "circle", "--samples=512"],
+               {"geometry": "circle", "samples": 512}),
+    "norms": (["--prof", "indicator", "--length=3"], {"profile": "indicator", "length": 3.0}),
+    "commutators": (["--resol", "8,16", "--seed=2"], {"resolutions": (8, 16), "seed": 2}),
+    "pohozaev": (["--geom", "line", "--t-values=1,2"],
+                 {"geometry": "line", "t_values": (1.0, 2.0)}),
+    "stereo": (["--arc", "0.5", "--case=random"], {"arc_halfwidth": 0.5, "case": "random"}),
+    "flow": (["--n-mod", "64", "--tol=1e-5"], {"n_modes": 64, "tol": 1e-5}),
+    "bubble": (["--k-m", "4", "--big-r=2"], {"k_max": 4, "big_r": 2.0}),
+    "counterexample": (["sweep", "--thr", "2", "--R=4,16"], {"threads": 2, "R": (4.0, 16.0)}),
+    "selftest": (["--on", "06", "--seed=1"], {"only": ("06",), "seed": 1}),
 }
 
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
-def test_command_parser_matches_the_full_parser(capsys, command):
-    helps = []
-    for parse in (cli._parse, cli._build_parser().parse_args):
-        with pytest.raises(SystemExit) as exc:
-            parse([command, "--help"])
-        assert exc.value.code == 0
-        helps.append(capsys.readouterr().out)
-    assert helps[0] == helps[1] and helps[0].startswith("usage: fraclap %s " % command)
-    for argv in ([command], [command] + _PARSE_CASES[command]):
-        args = cli._parse(argv)
-        full = cli._build_parser().parse_args(argv)
-        assert vars(args) == vars(full)
-        assert (cli._effective_options(command, args, None)
-                == cli._effective_options(command, full, None))
+def test_command_lines_give_their_options(command):
+    defaults = {o.name: o.default for o in cli._COMMANDS[command].options + cli._COMMON}
+    argv, pinned = _PARSE_CASES[command]
+    for line, want in (([command], defaults), ([command] + argv, {**defaults, **pinned})):
+        args = cli._parse(line)
+        assert args.command == command
+        assert cli._effective_options(command, args, None) == want
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--version"], ["nosuchcommand"], ["--seed", "3", "flow"],
+    ["--", "flow"], ["--bogus", "flow"], ["--bogus", "flow", "-h"]])
+def test_only_a_line_opening_with_a_command_runs_it(argv):
+    try:
+        assert cli._parse(argv) is None
+    except SystemExit as exc:
+        assert exc.code == 0
+    except cli.ConfigError:
+        pass
 
 
 def test_a_command_call_builds_one_parser(capsys, monkeypatch):

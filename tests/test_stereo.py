@@ -57,6 +57,12 @@ def test_pushforward_requirements():
     bare = field_from_function(g, lambda x: 1.0 / (1.0 + x * x))
     with pytest.raises(ValueError):
         pushforward(bare)
+    # arithmetic moves the limits a tail model records, so its result has none
+    tailed = field_from_function(g, lambda x: 1.0 / (1.0 + x * x),
+                                 tail=TailModel.even(2.0, 1.0))
+    for moved in (tailed + 1.0, tailed - 1.0, tailed + tailed, 2.0 * tailed):
+        with pytest.raises(ValueError, match="needs a tail model"):
+            pushforward(moved)
     circ = field_from_function(CircleGrid(8), np.sin)
     with pytest.raises(TypeError):
         pushforward(circ)
