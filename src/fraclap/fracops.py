@@ -17,8 +17,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as _gamma
 
-from .geometry import (CircleGrid, Field, LineGrid, rfft_frequencies,
-                       rfft_multiply, rfft_resize)
+from .geometry import (RESOLVED, CircleGrid, Field, LineGrid, rfft_frequencies,
+                       rfft_multiply, tail_ratios)
 
 __all__ = [
     "singular_constant",
@@ -308,23 +308,40 @@ def line_convolve(f, g):
 _BLOCK = 256  # fine intervals per lazily fitted block of the line spline
 
 # A block's B-spline coefficients come from the field's trigonometric
-# interpolant by Gaussian gridding (Greengard & Lee, SIAM Rev. 46(3), 2004).
-# The build samples it _OVERSAMPLE times per node, each frequency nu (in
-# cycles per oversampled sample, |nu| <= 1/(2 _OVERSAMPLE)) divided by
-# exp(-pi nu^2 / _BETA) and multiplied by the cubic B-spline prefilter
-# 6 / (4 + 2 cos(2 pi k / (refine n))) on rfft bin k, which solves the periodic
-# spline's condition (c[j-1] + 4 c[j] + c[j+1]) / 6 = fine sample j for its
-# coefficients c (Unser, Aldroubi & Eden, 1993). A fine value is then the
-# unit-area Gaussian filter sqrt(_BETA) exp(-pi _BETA d^2) summed over the
-# 2 _SPREAD samples nearest it, d samples away. This _BETA gives the filter's
+# interpolant by Gaussian gridding (Greengard & Lee, SIAM Rev. 46(3), 2004),
+# over the band its spectrum occupies: the fewest n_band = n / 2^j nodes
+# whose rfft bins 0..n_band/2 hold every bin above RESOLVED of the largest
+# (_band), as FINUFFT sizes its fine grid from the modes it keeps, not from
+# the samples (Barnett, Magland & af Klinteberg, SIAM J. Sci. Comput. 41(5),
+# 2019). The build samples that interpolant _OVERSAMPLE times per band node,
+# each frequency nu (in cycles per oversampled sample,
+# |nu| <= 1/(2 _OVERSAMPLE)) divided by exp(-pi nu^2 / _BETA) and multiplied
+# by the cubic B-spline prefilter 6 / (4 + 2 cos(2 pi k / (refine n))) on
+# rfft bin k, which solves the periodic spline's condition
+# (c[j-1] + 4 c[j] + c[j+1]) / 6 = fine sample j for its coefficients c
+# (Unser, Aldroubi & Eden, 1993). A fine value is then the unit-area
+# Gaussian filter sqrt(_BETA) exp(-pi _BETA d^2) summed over the 2 _SPREAD
+# samples nearest it, d samples away. This _BETA gives the filter's
 # truncation and its aliasing the same size, exp(-pi (R - 1/2) S / R) before
-# deconvolution, with R = _OVERSAMPLE and S = _SPREAD. Against the exact
-# zero-padded refinement, R = 2 and S = 16 measure relative errors of 2e-16
-# (a Lorentzian at 2^20 nodes) and 2e-15 (white noise up to the Nyquist
-# frequency, refine 4 to 49); S = 12 lets white noise reach 1e-12.
+# deconvolution, with R = _OVERSAMPLE and S = _SPREAD; both stay the same
+# relative to the band, and so does the factor at its edge. Against the
+# exact zero-padded refinement, R = 2 and S = 16 measure relative errors of
+# 2e-16 (a Lorentzian at 2^20 nodes) and 2e-15 (white noise up to the
+# Nyquist frequency, refine 4 to 49); S = 12 lets white noise reach 1e-12.
+# A field that fills its band (white noise) keeps n_band = n. Check 08's
+# Lorentzian keeps n/4 and transforms 2^19 points instead of 2^21, and the
+# bins it drops move its values by 5e-16 of their maximum.
+#
+# A block's fit correlates its samples with one filter column per offset of
+# the fine nodes from the samples, refine n / (2 n_band) of them at even
+# refine, and each column costs about 2 _SPREAD outputs beyond the block's
+# own. So the band keeps at most _BAND_REFINE fine nodes per band node:
+# fitting every block of a 2^16-node field took 43 ms at the full band
+# (2 columns), 45 ms at 8 columns and 62 ms at 32.
 _OVERSAMPLE = 2
 _SPREAD = 16
 _BETA = (_OVERSAMPLE - 0.5) / (_OVERSAMPLE * _SPREAD)
+_BAND_REFINE = 16
 
 
 @lru_cache(maxsize=4)
@@ -346,24 +363,29 @@ def line_interpolant(f, multiplier=None):
     samples, and falls back to the tail model outside the node range. Good
     to ~1e-9 for smooth well-resolved fields.
 
-    The Nyquist mode refines to the cosine through its samples (the rule of
-    geometry.rfft_resize), so the interpolant reproduces every sample at the
-    field's own nodes.
+    The build keeps the band of f's spectrum: the rfft bins 0..n_band/2 of
+    the fewest n_band = n / 2^j nodes that hold every bin above RESOLVED of
+    the largest, with at most _BAND_REFINE fine nodes per band node
+    (_band). The Nyquist mode of a full band refines to the cosine through
+    its samples (the rule of geometry.rfft_resize), so the interpolant
+    reproduces every sample at the field's own nodes; a cut band reproduces
+    them to within the bins it drops, 1e-13 of the maximum or less (5e-16
+    on check 08's Lorentzian).
 
     With a multiplier, the callable evaluates the Fourier multiplier applied
-    to f instead, built straight from f.rfft() times the multiplier (one
-    value per rfft bin, for every component alike or one column per
-    component, as in geometry.rfft_multiply). The product keeps only the
-    real parts of bins 0 and n/2, as irfft would, so the result equals
-    line_interpolant of Field(f.grid, rfft_multiply(f, multiplier)) to
-    round-off without leaving the spectrum. f's tail model is not the tail
-    of its image, so a multiplied interpolant has none, and a query outside
-    the grid raises.
+    to f instead, built straight from the band of f's own spectrum times
+    the multiplier on those bins (one value per rfft bin, for every
+    component alike or one column per component, as in
+    geometry.rfft_multiply). The product keeps only the real parts of bins
+    0 and n/2, as irfft would, so the result equals line_interpolant of
+    Field(f.grid, rfft_multiply(f, multiplier)) to round-off without
+    leaving the spectrum. f's tail model is not the tail of its image, so a
+    multiplied interpolant has none, and a query outside the grid raises.
 
     The spline is fitted only where it is evaluated: the first query in a
     block of fine intervals fits that block, and the interpolant keeps the
     coefficients for later calls, so the cost follows the queries, not the
-    grid. The build does one transform, to a grid of twice the field's
+    grid. The build does one transform, to a grid of twice the band's
     nodes whose factor holds the B-spline prefilter; a block's fit spreads
     its _BLOCK + 3 B-spline coefficients from that grid with a fixed 32-tap
     Gaussian filter and solves nothing.
@@ -371,26 +393,43 @@ def line_interpolant(f, multiplier=None):
     if not isinstance(f.grid, LineGrid):
         raise TypeError("expected a line field")
     refine = max(4, int(np.ceil(f.grid.h / 0.008)))
+    spec = f.rfft()
+    keep = _band(spec, refine) // 2 + 1
     if multiplier is None:
-        return _LineInterpolant(f.grid, f.rfft(), f.tail, refine)
-    spec = f.rfft() * np.reshape(multiplier, (len(multiplier), -1))
-    spec[[0, -1]] = spec[[0, -1]].real
-    return _LineInterpolant(f.grid, spec, None, refine)
+        return _LineInterpolant(f.grid, spec[:keep], f.tail, refine)
+    band = spec[:keep] * np.reshape(multiplier, (len(multiplier), -1))[:keep]
+    # irfft keeps only the real parts of bins 0 and n/2 (kept in a full band)
+    band[:: len(spec) - 1] = band[:: len(spec) - 1].real
+    return _LineInterpolant(f.grid, band, None, refine)
+
+
+def _band(spec, refine):
+    """The nodes n_band = n / 2^j of a line build from the rfft spectrum spec
+    on n nodes, refined refine times: the fewest whose bins 0..n_band/2 hold
+    every bin above RESOLVED of the largest (geometry.tail_ratios), with at
+    most _BAND_REFINE fine nodes per node of the band."""
+    ratio = tail_ratios(spec)
+    n = n_band = 2 * (len(spec) - 1)
+    while (n_band % 4 == 0 and 2 * refine * n <= _BAND_REFINE * n_band
+           and ratio[n_band // 4 + 1] <= RESOLVED):
+        n_band //= 2
+    return n_band
 
 
 class _LineInterpolant:
     """The lazily fitted spline behind `line_interpolant`.
 
-    Built from the rfft spectrum `spec` of the values to interpolate on
-    `grid` (shape (n/2 + 1, m)) and the tail model for queries outside the
-    grid, or None to reject them; its grid holds B-spline coefficients.
+    Built from `band`, the rfft bins 0..n_band/2 of the values to interpolate
+    on `grid` (shape (n_band/2 + 1, m), n_band dividing the grid's n), and
+    the tail model for queries outside the grid, or None to reject them; its
+    grid holds B-spline coefficients.
 
     Calls may come from several threads; a lock guards the coefficient
     table while a call fills and reads it.
     """
 
-    def __init__(self, grid, spec, tail, refine):
-        n = grid.n_points
+    def __init__(self, grid, band, tail, refine):
+        n, n_band = grid.n_points, 2 * (len(band) - 1)
         self._n_fine = refine * n
         # fine node k sits at -L + h/2 + (k - n_wrap) h/refine: the first
         # n_wrap = (refine - 1) // 2 of them lie below the field's first node,
@@ -400,21 +439,25 @@ class _LineInterpolant:
         self._lo = -grid.half_width + 0.5 * grid.h - self._n_wrap * self._dx
         self._hi = self._lo + (self._n_fine - 1) * self._dx
         self._tail = tail
-        self._m = spec.shape[1]
+        self._m = band.shape[1]
         # the deconvolved grid, one row per component: sample j sits
-        # j h / _OVERSAMPLE past the field's first node
-        size, fac = _OVERSAMPLE * n, _deconvolution(n, refine)
-        spec = rfft_resize(spec, size)
-        spec[: n // 2 + 1] *= fac
+        # j h n / (_OVERSAMPLE n_band) past the field's first node, and the
+        # band's bins are scaled to its size as in geometry.rfft_resize
+        refine_band = refine * n // n_band  # fine nodes per node of the band
+        size, fac = _OVERSAMPLE * n_band, _deconvolution(n_band, refine_band)
+        spec = np.zeros((size // 2 + 1, self._m), dtype=complex)
+        np.multiply(band, fac * (size / n), out=spec[: n_band // 2 + 1])
+        if n_band == n:  # a full band's bin n/2 splits between +-n/2
+            spec[n // 2] *= 0.5
         self._grid = np.fft.irfft(spec, size, axis=0).T
         # fine nodes fall at _period offsets from the samples, repeating every
         # _period nodes (_step samples): the node a _period + p past the first
         # node sits at sample _step a + pos[p]. Column p of the filter weighs
         # the samples from _step a - _SPREAD + 1 on, zero but for the
         # 2 _SPREAD nearest the node
-        common = np.gcd(_OVERSAMPLE, refine)
-        self._period, self._step = refine // common, _OVERSAMPLE // common
-        pos = _OVERSAMPLE * np.arange(self._period) / refine
+        common = np.gcd(_OVERSAMPLE, refine_band)
+        self._period, self._step = refine_band // common, _OVERSAMPLE // common
+        pos = _OVERSAMPLE * np.arange(self._period) / refine_band
         row = np.arange(2 * _SPREAD + self._step - 1)[:, None]
         d = row - (_SPREAD - 1) - pos
         near = (row >= np.floor(pos)) & (row < np.floor(pos) + 2 * _SPREAD)

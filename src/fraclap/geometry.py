@@ -27,6 +27,7 @@ __all__ = [
     "rfft_frequencies",
     "rfft_multiply",
     "rfft_resize",
+    "tail_ratios",
     "save_csv",
     "load_csv",
     "save_binary",
@@ -36,6 +37,7 @@ __all__ = [
 DEFAULT_LINE_POINTS = 2 ** 16
 DEFAULT_LINE_HALF_WIDTH = 1000.0
 DEFAULT_CIRCLE_POINTS = 4096
+RESOLVED = 1e-13  # tail ratio (tail_ratios) at or below which a spectrum counts as resolved
 
 
 @dataclass(frozen=True)
@@ -151,8 +153,11 @@ class Field:
     Immutable by convention: operations return new Fields. The spectrum is the
     plain FFT of the samples along axis 0, computed on each call; rfft is its
     real-input half, computed on first use, then cached read-only.
-    Arithmetic (+ and - with a Field or a scalar, * by a scalar) returns a
-    Field with no tail model, since it moves the limits the model records.
+    A derived field carries a tail model only where its maker knows the
+    model holds for the new samples: arithmetic (+ and - with a Field or a
+    scalar, * by a scalar) returns a Field with no tail model, since it moves
+    the limits the model records, and with_samples attaches only the tail
+    its caller passes.
     """
 
     def __init__(self, grid, samples, tail=None):
@@ -183,7 +188,7 @@ class Field:
         return self._rfft
 
     def with_samples(self, samples, tail=None):
-        return Field(self.grid, samples, tail if tail is not None else self.tail)
+        return Field(self.grid, samples, tail)
 
     def is_circle(self):
         return isinstance(self.grid, CircleGrid)
@@ -227,7 +232,13 @@ def _reflect(f):
 
 
 def even_part(f):
-    return Field(f.grid, 0.5 * (f.samples + _reflect(f)), f.tail)
+    """The even part (f(x) + f(-x)) / 2, with the symmetrised tail model: each
+    side's limit and coefficient the mean of the two sides'."""
+    t = f.tail
+    if t is not None:
+        t = TailModel.even(t.power, 0.5 * (t.coef_pos + t.coef_neg),
+                           0.5 * (t.limit_pos + t.limit_neg), m=t.m)
+    return Field(f.grid, 0.5 * (f.samples + _reflect(f)), t)
 
 
 def odd_part(f):
@@ -436,6 +447,17 @@ def _line_parity(f):
     if np.array_equal(s[0], -s[-1]) and np.array_equal(right, -left):
         return -1
     return 0
+
+
+def tail_ratios(spec):
+    """For every rfft bin k, the largest |spec| from bin k on over the
+    largest overall, all columns together: one reversed running max, so
+    entry k is exactly max |spec[k:]| / max |spec|. All zero if spec is.
+    """
+    mag = np.abs(spec).reshape(len(spec), -1).max(axis=1)
+    np.maximum.accumulate(mag[::-1], out=mag[::-1])
+    mag /= max(mag[0], np.finfo(float).tiny)
+    return mag
 
 
 def rfft_resize(spec, n_new):

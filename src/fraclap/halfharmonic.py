@@ -19,15 +19,14 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import norms, stereo
-from .geometry import (CircleGrid, Field, gauss_legendre, panel_rule,
-                       rfft_frequencies, rfft_multiply, rfft_resize)
+from .geometry import (RESOLVED, CircleGrid, Field, gauss_legendre, panel_rule,
+                       rfft_frequencies, rfft_multiply, rfft_resize, tail_ratios)
 
 _ON_TARGET_TOL = 1e-6       # largest distance of an input from the target
 _STEP_GROW = 1.15           # flow step growth after an accepted step
 _STEP_MAX = 4.0             # flow step cap
 _ARMIJO = 1e-4              # flow sufficient-decrease constant
 _FD_EPS = 1e-5              # difference step of gradient_check
-_RESOLVED = 1e-13           # spectral tail ratio that ends the Moebius refinement
 _MOBIUS_N_MAX = 1 << 22     # node cap of the Moebius refinement
 _NODES_PER_ANNULUS = 24     # Gauss nodes per neck annulus
 _NECK_BLOCK = 32            # evaluation points per block of the neck quadrature
@@ -332,20 +331,20 @@ def mobius_compose(u: Field, a: float) -> Field:
     """Sample u(phi_a(e^{i theta})) with phi_a(z) = (z - a)/(1 - a z).
 
     The composition concentrates near theta = 0 as a -> 1, so its node count
-    starts at twice the input's and doubles until its spectral tail ratio is
-    at most _RESOLVED or the input's own ratio; ValueError past _MOBIUS_N_MAX.
+    starts at twice the input's and doubles until its spectral tail ratio
+    from mode n/4 on (geometry.tail_ratios) is at most RESOLVED or the
+    input's own; ValueError past _MOBIUS_N_MAX.
     """
     if not -1.0 < float(a) < 1.0:
         raise ValueError("mobius parameter must satisfy |a| < 1")
     if not u.is_circle():
         raise ValueError("mobius composition acts on circle fields")
 
-    def tail_ratio(f):  # largest rfft magnitude at k >= n/4 over the largest; 0 if f = 0
-        mag = np.abs(f.rfft())
-        return np.max(mag[f.grid.n_points // 4:]) / max(np.max(mag), np.finfo(float).tiny)
+    def tail_ratio(f):
+        return tail_ratios(f.rfft())[f.grid.n_points // 4]
 
     ev = _circle_evaluator(u)
-    floor = max(_RESOLVED, tail_ratio(u))
+    floor = max(RESOLVED, tail_ratio(u))
     n = 2 * u.grid.n_points
     while n <= _MOBIUS_N_MAX:
         grid = CircleGrid(n_modes=n // 2)

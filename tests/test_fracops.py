@@ -507,6 +507,100 @@ def test_multiplied_line_interpolant_has_no_tail():
         u(np.array([0.5, 55.0]))
 
 
+def _full_band(f, multiplier=None):
+    """The build of line_interpolant from every rfft bin of f."""
+    refine = max(4, int(np.ceil(f.grid.h / 0.008)))
+    if multiplier is None:
+        return fracops._LineInterpolant(f.grid, f.rfft(), f.tail, refine)
+    spec = f.rfft() * multiplier[:, None]
+    spec[[0, -1]] = spec[[0, -1]].real
+    return fracops._LineInterpolant(f.grid, spec, None, refine)
+
+
+def _check08_case(case):
+    """(field, points) of check 08: its Lorentzian or its seed-11 field on
+    2^20 nodes, and the projected angles both routes are compared at."""
+    grid = LineGrid(10000.0, 1 << 20)
+    if case == "lorentzian":
+        f = _lorentzian_field(grid)
+    else:
+        x = grid.nodes()
+        rng = np.random.default_rng(11)
+        coef, centers = rng.normal(size=5), rng.uniform(-3.0, 3.0, size=5)
+        vals = sum(c / (1.0 + (x - a) ** 2) for c, a in zip(coef, centers))
+        f = Field(grid, vals[:, None], tail=TailModel.even(2.0, float(np.sum(coef))))
+    th = CircleGrid(2048).nodes()
+    keep = np.abs(np.mod(th + np.pi, 2.0 * np.pi) - np.pi + np.pi / 2.0) >= 0.2
+    return f, np.cos(th[keep]) / (1.0 + np.sin(th[keep]))
+
+
+@pytest.mark.parametrize("case, n_band", [("lorentzian", 1 << 18), ("seed-11", 1 << 19)])
+def test_line_interpolant_band_matches_the_full_band(case, n_band):
+    # every bin past the band is at most 1e-13 of the largest, so dropping
+    # them moves the values by round-off; |xi| grows the kept bins' share
+    f, pts = _check08_case(case)
+    assert fracops._band(f.rfft(), 4) == n_band
+    u = line_interpolant(f)
+    assert u._grid.shape == (1, 2 * n_band)
+    want = _full_band(f)(pts)
+    assert np.max(np.abs(u(pts) - want)) <= 1e-15 * np.max(np.abs(want))
+    xi = rfft_frequencies(f.grid)
+    want = _full_band(f, xi)(pts)
+    got = line_interpolant(f, multiplier=xi)(pts)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_line_interpolant_band_keeps_the_half_laplacian_error():
+    # check 08's line route against (1 - x^2) / (1 + x^2)^2 on |x| <= 20:
+    # 8.385e-9 with the band and with every bin
+    f, pts = _check08_case("lorentzian")
+    pts = pts[np.abs(pts) <= 20.0]
+    exact = (1.0 - pts ** 2) / (1.0 + pts ** 2) ** 2
+    xi = rfft_frequencies(f.grid)
+    err = np.max(np.abs(line_interpolant(f, multiplier=xi)(pts)[:, 0] - exact))
+    full = np.max(np.abs(_full_band(f, xi)(pts)[:, 0] - exact))
+    assert err <= full + 1e-14 and err < 1e-8
+
+
+def test_line_interpolant_white_noise_keeps_the_full_band():
+    # noise up to the Nyquist frequency fills the band, so the build is the
+    # full one, and it reproduces the zero-padded refinement at the fine
+    # nodes to round-off (1.2e-15 to 2.5e-15 of the maximum over 32 fields)
+    g = LineGrid(16.0, 1 << 12)
+    f = Field(g, np.random.default_rng(2).normal(size=(g.n_points, 2)))
+    assert fracops._band(f.rfft(), 4) == g.n_points
+    u = line_interpolant(f)
+    x, fine = _zero_padded(f, 4)
+    inside = (x >= u._lo) & (x <= u._hi)
+    assert np.max(np.abs(u(x[inside]) - fine[inside])) <= 3e-15 * np.max(np.abs(fine))
+    pts = np.random.default_rng(3).uniform(x[0], x[-1], 4096)
+    assert np.array_equal(u(pts), _full_band(f)(pts))
+
+
+def test_line_band_keeps_its_top_bin_whole():
+    # a cosine on rfft bin n/4 bands at n/2 nodes, where that bin is not the
+    # Nyquist bin, so it is kept whole rather than split between +-n/4; at
+    # the band's edge the deconvolution factor leaves 2e-14 of round-off
+    g = LineGrid(8.0, 256)
+    f = Field(g, np.cos(0.5 * np.pi * np.arange(g.n_points)), tail=TailModel.even(2.0, 0.0))
+    assert fracops._band(f.rfft(), 8) == g.n_points // 2
+    pts = np.random.default_rng(6).uniform(-7.9, 7.9, 2000)
+    want = _full_band(f)(pts)
+    assert np.max(np.abs(line_interpolant(f)(pts) - want)) <= 1e-13
+    exact = np.cos(0.5 * np.pi * (pts - g.nodes()[0]) / g.h)
+    assert np.max(np.abs(want[:, 0] - exact)) <= 1e-5
+
+
+def test_line_band_is_capped_for_a_constant_field():
+    # a constant holds only bin 0; its band stops at _BAND_REFINE fine nodes
+    # per band node and still gives back the constant
+    g = LineGrid(30.0, 1 << 12)
+    f = Field(g, np.full(g.n_points, 2.5), tail=TailModel.even(2.0, 0.0, limit=2.5))
+    assert fracops._band(f.rfft(), 4) == g.n_points // 4
+    pts = np.random.default_rng(1).uniform(-40.0, 40.0, 1000)
+    assert np.max(np.abs(line_interpolant(f)(pts) - 2.5)) <= 1e-14
+
+
 def test_line_modules_import_without_scipy_interpolate():
     # the line interpolant fits its spline with no solve; only the tail
     # table's non-uniform spline needs scipy.interpolate, imported where used

@@ -12,7 +12,7 @@ from fraclap.geometry import (CircleGrid, Field, LineGrid, TailModel,
                               even_part, field_from_function, gauss_legendre,
                               line_integral, load_binary, load_csv, odd_part,
                               panel_rule, resample, rfft_frequencies, rfft_multiply,
-                              save_binary, save_csv)
+                              save_binary, save_csv, tail_ratios)
 
 
 def test_line_grid_nodes_symmetric():
@@ -150,6 +150,37 @@ def test_field_arithmetic_and_parts():
     assert np.allclose(e.samples + o.samples, f.samples)
     assert np.allclose(e.samples, np.cos(g.nodes())[:, None])
     assert np.allclose((2.0 * f - f).samples, f.samples)
+
+
+def test_even_part_symmetrises_the_tail_model():
+    # x / sqrt(1 + x^2) tends to +-1 on the two sides, so its even part
+    # tends to 0 on both
+    g = LineGrid(50.0, 256)
+    f = field_from_function(g, lambda x: x / np.sqrt(1.0 + x * x),
+                            tail=TailModel.odd(2.0, -0.5, limit=1.0))
+    t = even_part(f).tail
+    for arr in (t.limit_pos, t.limit_neg, t.coef_pos, t.coef_neg):
+        assert np.array_equal(arr, [0.0])
+    assert odd_part(f).tail is None
+
+
+def test_with_samples_attaches_only_the_tail_it_is_given():
+    g = LineGrid(10.0, 64)
+    tail = TailModel.even(2.0, 1.0)
+    f = field_from_function(g, lambda x: 1.0 / (1.0 + x * x), tail=tail)
+    assert f.with_samples(f.samples + 1.0).tail is None
+    assert f.with_samples(f.samples, tail).tail is tail
+
+
+def test_tail_ratios_is_the_largest_tail_over_the_largest():
+    rng = np.random.default_rng(4)
+    spec = rng.normal(size=(65, 2)) + 1j * rng.normal(size=(65, 2))
+    spec[40:] *= 1e-9
+    ratio = tail_ratios(spec)
+    mag = np.abs(spec)
+    assert ratio.shape == (65,)
+    assert all(ratio[k] == np.max(mag[k:]) / np.max(mag) for k in range(65))
+    assert np.array_equal(tail_ratios(np.zeros(9, dtype=complex)), np.zeros(9))
 
 
 def test_line_integral_lorentzian():

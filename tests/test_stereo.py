@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraclap import fracops, stereo
+from fraclap import commutators, fracops, stereo
 from fraclap.geometry import CircleGrid, LineGrid, TailModel, field_from_function
 from fraclap.stereo import (angle_of, conformal_speed, project, pullback,
                             pushforward, transfer_identity_check, unproject)
@@ -63,6 +63,12 @@ def test_pushforward_requirements():
     for moved in (tailed + 1.0, tailed - 1.0, tailed + tailed, 2.0 * tailed):
         with pytest.raises(ValueError, match="needs a tail model"):
             pushforward(moved)
+    # a product tends to 2 at infinity, not to the limit 1 of its factor's tail
+    v = field_from_function(g, lambda x: 1.0 + 1.0 / (1.0 + x * x),
+                            tail=TailModel.even(2.0, 1.0, limit=1.0))
+    q = field_from_function(g, lambda x: np.full_like(x, 2.0))
+    with pytest.raises(ValueError, match="pushforward needs a tail model"):
+        pushforward(commutators.multiply(q, v))
     circ = field_from_function(CircleGrid(8), np.sin)
     with pytest.raises(TypeError):
         pushforward(circ)
