@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from scipy.special import gamma as _gamma
 
 from .geometry import (RESOLVED, CircleGrid, Field, LineGrid, rfft_frequencies,
-                       rfft_multiply, tail_ratios)
+                       rfft_multiply, tail_ratio)
 
 __all__ = [
     "singular_constant",
@@ -406,12 +406,12 @@ def line_interpolant(f, multiplier=None):
 def _band(spec, refine):
     """The nodes n_band = n / 2^j of a line build from the rfft spectrum spec
     on n nodes, refined refine times: the fewest whose bins 0..n_band/2 hold
-    every bin above RESOLVED of the largest (geometry.tail_ratios), with at
+    every bin above RESOLVED of the largest (geometry.tail_ratio), with at
     most _BAND_REFINE fine nodes per node of the band."""
-    ratio = tail_ratios(spec)
+    mag = np.abs(spec)
     n = n_band = 2 * (len(spec) - 1)
     while (n_band % 4 == 0 and 2 * refine * n <= _BAND_REFINE * n_band
-           and ratio[n_band // 4 + 1] <= RESOLVED):
+           and tail_ratio(mag, n_band // 4 + 1) <= RESOLVED):
         n_band //= 2
     return n_band
 

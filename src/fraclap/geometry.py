@@ -27,7 +27,7 @@ __all__ = [
     "rfft_frequencies",
     "rfft_multiply",
     "rfft_resize",
-    "tail_ratios",
+    "tail_ratio",
     "save_csv",
     "load_csv",
     "save_binary",
@@ -37,7 +37,7 @@ __all__ = [
 DEFAULT_LINE_POINTS = 2 ** 16
 DEFAULT_LINE_HALF_WIDTH = 1000.0
 DEFAULT_CIRCLE_POINTS = 4096
-RESOLVED = 1e-13  # tail ratio (tail_ratios) at or below which a spectrum counts as resolved
+RESOLVED = 1e-13  # tail ratio (tail_ratio) at or below which a spectrum counts as resolved
 
 
 @dataclass(frozen=True)
@@ -242,7 +242,14 @@ def even_part(f):
 
 
 def odd_part(f):
-    return Field(f.grid, 0.5 * (f.samples - _reflect(f)))
+    """The odd part (f(x) - f(-x)) / 2, with the antisymmetrised tail model:
+    the positive side's limit and coefficient half the difference of the
+    two sides', the negative side's their negatives."""
+    t = f.tail
+    if t is not None:
+        t = TailModel.odd(t.power, 0.5 * (t.coef_pos - t.coef_neg),
+                          0.5 * (t.limit_pos - t.limit_neg), m=t.m)
+    return Field(f.grid, 0.5 * (f.samples - _reflect(f)), t)
 
 
 def resample(f, target):
@@ -449,15 +456,13 @@ def _line_parity(f):
     return 0
 
 
-def tail_ratios(spec):
-    """For every rfft bin k, the largest |spec| from bin k on over the
-    largest overall, all columns together: one reversed running max, so
-    entry k is exactly max |spec[k:]| / max |spec|. All zero if spec is.
+def tail_ratio(mag, k):
+    """max mag[k:] / max mag for the magnitudes mag = |spec| of an rfft
+    spectrum (bins along axis 0, all columns together): the largest bin from
+    bin k on over the largest overall. 0 if mag is all zero. A caller that
+    reads several bins takes the magnitudes once.
     """
-    mag = np.abs(spec).reshape(len(spec), -1).max(axis=1)
-    np.maximum.accumulate(mag[::-1], out=mag[::-1])
-    mag /= max(mag[0], np.finfo(float).tiny)
-    return mag
+    return mag[k:].max() / max(mag.max(), np.finfo(float).tiny)
 
 
 def rfft_resize(spec, n_new):

@@ -20,7 +20,7 @@ from scipy.interpolate import CubicSpline
 
 from . import norms, stereo
 from .geometry import (RESOLVED, CircleGrid, Field, gauss_legendre, panel_rule,
-                       rfft_frequencies, rfft_multiply, rfft_resize, tail_ratios)
+                       rfft_frequencies, rfft_multiply, rfft_resize, tail_ratio)
 
 _ON_TARGET_TOL = 1e-6       # largest distance of an input from the target
 _STEP_GROW = 1.15           # flow step growth after an accepted step
@@ -332,7 +332,7 @@ def mobius_compose(u: Field, a: float) -> Field:
 
     The composition concentrates near theta = 0 as a -> 1, so its node count
     starts at twice the input's and doubles until its spectral tail ratio
-    from mode n/4 on (geometry.tail_ratios) is at most RESOLVED or the
+    from mode n/4 on (geometry.tail_ratio) is at most RESOLVED or the
     input's own; ValueError past _MOBIUS_N_MAX.
     """
     if not -1.0 < float(a) < 1.0:
@@ -340,16 +340,16 @@ def mobius_compose(u: Field, a: float) -> Field:
     if not u.is_circle():
         raise ValueError("mobius composition acts on circle fields")
 
-    def tail_ratio(f):
-        return tail_ratios(f.rfft())[f.grid.n_points // 4]
+    def quarter_ratio(f):
+        return tail_ratio(np.abs(f.rfft()), f.grid.n_points // 4)
 
     ev = _circle_evaluator(u)
-    floor = max(RESOLVED, tail_ratio(u))
+    floor = max(RESOLVED, quarter_ratio(u))
     n = 2 * u.grid.n_points
     while n <= _MOBIUS_N_MAX:
         grid = CircleGrid(n_modes=n // 2)
         comp = Field(grid, ev(_mobius_angles(grid.nodes(), a)))
-        if tail_ratio(comp) <= floor:
+        if quarter_ratio(comp) <= floor:
             return comp
         n *= 2
     raise ValueError("composition with a = %r unresolved at %d nodes" % (float(a), _MOBIUS_N_MAX))

@@ -15,7 +15,11 @@ M+ and M- average a bounded function against the kernels
 
 by M[w](t) = int k(x) w(tx) dx. Quadrature substitutes x = tan(psi) and then
 psi = pi/2 - s^2, which flattens the integrable sqrt singularity at the far
-end into a smooth integrand on a compact interval.
+end into a smooth integrand on a compact interval. M+ reads only the even
+part of w and M- only its odd part, each from one interpolant queried once
+per node. The injectivity collocation matrix of M+ on a geometric ladder of
+log-Gaussian bumps is exactly Toeplitz by construction, and is built from
+its diagonals.
 """
 
 from dataclasses import dataclass
@@ -23,8 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import (CircleGrid, Field, LineGrid, TailModel, gauss_legendre,
-                       panel_rule)
+from .geometry import (CircleGrid, Field, LineGrid, TailModel, even_part,
+                       gauss_legendre, odd_part, panel_rule)
 from . import fracops
 
 _FLOOR = 1e-14
@@ -218,16 +222,21 @@ def _m_quadrature(n_quad):
 
 
 def _m_apply(w, t, weights, x_quad, sign):
-    interp = fracops.line_interpolant(w)
+    # k+ is even and k- odd, so M+ sees only w's even part and M- only its odd
+    # part: w(y) + w(-y) = 2 w_even(|y|) and w(y) - w(-y) = 2 sign(y) w_odd(|y|).
+    # One interpolant of that part, queried at |t| x_q, keeps M+ exactly even
+    # and M- exactly odd in t.
+    interp = fracops.line_interpolant(even_part(w) if sign > 0 else odd_part(w))
+    weights = 2.0 * weights
+    at = np.abs(t)
     out = np.empty((len(t), w.m))
     block = 512
     for lo in range(0, len(t), block):
-        tt = t[lo : lo + block]
-        args = tt[:, None] * x_quad[None, :]
-        vp = interp(args.ravel()).reshape(len(tt), len(x_quad), w.m)
-        vm = interp(-args.ravel()).reshape(len(tt), len(x_quad), w.m)
-        combo = vp + vm if sign > 0 else vp - vm
-        out[lo : lo + block] = np.einsum("q,tqm->tm", weights, combo)
+        tt = at[lo : lo + block]
+        vals = interp((tt[:, None] * x_quad[None, :]).ravel()).reshape(len(tt), len(x_quad), w.m)
+        out[lo : lo + block] = np.einsum("q,tqm->tm", weights, vals)
+    if sign < 0:
+        out *= np.sign(t)[:, None]
     return out
 
 
@@ -322,28 +331,33 @@ def m_plus_mellin_symbol(nu, n_quad=4000, lam_max=60.0):
     return np.array([complex(np.sum(wl * g * np.exp(-1j * n_ * lam))) for n_ in nu])
 
 
+def _even_matrix(n_bumps, n_quad, c_min, c_max):
+    # bump j is exp(-(ln|t| - ln c_j)^2 / (2 width^2)) on the ladder
+    # ln c_j = ln c_min + j step, so entry (i, j) reads the bump at
+    # ln(c_i x_q) - ln c_j = (i - j) step + ln x_q: it depends on i - j alone,
+    # and the 2 n_bumps - 1 diagonals hold the whole matrix
+    x_quad, wp, _ = _m_quadrature(n_quad)
+    step = (np.log(c_max) - np.log(c_min)) / max(n_bumps - 1, 1)
+    arg = np.arange(1 - n_bumps, n_bumps)[:, None] * step + np.log(x_quad)[None, :]
+    diag = np.exp(-(arg ** 2) / (2 * _BUMP_WIDTH ** 2)) @ (2.0 * wp)
+    i = np.arange(n_bumps)
+    return diag[i[:, None] - i[None, :] + n_bumps - 1]
+
+
 def m_plus_even_matrix(n_bumps=64, n_quad=_M_QUAD, c_min=5e-5, c_max=2e4):
     """Collocation matrix of M+ on a family of even log-Gaussian bumps.
 
     M+ commutes with dilations, so the natural even basis lives on a
     geometric ladder: bump j is exp(-(ln|t| - ln c_j)^2 / (2 width^2)) and
-    row i evaluates M+ at t = c_i. In log coordinates the matrix is nearly
-    Toeplitz with symbol values of m_plus_mellin_symbol, which decay fast but
-    never vanish; the default ladder spacing keeps the finest resolved
-    frequency where the symbol is still well above roundoff. Injectivity on
-    the discretized even subspace shows up as sigma_min > 0, with the
-    condition number reported.
+    row i evaluates M+ at t = c_i. In log coordinates the matrix is exactly
+    Toeplitz by construction, and is formed from its 2 n_bumps - 1
+    diagonals; its symbol values are those of m_plus_mellin_symbol, which
+    decay fast but never vanish, and the default ladder spacing keeps the
+    finest resolved frequency where the symbol is still well above
+    roundoff. Injectivity on the discretized even subspace shows up as
+    sigma_min > 0, with the condition number reported.
     """
-    centers = np.exp(np.linspace(np.log(c_min), np.log(c_max), n_bumps))
-    x_quad, wp, _ = _m_quadrature(n_quad)
-
-    def bump_values(args):
-        # args shape (nt, nq); result (nt, nq, n_bumps)
-        la = np.log(np.abs(args))
-        return np.exp(-((la[:, :, None] - np.log(centers)[None, None, :]) ** 2) / (2 * _BUMP_WIDTH ** 2))
-
-    args = centers[:, None] * x_quad[None, :]
-    A = np.einsum("q,iqj->ij", 2.0 * wp, bump_values(args))
+    A = _even_matrix(n_bumps, n_quad, c_min, c_max)
     svals = np.linalg.svd(A, compute_uv=False)
     return {
         "n_bumps": int(n_bumps),

@@ -12,7 +12,7 @@ from fraclap.geometry import (CircleGrid, Field, LineGrid, TailModel,
                               even_part, field_from_function, gauss_legendre,
                               line_integral, load_binary, load_csv, odd_part,
                               panel_rule, resample, rfft_frequencies, rfft_multiply,
-                              save_binary, save_csv, tail_ratios)
+                              save_binary, save_csv, tail_ratio)
 
 
 def test_line_grid_nodes_symmetric():
@@ -161,7 +161,10 @@ def test_even_part_symmetrises_the_tail_model():
     t = even_part(f).tail
     for arr in (t.limit_pos, t.limit_neg, t.coef_pos, t.coef_neg):
         assert np.array_equal(arr, [0.0])
-    assert odd_part(f).tail is None
+    # and its odd part is f itself, tail model included
+    t = odd_part(f).tail
+    assert (t.power, list(t.limit_pos), list(t.limit_neg)) == (2.0, [1.0], [-1.0])
+    assert (list(t.coef_pos), list(t.coef_neg)) == ([-0.5], [0.5])
 
 
 def test_with_samples_attaches_only_the_tail_it_is_given():
@@ -176,11 +179,10 @@ def test_tail_ratios_is_the_largest_tail_over_the_largest():
     rng = np.random.default_rng(4)
     spec = rng.normal(size=(65, 2)) + 1j * rng.normal(size=(65, 2))
     spec[40:] *= 1e-9
-    ratio = tail_ratios(spec)
     mag = np.abs(spec)
-    assert ratio.shape == (65,)
-    assert all(ratio[k] == np.max(mag[k:]) / np.max(mag) for k in range(65))
-    assert np.array_equal(tail_ratios(np.zeros(9, dtype=complex)), np.zeros(9))
+    assert all(tail_ratio(mag, k) == np.max(mag[k:]) / np.max(mag) for k in range(65))
+    assert tail_ratio(mag, 40) < 1e-8 < tail_ratio(mag, 39)
+    assert tail_ratio(np.zeros((9, 1)), 4) == 0.0
 
 
 def test_line_integral_lorentzian():

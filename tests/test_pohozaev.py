@@ -5,13 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fraclap import acceptance
+from fraclap import acceptance, fracops
 from fraclap.acceptance import check_moment_operators
 from fraclap.geometry import (CircleGrid, LineGrid, TailModel,
                               field_from_function)
 from fraclap.halfharmonic import (el_residual, horizontality_residual,
                                   sphere_distribution)
-from fraclap.pohozaev import (_cosine_transform, m_adjoint_check, m_kernel_minus,
+from fraclap.pohozaev import (_M_QUAD, _BUMP_WIDTH, _cosine_transform, _even_matrix,
+                              _m_quadrature, m_adjoint_check, m_kernel_minus,
                               m_kernel_plus, m_minus, m_plus, m_plus_even_matrix,
                               m_plus_mellin_symbol, plane_field_from_function,
                               residual_circle, residual_circle_t,
@@ -166,6 +167,28 @@ def test_m_operators_impose_parity_exactly():
     assert np.array_equal(minus.samples, -minus.samples[ref])
 
 
+def test_m_operators_match_the_two_query_formula():
+    # two components, neither even nor odd, whose tail limits and coefficients
+    # differ on the two sides; the largest |t| x_q lie far outside the grid
+    g = LineGrid(40.0, 1024)
+    tail = TailModel(2.0, [1.3, 0.2], [-0.7, -0.2], [-0.5, 0.9], [0.5, 1.1])
+    w = field_from_function(g, lambda x: np.stack([
+        0.3 + x / np.sqrt(1 + x * x) + np.exp(-((x - 0.7) ** 2)),
+        1.0 / (1.0 + (x - 1.0) ** 2) + 0.2 * x / np.sqrt(1 + x * x)]), tail=tail)
+    t_grid = LineGrid(8.0, 64)
+    t = t_grid.nodes()
+    x_quad, wp, wm = _m_quadrature(_M_QUAD)
+    args = (t[:, None] * x_quad[None, :]).ravel()
+    assert np.max(np.abs(args)) > g.half_width
+    interp = fracops.line_interpolant(w)
+    vp = interp(args).reshape(len(t), len(x_quad), 2)
+    vm = interp(-args).reshape(len(t), len(x_quad), 2)
+    for op, weights, combo in ((m_plus, wp, vp + vm), (m_minus, wm, vp - vm)):
+        ref = np.einsum("q,tqm->tm", weights, combo)
+        out = op(w, t_grid).samples
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_m_operator_guards():
     g = LineGrid(40.0, 1024)
     bare = field_from_function(g, lambda x: np.exp(-x * x))
@@ -226,7 +249,7 @@ def test_moment_operators_check_stays_small_in_memory():
     finally:
         tracemalloc.stop()
     assert r.passed
-    assert peak < 40e6
+    assert peak < 24e6
 
 
 def test_mellin_symbol_values():
@@ -243,3 +266,18 @@ def test_even_matrix_injectivity_small():
     assert out["sigma_max"] > out["sigma_min"]
     assert np.isfinite(out["cond"])
     assert out["n_bumps"] == 24
+
+
+def test_even_matrix_matches_the_dense_form():
+    # the Toeplitz matrix from its diagonals against every (row, node, bump)
+    # term: bump j at M+'s node c_i x_q
+    n_bumps, n_quad, c_min, c_max = 24, 200, 1e-3, 1e3
+    centers = np.exp(np.linspace(np.log(c_min), np.log(c_max), n_bumps))
+    x_quad, wp, _ = _m_quadrature(n_quad)
+    la = np.log(centers[:, None] * x_quad[None, :])
+    bumps = np.exp(-((la[:, :, None] - np.log(centers)[None, None, :]) ** 2)
+                   / (2 * _BUMP_WIDTH ** 2))
+    dense = np.einsum("q,iqj->ij", 2.0 * wp, bumps)
+    A = _even_matrix(n_bumps, n_quad, c_min, c_max)
+    assert A.shape == (n_bumps, n_bumps)
+    assert np.all(np.abs(A - dense) <= 1e-12 * np.abs(dense))
