@@ -6,7 +6,6 @@ cell-centered so that x = 0 (and +-1) never lands on a node; profiles like
 """
 
 import struct
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,7 +19,6 @@ __all__ = [
     "field_from_function",
     "even_part",
     "odd_part",
-    "resample",
     "line_integral",
     "gauss_legendre",
     "panel_rule",
@@ -132,16 +130,12 @@ class TailModel:
 
     def eval(self, x):
         """Model values at points x (any sign), shape (len(x), m)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty((len(x), self.m))
+        x = np.atleast_1d(np.asarray(x, dtype=float))[:, None]
         pos = x >= 0
-        ax = np.abs(x)
         with np.errstate(divide="ignore"):
-            decay = ax ** (-self.power)
-        decay[ax == 0] = np.inf
-        out[pos] = self.limit_pos[None, :] + decay[pos, None] * self.coef_pos[None, :]
-        out[~pos] = self.limit_neg[None, :] + decay[~pos, None] * self.coef_neg[None, :]
-        return out
+            decay = np.abs(x) ** (-self.power)  # inf at x = 0
+        return (np.where(pos, self.limit_pos, self.limit_neg)
+                + decay * np.where(pos, self.coef_pos, self.coef_neg))
 
     def mean_limit(self):
         return 0.5 * (self.limit_pos + self.limit_neg)
@@ -250,42 +244,6 @@ def odd_part(f):
         t = TailModel.odd(t.power, 0.5 * (t.coef_pos - t.coef_neg),
                           0.5 * (t.limit_pos - t.limit_neg), m=t.m)
     return Field(f.grid, 0.5 * (f.samples - _reflect(f)), t)
-
-
-def resample(f, target):
-    """Move a field to another grid of the same geometry.
-
-    Circle: trigonometric (the spectrum resized by rfft_resize). Line:
-    cubic-spline interpolation of the samples; points outside the source
-    domain come from the tail model. Downsampling emits an aliasing warning.
-    """
-    if isinstance(f.grid, CircleGrid) and isinstance(target, CircleGrid):
-        n_src, n_tgt = f.grid.n_points, target.n_points
-        if n_tgt < n_src:
-            warnings.warn("downsampling a circle field; modes beyond the "
-                          "target Nyquist are discarded", RuntimeWarning)
-        return Field(target, np.fft.irfft(rfft_resize(f.rfft(), n_tgt), n_tgt, axis=0))
-    if isinstance(f.grid, LineGrid) and isinstance(target, LineGrid):
-        from scipy.interpolate import CubicSpline
-
-        if target.h > f.grid.h:
-            warnings.warn("downsampling a line field; features below the "
-                          "target spacing are at aliasing risk", RuntimeWarning)
-        x_src = f.grid.nodes()
-        x_tgt = target.nodes()
-        # spline extrapolation over the outermost half-cell is benign; only
-        # points beyond the source domain need the tail model
-        inside = np.abs(x_tgt) <= f.grid.half_width
-        samples = np.empty((target.n_points, f.m))
-        spline = CubicSpline(x_src, f.samples, axis=0)
-        samples[inside] = spline(x_tgt[inside])
-        if not np.all(inside):
-            if f.tail is None:
-                raise ValueError("target grid extends beyond the source "
-                                 "domain and the field has no tail model")
-            samples[~inside] = f.tail.eval(x_tgt[~inside])
-        return Field(target, samples, f.tail)
-    raise TypeError("resample requires two grids of the same geometry")
 
 
 def line_integral(f, tail_corrected=True):

@@ -168,14 +168,6 @@ def el_residual(u: Field, dist: PlaneDistribution) -> Field:
     return u.with_samples(_tangential_half_laplacian(u, dist))
 
 
-def horizontality_residual(u: Field, dist: PlaneDistribution) -> Field:
-    """Normal part of the spectral derivative, P_N(u) u'."""
-    _check_on_target(u, dist)
-    du = rfft_multiply(u, 1j * rfft_frequencies(u.grid))
-    normal = du - dist.tangent(u.samples, du)
-    return u.with_samples(normal)
-
-
 def _max_node_norm(samples):
     return float(np.sqrt(np.max(_dot(samples, samples))))
 

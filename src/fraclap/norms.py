@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import CircleGrid, LineGrid, rfft_frequencies, rfft_multiply
+from .geometry import CircleGrid, rfft_frequencies
 
 __all__ = [
     "Region",
@@ -24,7 +24,6 @@ __all__ = [
     "lorentz_2inf_samples",
     "sobolev_half_seminorm",
     "sobolev_half_inner",
-    "gagliardo_seminorm_sq",
 ]
 
 
@@ -139,32 +138,3 @@ def sobolev_half_inner(f, g):
         raise ValueError("fields live on different grids")
     a, b = f.rfft(), g.rfft()
     return float(np.sum(_rfft_weights(f.grid) @ (a.real * b.real + a.imag * b.imag)))
-
-
-def gagliardo_seminorm_sq(f, subsample=1):
-    """Double-integral form sum (f(x)-f(y))^2 / (x-y)^2 dx dy.
-
-    Equals 2 pi times the squared spectral seminorm in the continuum; used as
-    a validation cross-check, so an O(n^2) loop over a subsampled node set is
-    acceptable. Line fields only.
-    """
-    if not isinstance(f.grid, LineGrid):
-        raise TypeError("the double-integral form is implemented on the line")
-    x = f.grid.nodes()[::subsample]
-    u = f.samples[::subsample]
-    h = f.grid.h * subsample
-    dx = x[:, None] - x[None, :]
-    np.fill_diagonal(dx, np.inf)
-    diff = u[:, None, :] - u[None, :, :]
-    total = float(np.sum(np.sum(diff ** 2, axis=2) / dx ** 2) * h * h)
-    # the excluded diagonal cells contribute f'(x)^2 h^2 each, since the
-    # squared difference cancels the kernel there
-    du = rfft_multiply(f, 1j * rfft_frequencies(f.grid))[::subsample]
-    total += h * (h * float(np.sum(du ** 2)))
-    # pairs with one point beyond the box: the kernel mass int_{|y|>L} dy/(x-y)^2
-    # is analytic, and for a field that is negligible at the boundary the
-    # difference there is just f(x)^2 (both orderings, hence the factor 2)
-    L = f.grid.half_width
-    fsq = np.sum(u ** 2, axis=1)
-    total += 2.0 * h * float(np.sum(fsq * (1.0 / (L - x) + 1.0 / (L + x))))
-    return total

@@ -26,16 +26,6 @@ from .geometry import (
 from . import fracops
 
 
-def project(p):
-    """Map points on the unit circle (given as (..., 2) arrays) to the line."""
-    p = np.asarray(p, dtype=float)
-    x, y = p[..., 0], p[..., 1]
-    denom = 1.0 + y
-    if np.any(np.abs(denom) < 1e-14):
-        raise ValueError("projection undefined at the south pole")
-    return x / denom
-
-
 def unproject(x):
     """Inverse stereographic map; |x| -> inf approaches the south pole."""
     x = np.asarray(x, dtype=float)

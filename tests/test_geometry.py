@@ -1,5 +1,6 @@
 """Grids, fields, tails, integration, serialization."""
 
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from fraclap.geometry import (CircleGrid, Field, LineGrid, TailModel,
                               even_part, field_from_function, gauss_legendre,
                               line_integral, load_binary, load_csv, odd_part,
-                              panel_rule, resample, rfft_frequencies, rfft_multiply,
+                              panel_rule, rfft_frequencies, rfft_multiply,
                               save_binary, save_csv, tail_ratio)
 
 
@@ -72,6 +73,37 @@ def test_tail_model_multicomponent():
     assert np.allclose(v[0], [1.0, 0.75])
     assert np.allclose(v[1], [-1.0, 0.75])
     assert np.allclose(t.mean_limit(), [0.0, 0.0])
+
+
+def _masked_tail_eval(t, x):
+    # the per-side formula written out with boolean masks and scatters
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty((len(x), t.m))
+    pos = x >= 0
+    ax = np.abs(x)
+    with np.errstate(divide="ignore"):
+        decay = ax ** (-t.power)
+    decay[ax == 0] = np.inf
+    out[pos] = t.limit_pos[None, :] + decay[pos, None] * t.coef_pos[None, :]
+    out[~pos] = t.limit_neg[None, :] + decay[~pos, None] * t.coef_neg[None, :]
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("power", [0.25, 0.5, 1.0, 1.5, 2.0, 3.7, 4.0, 6.0])
+def test_tail_model_eval_is_the_per_side_formula_bit_for_bit(m, power):
+    rng = np.random.default_rng(m)
+    limits_and_coefs = rng.uniform(-3.0, 3.0, (4, m))
+    limits_and_coefs[2:, m - 1] = 0.0  # a zero coefficient makes NaN at x = 0
+    t = TailModel(power, *limits_and_coefs)
+    magnitudes = np.concatenate([[0.0, 1e-300, 1e-3, 1.0, 1e300],
+                                 rng.uniform(0.0, 2000.0, 200)])
+    x = np.concatenate([magnitudes, -magnitudes])  # -0.0 included
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0, 1e-300 ** -2
+        got, want = t.eval(x), _masked_tail_eval(t, x)
+    assert got.shape == (len(x), m) and np.isnan(got).any()
+    assert np.array_equal(got, want, equal_nan=True)
+    assert t.eval(2.0).shape == (1, m)
 
 
 def test_field_validation():
@@ -209,42 +241,6 @@ def test_line_integral_tail_rules():
         line_integral(c)
 
 
-def test_resample_circle_trig_exact():
-    src = CircleGrid(16)
-    f = field_from_function(src, lambda th: np.cos(3 * th) - 2 * np.sin(th))
-    up = resample(f, CircleGrid(64))
-    want = np.cos(3 * up.grid.nodes()) - 2 * np.sin(up.grid.nodes())
-    assert np.max(np.abs(up.samples[:, 0] - want)) < 1e-12
-
-
-def test_resample_circle_downsample_warns():
-    f = field_from_function(CircleGrid(64), np.cos)
-    with pytest.warns(RuntimeWarning):
-        down = resample(f, CircleGrid(8))
-    assert np.allclose(down.samples[:, 0], np.cos(down.grid.nodes()))
-
-
-def test_resample_circle_keeps_the_nyquist_mode():
-    # (-1)^j refines to the cosine through its samples and coarsens back whole
-    src = CircleGrid(32)
-    alt = (-1.0) ** np.arange(src.n_points)
-    up = resample(Field(src, alt), CircleGrid(64))
-    assert np.max(np.abs(up.samples[:, 0] - np.cos(32 * up.grid.nodes()))) < 1e-13
-    with pytest.warns(RuntimeWarning):
-        back = resample(up, src)
-    assert np.max(np.abs(back.samples[:, 0] - alt)) < 1e-14
-
-
-def test_resample_line_spline_accuracy():
-    src = LineGrid(12.0, 2 ** 12)
-    f = field_from_function(src, lambda x: np.exp(-x * x),
-                            tail=TailModel.even(4.0, 0.0))
-    tgt = LineGrid(10.0, 4100)  # finer and incommensurate nodes
-    out = resample(f, tgt)
-    want = np.exp(-tgt.nodes() ** 2)
-    assert np.max(np.abs(out.samples[:, 0] - want)) < 1e-6
-
-
 @pytest.mark.parametrize("n", [8, 24, 400, 2000])
 def test_gauss_legendre_exact_on_monomials(n):
     x, w = gauss_legendre(n)
@@ -335,6 +331,13 @@ def test_gauss_legendre_rejects_invalid_n(n):
         gauss_legendre(n)
 
 
+@pytest.mark.parametrize("module", ["geometry", "fracops", "norms", "counterexample",
+                                    "acceptance"])
+def test_every_public_name_resolves(module):
+    mod = importlib.import_module("fraclap." + module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
 def test_geometry_imports_without_scipy():
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; sys.path.insert(0, %r); import fraclap.geometry; "
@@ -343,26 +346,6 @@ def test_geometry_imports_without_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-
-
-def test_resample_line_tail_extension():
-    src = LineGrid(5.0, 512)
-    f = field_from_function(src, lambda x: 1.0 / (1.0 + x * x),
-                            tail=TailModel.even(2.0, 1.0))
-    tgt = LineGrid(20.0, 2048)
-    out = resample(f, tgt)
-    x = tgt.nodes()
-    far = np.abs(x) > 6.0
-    assert np.allclose(out.samples[far, 0], 1.0 / x[far] ** 2)
-    bare = field_from_function(src, lambda x: 1.0 / (1.0 + x * x))
-    with pytest.raises(ValueError):
-        resample(bare, tgt)
-
-
-def test_resample_mixed_geometry_rejected():
-    f = field_from_function(CircleGrid(8), np.sin)
-    with pytest.raises(TypeError):
-        resample(f, LineGrid(1.0, 16))
 
 
 @pytest.mark.parametrize("fmt,save,load", [("csv", save_csv, load_csv),

@@ -4,8 +4,8 @@ and no complex transform of real data."""
 import numpy as np
 import pytest
 
-from fraclap import commutators, fracops, halfharmonic, norms, pohozaev, stereo
-from fraclap.geometry import (CircleGrid, Field, LineGrid, TailModel, resample,
+from fraclap import commutators, fracops, norms, pohozaev, stereo
+from fraclap.geometry import (CircleGrid, Field, LineGrid, TailModel,
                               rfft_frequencies, rfft_multiply, rfft_resize)
 
 GRIDS = [CircleGrid(16), LineGrid(3.0, 32)]
@@ -91,12 +91,8 @@ def test_no_complex_transform_of_real_data(monkeypatch):
         norms.sobolev_half_seminorm(f)
     fracops.line_convolve(bump, lorentz)
     fracops.line_interpolant(lorentz)(np.array([0.5, 150.0]))
-    with pytest.warns(RuntimeWarning):
-        resample(resample(wave, CircleGrid(64)), circle)
-    norms.gagliardo_seminorm_sq(bump, subsample=16)
     pohozaev.residual_line(ident, (1.0,), n_quad=200)
     pohozaev.residual_circle(v)
     pohozaev.residual_circle_t(v, (0.5,))
     stereo.pullback(v, LineGrid(50.0, 1024))
     commutators.op_T(wave, wave)
-    halfharmonic.horizontality_residual(v, halfharmonic.sphere_distribution(2))
