@@ -73,55 +73,57 @@ def frac_laplacian_line_spectral(f, s):
     return Field(f.grid, rfft_multiply(f, rfft_frequencies(f.grid) ** (2.0 * s)))
 
 
-def frac_laplacian_line_quadrature(f, s, convention="paper"):
-    """Principal-value evaluation of the singular-integral fractional Laplacian.
-
-    For every node t: sum over symmetric offsets r = jh of
-    (2 f(t) - f(t+r) - f(t-r)) r^(-1-2s) h, computed with one zero-padded
-    rfft/irfft pair, plus a local Taylor term for r < h/2 and an analytic correction for the
-    part of the line beyond the grid (tail model required for slow decay).
-    Valid for s in (0, 1/2].
-    """
+def _check_quadrature_input(f, s):
+    """The inputs the quadrature route and its tail tables accept."""
     if not isinstance(f.grid, LineGrid):
         raise TypeError("expected a line field")
     if not 0 < s <= 0.5:
         raise ValueError("quadrature route covers s in (0, 1/2]")
+
+
+def frac_laplacian_line_quadrature(f, s, convention="paper"):
+    """Principal-value evaluation of the singular-integral fractional Laplacian.
+
+    For every node t: sum over symmetric offsets r = jh of
+    (2 f(t) - f(t+r) - f(t-r)) r^(-1-2s) h, plus a local Taylor term for
+    r < h/2 and an analytic correction for the part of the line beyond the
+    grid (tail model required for slow decay). The pair sums
+    sum_j w_j (f(t+jh) + f(t-jh)) are a symmetric Toeplitz product, computed
+    as half a circulant plus half a skew-circulant product of length n: one
+    n-point irfft of the field's cached rfft, and one DCT-III/II and one
+    DST-III/II pair of n/2 points. No transform is longer than n.
+    Valid for s in (0, 1/2].
+    """
+    _check_quadrature_input(f, s)
     if convention not in ("paper", "normalized"):
         raise ValueError("convention must be 'paper' or 'normalized'")
     _check_line_boundary(f, "frac_laplacian_line_quadrature",
                          "the far field is treated as zero")
-    n, h, L = f.grid.n_points, f.grid.h, f.grid.half_width
+    h = f.grid.h
     u = f.samples
-    spec, w_node = _pair_weights(f.grid, s)
-
-    # pair sums sum_j w_j (u[i+j] + u[i-j]) as one zero-padded transform
-    # pair: convolution with w (the u[i-j] half) plus cross-correlation with
-    # w (the u[i+j] half) multiplies the spectrum of u by fw + conj(fw).
-    # Out-of-range samples contribute zero here and are replaced by the tail
-    # correction below. The 2n-point transforms are dropped as soon as they
-    # are used, before the O(n) terms below allocate theirs.
-    fu = np.fft.rfft(u, 2 * n, axis=0)
-    fu *= spec[:, None]
-    pair_sums = np.fft.irfft(fu, 2 * n, axis=0)[:n]
-    del fu
-    out = w_node[:, None] * u - pair_sums
-    del pair_sums
+    circ_mult, skew_mult, diag = _pair_weights(f.grid, s)
+    # out = diag u - pairs, in the pair sums' array; the array of diag u
+    # then holds the local part
+    out = _pair_sums(f, circ_mult, skew_mult)
+    local = diag[:, None] * u
+    np.subtract(local, out, out=out)
 
     # local part: int_0^(h/2) (2f(t) - f(t+r) - f(t-r)) r^(-1-2s) dr
     # with the integrand ~ -f''(t) r^(1-2s)
-    fpp = np.empty_like(u)
-    fpp[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) / h ** 2
-    fpp[0] = fpp[1]
-    fpp[-1] = fpp[-2]
-    out -= fpp * (0.5 * h) ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
+    fpp = local[1:-1]
+    np.multiply(-2.0, u[1:-1], out=fpp)
+    fpp += u[2:]
+    fpp += u[:-2]
+    fpp /= h ** 2
+    local[0] = local[1]
+    local[-1] = local[-2]
+    local *= (0.5 * h) ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
+    out -= local
 
     # beyond-grid part: int over |y| > L of (f(t) - f(y)) |t-y|^(-1-2s) dy.
-    # The f(t) piece is analytic; the f(y) piece uses the tail model on a
-    # coarse set of nodes (it is a smooth function of t) and is interpolated.
-    x = f.grid.nodes()
-    dist_r = L - x
-    dist_l = L + x
-    out += u * (dist_r ** (-2.0 * s) + dist_l ** (-2.0 * s))[:, None] / (2.0 * s)
+    # The f(t) piece is analytic and sits in diag; the f(y) piece uses the
+    # tail model on a coarse set of nodes (it is a smooth function of t) and
+    # is interpolated.
     if f.tail is not None:
         out -= _tail_far_contribution(f, s)
 
@@ -130,34 +132,100 @@ def frac_laplacian_line_quadrature(f, s, convention="paper"):
     return Field(f.grid, out)
 
 
+def _pair_sums(f, circ_mult, skew_mult):
+    """sum_j w_j (u[i+j] + u[i-j]) at every node i, out-of-range samples zero.
+
+    The symmetric Toeplitz matrix of the weights is half the sum of the
+    circulant and the skew-circulant matrices of the same first row. The
+    circulant half multiplies f's n-point rfft by circ_mult. The
+    skew-circulant matrix of a real symmetric kernel is diagonalised by
+    cosine and sine transforms of n/2 points (Martucci 1994): u, folded about
+    node 0 into a_j = (u_j - u_(n-j)) / 2 for j < n/2 and
+    b_j = (u_j + u_(n-j)) / 2 for 0 < j <= n/2, goes through a DCT-III/II
+    pair and a DST-III/II pair scaled by skew_mult, whose results interleave
+    back onto the n nodes.
+    """
+    import scipy.fft
+
+    n, half = f.grid.n_points, f.grid.n_points // 2
+    u = f.samples
+    spec = f.rfft() * circ_mult[:, None]
+    pairs = np.fft.irfft(spec, n, axis=0)
+    del spec
+    # 2a and 2b: the fold's 1/2, and the skew half's 1/2 and 1/n, are in
+    # skew_mult
+    a, b = np.empty((half, f.m)), np.empty((half, f.m))
+    np.multiply(2.0, u[0], out=a[0])
+    np.subtract(u[1:half], u[:half:-1], out=a[1:])
+    np.add(u[1:half], u[:half:-1], out=b[:-1])
+    np.multiply(2.0, u[half], out=b[-1])
+    a = scipy.fft.dct(a, type=3, axis=0, overwrite_x=True)
+    a *= skew_mult[:, None]
+    a = scipy.fft.dct(a, type=2, axis=0, overwrite_x=True)
+    b = scipy.fft.dst(b, type=3, axis=0, overwrite_x=True)
+    b *= skew_mult[:, None]
+    b = scipy.fft.dst(b, type=2, axis=0, overwrite_x=True)
+    # the transformed halves interleave: node i gets a[0] at i = 0,
+    # a[i] + b[i-1] for 0 < i < n/2, b[-1] at i = n/2 and b[n-i-1] - a[n-i]
+    # beyond
+    pairs[0] += a[0]
+    pairs[1:half] += a[1:]
+    pairs[1:half] += b[:-1]
+    pairs[half] += b[-1]
+    pairs[half + 1:] += b[-2::-1]
+    pairs[half + 1:] -= a[:0:-1]
+    return pairs
+
+
 # The grid-only tables of the quadrature route are computed once per key and
-# shared, read-only. A pair-weight entry holds two float64 arrays of n values,
-# about 16 MB at 2^20 points; two entries cover both orders s = 1/2 and
-# s = 1/4 on one grid. A tail table holds 65 nodes and is a few kB.
+# shared, read-only. A pair-weight entry holds 2n float64 values, about 16 MB
+# at 2^20 points; two entries cover both orders s = 1/2 and s = 1/4 on one
+# grid. A tail table holds 65 nodes and is a few kB.
 _PAIR_WEIGHT_ENTRIES = 2
 _TAIL_TABLE_ENTRIES = 32
 
 
 @lru_cache(maxsize=_PAIR_WEIGHT_ENTRIES)
 def _pair_weights(grid, s):
-    """Spectrum and row sums of the weights w_j = (j h)^(-1-2s) h, j = 1..n-1.
+    """The pair-sum multipliers and the diagonal of the quadrature route.
 
-    Returns 2 Re rfft([0, w], 2n), the pair-sum multiplier, and for every
-    node the total weight of its in-range offsets on both sides.
+    With w_k = (k h)^(-1-2s) h for 0 < k < n, w_0 = w_n = 0 and N = n/2:
+    circ_mult = rfft(p).real / 2 with p_k = w_k + w_(n-k) (N+1 values),
+    skew_mult = dct(q, type=3) / (4n) with q_k = w_k - w_(n-k) for k < N
+    (N values), and diag (n values), each node's total in-range weight plus
+    the analytic ((L-x)^(-2s) + (L+x)^(-2s)) / (2s) of the part of the line
+    beyond the grid.
     """
+    import scipy.fft
+
     n, h = grid.n_points, grid.h
+    half = n // 2
     # the kept arrays are allocated before the temporaries, so that freeing
     # the temporaries can give their memory back
-    spec, w_node = np.empty(n + 1), np.empty(n)
-    w = (np.arange(1, n) * h) ** (-1.0 - 2.0 * s) * h
-    np.multiply(2.0, np.fft.rfft(np.concatenate([[0.0], w]), 2 * n).real, out=spec)
-    # w_total[k] = sum of the first k weights; node i has n - 1 - i offsets
-    # to its right and i to its left
-    w_total = np.concatenate([[0.0], np.cumsum(w)])
-    np.add(w_total[::-1], w_total, out=w_node)
-    spec.flags.writeable = False
-    w_node.flags.writeable = False
-    return spec, w_node
+    circ_mult, skew_mult, diag = np.empty(half + 1), np.empty(half), np.empty(n)
+    w = np.zeros(n + 1)
+    np.multiply(np.arange(1, n), h, out=w[1:n])
+    w[1:n] **= -1.0 - 2.0 * s
+    w[1:n] *= h
+    p = np.fft.rfft(w[:n] + w[n:0:-1])
+    np.multiply(0.5, p.real, out=circ_mult)
+    q = scipy.fft.dct(w[:half] - w[n:half:-1], type=3, overwrite_x=True)
+    np.multiply(0.25 / n, q, out=skew_mult)
+    del p, q
+    # node i has n - 1 - i offsets to its right and i to its left, and its
+    # distances to the two ends are (n - 1 - i + 1/2) h and (i + 1/2) h: both
+    # terms of diag pair node i with its mirror n - 1 - i
+    np.cumsum(w, out=w)
+    ends = np.arange(0.5, n)
+    ends *= h
+    ends **= -2.0 * s
+    ends /= 2.0 * s
+    ends += w[:n]
+    del w
+    np.add(ends[::-1], ends, out=diag)
+    for a in (circ_mult, skew_mult, diag):
+        a.flags.writeable = False
+    return circ_mult, skew_mult, diag
 
 
 class _TailTable(NamedTuple):
@@ -214,8 +282,12 @@ def tail_quad_abserr(f, s):
 
     An absolute estimate: quad stops once it is below max(1e-13,
     1e-11 |integral|), so for the small integrals of a wide grid it sits near
-    the 1e-13 floor, far above the actual error.
+    the 1e-13 floor, far above the actual error. f must be a line field
+    with a tail model, and s in (0, 1/2], as for the quadrature route.
     """
+    _check_quadrature_input(f, s)
+    if f.tail is None:
+        raise ValueError("tail_quad_abserr needs a field with a tail model")
     return float(np.max(_tail_table(f.grid, s, f.tail.power).abserr))
 
 

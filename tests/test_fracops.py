@@ -108,10 +108,31 @@ def test_spectral_route_converges_at_second_order_in_the_half_width():
     assert error(250.0, 0.025) == pytest.approx(errs[1], rel=1e-5)
 
 
-def _uncached_quadrature(f, s, convention):
-    # the quadrature route as it was before its grid tables were cached,
-    # computing every weight, transform and quad integral on each call
+def _far_field_from_tail(f, s):
+    # the tail correction with every quad integral computed on each call
     from scipy.integrate import quad
+    L, h, tail = f.grid.half_width, f.grid.h, f.tail
+    t_nodes = (L - 0.5 * h) * np.sin(np.linspace(-0.5 * np.pi, 0.5 * np.pi, 65))
+
+    def one_side(tn, sign):
+        lim = tail.limit_pos if sign > 0 else tail.limit_neg
+        coef = tail.coef_pos if sign > 0 else tail.coef_neg
+        base = (L - sign * tn) ** (-2.0 * s) / (2.0 * s) * lim
+        p = tail.power
+        val, _ = quad(lambda y: y ** (-p) * (y - sign * tn) ** (-1.0 - 2.0 * s),
+                      L, np.inf, epsabs=1e-13, epsrel=1e-11)
+        return base + coef * val
+
+    vals = np.empty((len(t_nodes), f.m))
+    for i, tn in enumerate(t_nodes):
+        vals[i] = one_side(tn, +1) + one_side(tn, -1)
+    return CubicSpline(t_nodes, vals, axis=0)(f.grid.nodes())
+
+
+def _two_n_point_quadrature(f, s, convention):
+    # the quadrature route as it was before the pair sums were split into a
+    # circulant and a skew-circulant product: one 2n-point zero-padded
+    # rfft/irfft pair
     n, h, L = f.grid.n_points, f.grid.h, f.grid.half_width
     u = f.samples
     j = np.arange(1, n)
@@ -130,22 +151,42 @@ def _uncached_quadrature(f, s, convention):
     out -= fpp * (0.5 * h) ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
     out += u * ((L - x) ** (-2.0 * s) + (L + x) ** (-2.0 * s))[:, None] / (2.0 * s)
     if f.tail is not None:
-        tail = f.tail
-        t_nodes = (L - 0.5 * h) * np.sin(np.linspace(-0.5 * np.pi, 0.5 * np.pi, 65))
+        out -= _far_field_from_tail(f, s)
+    if convention == "normalized":
+        out = out * singular_constant(s)
+    return out
 
-        def one_side(tn, sign):
-            lim = tail.limit_pos if sign > 0 else tail.limit_neg
-            coef = tail.coef_pos if sign > 0 else tail.coef_neg
-            base = (L - sign * tn) ** (-2.0 * s) / (2.0 * s) * lim
-            p = tail.power
-            val, _ = quad(lambda y: y ** (-p) * (y - sign * tn) ** (-1.0 - 2.0 * s),
-                          L, np.inf, epsabs=1e-13, epsrel=1e-11)
-            return base + coef * val
 
-        vals = np.empty((len(t_nodes), f.m))
-        for i, tn in enumerate(t_nodes):
-            vals[i] = one_side(tn, +1) + one_side(tn, -1)
-        out -= CubicSpline(t_nodes, vals, axis=0)(x)
+def _uncached_quadrature(f, s, convention):
+    # the quadrature route with every weight, table and quad integral
+    # computed on each call, in the same operations as the cached tables
+    import scipy.fft
+    n, h = f.grid.n_points, f.grid.h
+    half = n // 2
+    u = f.samples
+    w = np.zeros(n + 1)
+    w[1:n] = (np.arange(1, n) * h) ** (-1.0 - 2.0 * s) * h
+    circ_mult = 0.5 * np.fft.rfft(w[:n] + w[n:0:-1]).real
+    skew_mult = 0.25 / n * scipy.fft.dct(w[:half] - w[n:half:-1], type=3)
+    ends = ((np.arange(n) + 0.5) * h) ** (-2.0 * s) / (2.0 * s) + np.cumsum(w)[:n]
+    diag = ends[::-1] + ends
+    circ = np.fft.irfft(np.fft.rfft(u, axis=0) * circ_mult[:, None], n, axis=0)
+    a = np.concatenate([2.0 * u[:1], u[1:half] - u[:half:-1]])
+    b = np.concatenate([u[1:half] + u[:half:-1], 2.0 * u[half:half + 1]])
+    a = scipy.fft.dct(scipy.fft.dct(a, type=3, axis=0) * skew_mult[:, None], type=2, axis=0)
+    b = scipy.fft.dst(scipy.fft.dst(b, type=3, axis=0) * skew_mult[:, None], type=2, axis=0)
+    pair_sums = np.concatenate([circ[:1] + a[:1],
+                                circ[1:half] + a[1:] + b[:-1],
+                                circ[half:half + 1] + b[-1:],
+                                circ[half + 1:] + b[-2::-1] - a[:0:-1]])
+    out = diag[:, None] * u - pair_sums
+    fpp = np.empty_like(u)
+    fpp[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) / h ** 2
+    fpp[0] = fpp[1]
+    fpp[-1] = fpp[-2]
+    out -= fpp * ((0.5 * h) ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s))
+    if f.tail is not None:
+        out -= _far_field_from_tail(f, s)
     if convention == "normalized":
         out = out * singular_constant(s)
     return out
@@ -189,11 +230,46 @@ def test_cached_quadrature_tables_are_bit_identical(s, convention):
     assert fracops._tail_table.cache_info().currsize == 3
 
 
+@pytest.mark.parametrize("s", [0.5, 0.25, 0.1])
+@pytest.mark.parametrize("n", [8, 10, 14, 30, 256, 1000])
+def test_pair_sums_are_the_dense_toeplitz_product(n, s):
+    # n/2 odd (10, 14, 30, 1000) and even; one smooth and one white-noise column
+    grid = LineGrid(7.0, n)
+    x = grid.nodes()
+    rng = np.random.default_rng(n)
+    f = Field(grid, np.stack([1.0 / (1.0 + x * x), rng.standard_normal(n)], axis=1))
+    circ_mult, skew_mult, _ = fracops._pair_weights(grid, s)
+    w = np.zeros(n)
+    w[1:] = (np.arange(1, n) * grid.h) ** (-1.0 - 2.0 * s) * grid.h
+    toeplitz = w[np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])]
+    want = toeplitz @ f.samples
+    scale = np.max(np.abs(toeplitz.sum(axis=1)[:, None] * f.samples))
+    got = fracops._pair_sums(f, circ_mult, skew_mult)
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("s", [0.5, 0.25])
+@pytest.mark.parametrize("n", [2 ** 12, 2 ** 16])
+def test_quadrature_matches_the_two_n_point_formula(n, s):
+    # Both routes round the pair sums at their own size, max|diag u|, which
+    # the output cancels down to max|out|: at 2^16 and s = 1/2 the pair sums
+    # are 430 times the output, and against a long-double reference both
+    # routes err by about 1.5 ulp of them. The routes differ by at most
+    # 7.1e-16 of max|diag u| on these fields.
+    grid = LineGrid(80.0, n)
+    diag = fracops._pair_weights(grid, s)[2]
+    for name, f in _route_fields(grid).items():
+        want = _two_n_point_quadrature(f, s, "paper")
+        got = frac_laplacian_line_quadrature(f, s).samples
+        scale = np.max(np.abs(diag[:, None] * f.samples))
+        assert np.max(np.abs(got - want)) <= 4e-15 * scale, name
+
+
 def test_cached_quadrature_tables_are_read_only():
     f = _lorentzian_field(LineGrid(40.0, 512))
     frac_laplacian_line_quadrature(f, 0.5)
-    spec, w_node = fracops._pair_weights(f.grid, 0.5)
-    for a in (spec, w_node, *fracops._tail_table(f.grid, 0.5, 2.0)):
+    circ_mult, skew_mult, diag = fracops._pair_weights(f.grid, 0.5)
+    for a in (circ_mult, skew_mult, diag, *fracops._tail_table(f.grid, 0.5, 2.0)):
         with pytest.raises(ValueError):
             a[0] = 1.0
 
@@ -236,6 +312,22 @@ def test_tail_quad_error_estimate():
     err = fracops.tail_quad_abserr(f, 0.5)
     assert 0.0 < err <= 1e-13
     assert err == np.max(fracops._tail_table(f.grid, 0.5, 2.0).abserr)
+
+
+def test_tail_quad_abserr_guards_its_inputs():
+    grid = LineGrid(20.0, 256)
+    f = _lorentzian_field(grid)
+    _clear_quadrature_tables()
+    with pytest.raises(ValueError, match="tail model"):
+        fracops.tail_quad_abserr(field_from_function(grid, lambda x: np.exp(-x * x)), 0.5)
+    for s in (0.75, 0.0, -1.0, np.nan):
+        with pytest.raises(ValueError):
+            fracops.tail_quad_abserr(f, s)
+    with pytest.raises(TypeError):
+        fracops.tail_quad_abserr(field_from_function(CircleGrid(8), np.sin), 0.25)
+    # no rejected order leaves a table behind
+    assert fracops._tail_table.cache_info().currsize == 0
+    assert 0.0 < fracops.tail_quad_abserr(f, 0.5) <= 1e-13
 
 
 def test_quadrature_input_guards():
