@@ -421,6 +421,18 @@ def test_rejected_inputs_exit_2_with_the_message(capsys, argv, message):
     assert message in json.loads(err)["message"]
 
 
+def test_cli_import_leaves_out_scipy_integrate():
+    # the quadrature route's tail table is a numpy panel rule, and no other
+    # module, nor a scipy package the CLI imports, loads scipy.integrate
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, %r); import fraclap.cli; "
+            "assert 'scipy.integrate' not in sys.modules, sorted(m for m in sys.modules "
+            "if m.startswith('scipy.integrate'))" % str(src))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_non_finite_report_exits_2_and_writes_nothing(tmp_path):
     # (t + 1)^4 overflows to inf at t = 1e300, so the closed form's relative
     # error is NaN; run as a user would, where the overflow warnings would print

@@ -109,24 +109,16 @@ def test_spectral_route_converges_at_second_order_in_the_half_width():
 
 
 def _far_field_from_tail(f, s):
-    # the tail correction with every quad integral computed on each call
-    from scipy.integrate import quad
+    # the tail correction with its panel rule run afresh on each call, in the
+    # same operations as the cached table
     L, h, tail = f.grid.half_width, f.grid.h, f.tail
     t_nodes = (L - 0.5 * h) * np.sin(np.linspace(-0.5 * np.pi, 0.5 * np.pi, 65))
-
-    def one_side(tn, sign):
-        lim = tail.limit_pos if sign > 0 else tail.limit_neg
-        coef = tail.coef_pos if sign > 0 else tail.coef_neg
-        base = (L - sign * tn) ** (-2.0 * s) / (2.0 * s) * lim
-        p = tail.power
-        val, _ = quad(lambda y: y ** (-p) * (y - sign * tn) ** (-1.0 - 2.0 * s),
-                      L, np.inf, epsabs=1e-13, epsrel=1e-11)
-        return base + coef * val
-
-    vals = np.empty((len(t_nodes), f.m))
-    for i, tn in enumerate(t_nodes):
-        vals[i] = one_side(tn, +1) + one_side(tn, -1)
-    return CubicSpline(t_nodes, vals, axis=0)(f.grid.nodes())
+    tau = np.stack([t_nodes, -t_nodes])
+    fac = ((L - tau) ** (-2.0 * s) / (2.0 * s))[:, :, None]
+    val = fracops.quad(L, tau, s, tail.power)[0][:, :, None]
+    vals = ((fac[0] * tail.limit_pos + tail.coef_pos * val[0])
+            + (fac[1] * tail.limit_neg + tail.coef_neg * val[1]))
+    return fracops._spline_at_sorted(CubicSpline(t_nodes, vals, axis=0), f.grid.nodes())
 
 
 def _two_n_point_quadrature(f, s, convention):
@@ -158,7 +150,7 @@ def _two_n_point_quadrature(f, s, convention):
 
 
 def _uncached_quadrature(f, s, convention):
-    # the quadrature route with every weight, table and quad integral
+    # the quadrature route with every weight, table and tail integral
     # computed on each call, in the same operations as the cached tables
     import scipy.fft
     n, h = f.grid.n_points, f.grid.h
@@ -293,24 +285,25 @@ def test_tail_quad_runs_once_per_grid_order_and_power(monkeypatch):
             frac_laplacian_line_quadrature(g, s)
         return len(calls) - before
 
-    assert used((f, 0.5)) == 130  # 65 nodes, one integral per end
+    assert used((f, 0.5)) == 1  # one vectorised rule for all 130 integrals
     assert used((f, 0.5), (f, 0.5)) == 0
     other_coef = Field(grid, (3.0 / (1.0 + x * x))[:, None], tail=TailModel.even(2.0, 3.0))
     assert used((other_coef, 0.5)) == 0
-    assert used((f, 0.25)) == 130
+    assert used((f, 0.25)) == 1
     odd = Field(grid, (2.0 * x / (1.0 + x * x) ** 2)[:, None], tail=TailModel.odd(3.0, 2.0))
-    assert used((odd, 0.5)) == 130
+    assert used((odd, 0.5)) == 1
     # same node count, different half-width: a different grid and table
     wider = _lorentzian_field(LineGrid(90.0, 1024))
-    assert used((wider, 0.5)) == 130
+    assert used((wider, 0.5)) == 1
     assert used((wider, 0.5), (f, 0.5)) == 0
 
 
 def test_tail_quad_error_estimate():
-    # on check 03's grid the estimate sits at quad's 1e-13 absolute floor
+    # on check 03's grid the gap between the 12-node and 24-node rules reads
+    # 2.7e-20, of integrals from 1.1e-10 to 6.6e-5
     f = _lorentzian_field(LineGrid(1000.0, 2 ** 16))
     err = fracops.tail_quad_abserr(f, 0.5)
-    assert 0.0 < err <= 1e-13
+    assert 0.0 < err <= 1e-18
     assert err == np.max(fracops._tail_table(f.grid, 0.5, 2.0).abserr)
 
 
@@ -328,6 +321,103 @@ def test_tail_quad_abserr_guards_its_inputs():
     # no rejected order leaves a table behind
     assert fracops._tail_table.cache_info().currsize == 0
     assert 0.0 < fracops.tail_quad_abserr(f, 0.5) <= 1e-13
+
+
+def _tail_closed_form(grid, s, power, tau):
+    # int_L^inf y^-p (y - tau)^(-1-2s) dy = L^-a / a 2F1(1+2s, a; a+1; tau/L),
+    # a = p + 2s; scipy's hyp2f1 errs by at most 3.1e-14 relative here
+    from scipy.special import hyp2f1
+    L, a = grid.half_width, power + 2.0 * s
+    return L ** -a / a * hyp2f1(1.0 + 2.0 * s, a, a + 1.0, tau / L)
+
+
+@pytest.mark.parametrize("half_width,n", [(20.0, 256), (1000.0, 2 ** 16), (4000.0, 2 ** 20)])
+@pytest.mark.parametrize("s", [0.5, 0.25, 0.1])
+def test_tail_table_matches_the_closed_form(half_width, n, s):
+    grid = LineGrid(half_width, n)
+    for power in (0.5, 0.75, 1.0, 2.0, 3.0):
+        tab = fracops._tail_table(grid, s, power)
+        exact = _tail_closed_form(grid, s, power, np.stack([tab.t_nodes, -tab.t_nodes]))
+        assert np.max(np.abs(tab.value / exact - 1.0)) <= 1e-13, power
+        # the 12-node rule is the estimate's only source: a few parts in 1e12
+        assert np.all(tab.abserr <= 1e-11 * exact), power
+
+
+@pytest.mark.parametrize("power,s", [(0.25, 0.05), (-0.49, 0.25)])
+def test_tail_rule_stays_small_for_slow_tails(monkeypatch, power, s):
+    # p + 2s = 0.35 and 0.01: the remainder bound reaches 1e-17 only past
+    # v = 120 and v = 4000, so unit panels would number that many; the
+    # panels past the transition grow geometrically instead
+    edges = []
+    real_panel_rule = fracops.panel_rule
+
+    def recorded(e, rule):
+        edges.append(len(e) - 1)
+        return real_panel_rule(e, rule)
+    monkeypatch.setattr(fracops, "panel_rule", recorded)
+    for grid in (LineGrid(20.0, 256), LineGrid(4000.0, 2 ** 20)):
+        t = np.linspace(-1.0, 1.0, 65) * (grid.half_width - 0.5 * grid.h)
+        tau = np.stack([t, -t])
+        value, abserr = fracops.quad(grid.half_width, tau, s, power)
+        exact = _tail_closed_form(grid, s, power, tau)
+        assert np.max(np.abs(value / exact - 1.0)) <= 1e-13
+        assert np.all(abserr <= 1e-12 * exact)
+    # 24 and 12 nodes on each of at most 32 panels (30 at a = 0.01, 2^20)
+    assert len(edges) == 4 and max(edges) <= 32, edges
+
+
+def test_tail_rule_agrees_with_quad_within_its_error_estimate():
+    # the former table: one scipy quad per integral, stopping at a 1e-13
+    # absolute floor, so it is off by up to 1e-2 relative on the tiny p = 3
+    # integrals; every difference stays inside quad's own estimate
+    from scipy.integrate import quad
+    for grid in (LineGrid(20.0, 256), LineGrid(1000.0, 2 ** 16)):
+        for s in (0.5, 0.25):
+            for power in (0.5, 2.0, 3.0):
+                tab = fracops._tail_table(grid, s, power)
+                for side, sign in enumerate((1.0, -1.0)):
+                    for tn, got in zip(tab.t_nodes, tab.value[side]):
+                        want, err = quad(
+                            lambda y: y ** -power * (y - sign * tn) ** (-1.0 - 2.0 * s),
+                            grid.half_width, np.inf, epsabs=1e-13, epsrel=1e-11)
+                        assert abs(got - want) <= err, (grid, s, power, side, tn)
+
+
+def test_piecewise_spline_matches_ppoly():
+    # the tail table's 65 nodes on a 2^16 grid, two components; the query
+    # holds every grid node, the breakpoint 0.0 and the two outer breakpoints
+    # +-(L - h/2), around which the end nodes make PPoly extrapolate
+    grid = LineGrid(1000.0, 2 ** 16)
+    t_nodes = fracops._tail_table(grid, 0.5, 2.0).t_nodes
+    vals = np.stack([1.0 / (1.0 + t_nodes ** 2), np.cos(t_nodes / 300.0)], axis=1)
+    spline = CubicSpline(t_nodes, vals, axis=0)
+    x = np.sort(np.concatenate([grid.nodes(), [0.0, t_nodes[0], t_nodes[-1]]]))
+    assert np.count_nonzero(x == 0.0) == 1
+    got, want = fracops._spline_at_sorted(spline, x), spline(x)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    # a single component, and a query lying beyond both ends
+    far = np.array([-1200.0, -1000.0, 1000.0, 1200.0])
+    one = CubicSpline(t_nodes, vals[:, :1], axis=0)
+    assert np.allclose(fracops._spline_at_sorted(one, far), one(far), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("power", [-1.0, -0.5, np.nan])
+def test_quadrature_rejects_a_divergent_tail(power):
+    # at s = 1/4 the integral beyond the grid of |y|^-p |t - y|^(-3/2)
+    # converges only for p > -1/2
+    grid = LineGrid(50.0, 1024)
+    x = grid.nodes()
+    f = Field(grid, np.sqrt(1.0 + x * x)[:, None], tail=TailModel.even(power, 1.0))
+    _clear_quadrature_tables()
+    with pytest.raises(ValueError, match="diverges"):
+        frac_laplacian_line_quadrature(f, 0.25)
+    with pytest.raises(ValueError, match="diverges"):
+        fracops.tail_quad_abserr(f, 0.25)
+    assert fracops._tail_table.cache_info().currsize == 0
+    # the same power converges at s = 1/2 unless p <= -1
+    if power == -0.5:
+        assert np.isfinite(fracops.tail_quad_abserr(f, 0.5))
 
 
 def test_quadrature_input_guards():
