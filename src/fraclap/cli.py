@@ -5,8 +5,9 @@ counterexample, selftest. Options come from flags or from an INI-style
 config file ([common] section plus one section per subcommand; flags win).
 Reports are deterministic for a fixed (config, seed) pair: "results" is
 byte-identical across reruns and thread counts (no subcommand starts threads),
-while "meta" carries the wall clock, config hash, artifact version, --threads
-and the count of warnings the run raised (recorded instead of printed).
+while "meta" carries the wall clock, config hash, artifact version, --threads,
+the numpy and scipy versions, and the count of warnings the run raised
+(recorded instead of printed).
 
 Exit codes: 0 when every enabled assertion lands as expected (checks marked
 expect_pass=false count as expected when they fail), 1 on an assertion
@@ -697,6 +698,14 @@ def _write_files(text: str, out: Optional[str], csv_path: Optional[str], table) 
         raise ConfigError("cannot write the output: %s" % exc)
 
 
+def _libraries():
+    """Versions of the numerical libraries the run has imported, so that a
+    moved float can be traced to its library; read from the modules, as
+    importlib.metadata takes milliseconds per call."""
+    return {name: sys.modules[name].__version__ for name in ("numpy", "scipy")
+            if name in sys.modules}
+
+
 def _main(argv: Optional[Sequence[str]]) -> int:
     args = _parse(argv)
     if args is None:
@@ -733,6 +742,7 @@ def _main(argv: Optional[Sequence[str]]) -> int:
             "wall_clock_s": round(time.time() - started, 3),
             "warnings": len(caught),
             "headroom": {c.check_id: c.headroom for c in checks},
+            "libraries": _libraries(),
             **ctx.meta,
         },
         "results": results,

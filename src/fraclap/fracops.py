@@ -239,12 +239,56 @@ class _TailTable(NamedTuple):
     limit + coef |y|^-p, the integral over one end at node t is
     factor * limit + coef * value, where factor = (L -+ t)^(-2s) / (2s) and
     value = int_L^inf y^-p (y -+ t)^(-1-2s) dy by the 24-node panel rule of
-    `quad`; abserr is its gap to the 12-node rule.
+    `quad`; abserr is its gap to the 12-node rule. slope_solve is the
+    inverse of the nodes' not-a-knot slope system (`_not_a_knot_inverse`).
     """
     t_nodes: np.ndarray
     factor: np.ndarray
     value: np.ndarray
     abserr: np.ndarray
+    slope_solve: np.ndarray
+
+
+class _Spline(NamedTuple):
+    """A piecewise cubic in scipy PPoly's layout: ascending breakpoints x,
+    and coefficients c of shape (4, len(x) - 1, m), highest power first, in
+    powers of (t - x[i]) on piece i."""
+    x: np.ndarray
+    c: np.ndarray
+
+
+def _not_a_knot_inverse(x):
+    """The inverse of the slope system of a cubic spline on the nodes x
+    (at least 4), with not-a-knot ends: row i (0 < i < n - 1) is
+    dx_i s_(i-1) + 2 (dx_(i-1) + dx_i) s_i + dx_(i-1) s_(i+1), with
+    dx_i = x_(i+1) - x_i, and the end rows ask for a continuous third
+    derivative at x_1 and x_(n-2). It depends on the nodes alone."""
+    n, dx = len(x), np.diff(x)
+    a = np.zeros((n, n))
+    i = np.arange(1, n - 1)
+    a[i, i - 1] = dx[1:]
+    a[i, i] = 2.0 * (dx[:-1] + dx[1:])
+    a[i, i + 1] = dx[:-1]
+    a[0, :2] = dx[1], x[2] - x[0]
+    a[-1, -2:] = x[-1] - x[-3], dx[-2]
+    return np.linalg.inv(a)
+
+
+def _not_a_knot_spline(x, slope_solve, y):
+    """The not-a-knot cubic spline through (x, y), y of shape (len(x), m),
+    from the inverse of its slope system; the right-hand side and the
+    coefficients are formed as scipy's CubicSpline forms them."""
+    dx = np.diff(x)[:, None]
+    slope = np.diff(y, axis=0) / dx
+    b = np.empty_like(y)
+    b[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = x[2] - x[0]
+    b[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    s = slope_solve @ b
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+    return _Spline(x, np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]]))
 
 
 def quad(half_width, tau, s, power):
@@ -300,13 +344,15 @@ def _tail_table(grid, s, power):
     tau = np.stack([t_nodes, -t_nodes])
     factor = (L - tau) ** (-2.0 * s) / (2.0 * s)
     value, abserr = quad(L, tau, s, power)
-    for a in (t_nodes, factor, value, abserr):
+    table = _TailTable(t_nodes, factor, value, abserr, _not_a_knot_inverse(t_nodes))
+    for a in table:
         a.flags.writeable = False
-    return _TailTable(t_nodes, factor, value, abserr)
+    return table
 
 
 def _spline_at_sorted(spline, x):
-    """A cubic spline (scipy PPoly, values of shape (m,)) at ascending x.
+    """A cubic spline (breakpoints and coefficients in PPoly's layout,
+    values of shape (m,)) at ascending x.
 
     One searchsorted of the inner breakpoints splits x into runs, one per
     piece, and each run is one Horner pass in place per component, with
@@ -336,14 +382,13 @@ def _tail_far_contribution(f, s):
     Smooth in t, so 65 Chebyshev-like nodes and a not-a-knot cubic spline
     are plenty; the spline is evaluated piece by piece on the sorted nodes.
     """
-    from scipy.interpolate import CubicSpline
-
     tail = f.tail
     tab = _tail_table(f.grid, s, tail.power)
     fac, val = tab.factor[:, :, None], tab.value[:, :, None]
     vals = ((fac[0] * tail.limit_pos + tail.coef_pos * val[0])
             + (fac[1] * tail.limit_neg + tail.coef_neg * val[1]))
-    return _spline_at_sorted(CubicSpline(tab.t_nodes, vals, axis=0), f.grid.nodes())
+    return _spline_at_sorted(_not_a_knot_spline(tab.t_nodes, tab.slope_solve, vals),
+                             f.grid.nodes())
 
 
 def tail_quad_abserr(f, s):

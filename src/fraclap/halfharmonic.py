@@ -12,11 +12,11 @@ evaluators work.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import norms, stereo
 from .geometry import (RESOLVED, CircleGrid, Field, gauss_legendre, panel_rule,
@@ -284,18 +284,61 @@ def gradient_check(u: Field, dist: PlaneDistribution):
 # Moebius composition and the neck experiment
 
 
+class _CircleSpline:
+    """A periodic piecewise polynomial on the n pieces [j h, (j + 1) h) of
+    [0, 2 pi), h = 2 pi / n, held as Horner tables: one contiguous (n, m)
+    table per power, the highest first, with t = theta - j h.
+
+    A call takes angles of any shape and any real value, wraps the piece
+    index modulo n, and returns shape theta.shape + (m,).
+    """
+
+    def __init__(self, h, tables):
+        self._h = h
+        self._tables = tables
+
+    def __call__(self, theta):
+        theta = np.asarray(theta, dtype=float)
+        f = np.floor(theta / self._h)
+        t = (theta - f * self._h)[..., None]
+        i = f.astype(np.intp)
+        i %= len(self._tables[0])
+        out = np.take(self._tables[0], i, axis=0)
+        for table in self._tables[1:]:
+            out *= t
+            out += np.take(table, i, axis=0)
+        return out
+
+    def derivative(self):
+        """The derivative, on the same pieces: (3a, 2b, c) for a cubic
+        (a, b, c, d)."""
+        degree = len(self._tables) - 1
+        return _CircleSpline(self._h, tuple((degree - k) * table for k, table
+                                            in enumerate(self._tables[:-1])))
+
+
 def _circle_evaluator(u):
     """Periodic cubic spline through an 8x zero-pad refined copy of the
     samples.
 
     Accurate to spline order on the refined grid, so it relies on the
-    spectrum of u having decayed well below Nyquist.
+    spectrum of u having decayed well below Nyquist. The spline's second
+    derivatives M solve the circulant system M_(j-1) + 4 M_j + M_(j+1) =
+    6 (y_(j+1) - 2 y_j + y_(j-1)) / h^2, which is diagonal in Fourier space
+    (Unser, Aldroubi & Eden, IEEE Trans. Signal Process. 41(2), 1993): M is
+    the irfft of the fine spectrum times -(6 / h^2) s / (6 - s), with
+    s = 4 sin^2(pi k / n_fine) = 2 - 2 cos(2 pi k / n_fine).
     """
     n_fine = 8 * u.grid.n_points
-    fine = np.fft.irfft(rfft_resize(u.rfft(), n_fine), n_fine, axis=0)
-    theta = 2.0 * np.pi * np.arange(n_fine + 1) / n_fine
-    vals = np.vstack([fine, fine[:1]])
-    return CubicSpline(theta, vals, axis=0, bc_type="periodic")
+    h = 2.0 * np.pi / n_fine
+    spec = rfft_resize(u.rfft(), n_fine)
+    y = np.fft.irfft(spec, n_fine, axis=0)
+    s = 4.0 * np.sin(np.pi / n_fine * np.arange(n_fine // 2 + 1)) ** 2
+    spec *= (-6.0 / (h * h) * s / (6.0 - s))[:, None]
+    m0 = np.fft.irfft(spec, n_fine, axis=0)
+    y1, m1 = np.roll(y, -1, axis=0), np.roll(m0, -1, axis=0)
+    return _CircleSpline(h, ((m1 - m0) / (6.0 * h), 0.5 * m0,
+                             (y1 - y) / h - h / 6.0 * (2.0 * m0 + m1), y))
 
 
 def _mobius_angles(theta, a):
@@ -414,23 +457,92 @@ def _bubble_quarter_lap(w_eval, w_inf, center, scale):
     return apply
 
 
+def _bounded_brent(func, lo, hi, xatol, maxiter=500):
+    """Minimum of func on [lo, hi] by Brent's bounded search (Brent,
+    "Algorithms for Minimization without Derivatives", 1973, ch. 5).
+
+    A port of scipy's scipy.optimize._optimize._minimize_scalar_bounded:
+    the same golden-section and parabolic steps in the same float
+    operations, and the same stop, so it returns the x of
+    minimize_scalar(method="bounded") bit for bit. Returns (x, the number
+    of func calls).
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # a parabola through xf, nfc and fulc
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            break
+    return xf, num
+
+
 def _locate_concentration(ev, a, scale):
     """Peak of the transferred speed |d/dx u(phi_a(e^{i theta(x)}))|.
 
     Works on the analytic composition, not on a sampled copy: a grid fine
     enough for the energy is still far too coarse for the bubble when
     1 - a is tiny.  Scans a geometric theta ladder around the focus of
-    phi_a, then polishes with a bounded scalar minimizer.
+    phi_a, then polishes with a bounded Brent search.
     """
-    from scipy.optimize import minimize_scalar
-
     dev = ev.derivative()
 
     def speed(theta):
         theta = np.asarray(theta, dtype=float)
         psi = _mobius_angles(theta, a)
         dpsi = (1.0 - a * a) / np.abs(1.0 - a * np.exp(1j * theta)) ** 2
-        mag = np.sqrt(np.sum(np.atleast_2d(dev(psi % (2.0 * np.pi))) ** 2, axis=-1))
+        mag = np.sqrt(np.sum(np.atleast_2d(dev(psi)) ** 2, axis=-1))
         return mag * dpsi * stereo.conformal_speed(theta)
 
     ladder = scale * np.geomspace(1.0e-3, np.pi / scale, 1200)
@@ -438,10 +550,8 @@ def _locate_concentration(ev, a, scale):
     j = int(np.argmax(speed(grid)))
     lo = grid[max(j - 1, 0)]
     hi = grid[min(j + 1, grid.size - 1)]
-    res = minimize_scalar(lambda t: -float(np.squeeze(speed(t))),
-                          bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1.0e-4 * scale})
-    return float(stereo.project_angle(res.x))
+    x, _ = _bounded_brent(lambda t: -float(np.squeeze(speed(t))), lo, hi, 1.0e-4 * scale)
+    return float(stereo.project_angle(x))
 
 
 def bubbling_experiment(u: Field, a: float, lam: float = 2.0,
@@ -481,10 +591,7 @@ def bubbling_experiment(u: Field, a: float, lam: float = 2.0,
     center = _locate_concentration(ev, a, scale)
 
     def w_eval(xs):
-        # moved into the spline's base period [0, 2 pi], the angles need
-        # neither its periodic wrap (a float modulo per point) nor extrapolation
-        theta = _line_mobius_angles(xs, a)
-        return ev(np.where(theta < 0.0, theta + 2.0 * np.pi, theta), extrapolate=False)
+        return ev(_line_mobius_angles(xs, a))
 
     w_inf = w_eval(np.array([1.0e30]))[0]
     quarter = _bubble_quarter_lap(w_eval, w_inf, center, scale)

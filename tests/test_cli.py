@@ -421,16 +421,45 @@ def test_rejected_inputs_exit_2_with_the_message(capsys, argv, message):
     assert message in json.loads(err)["message"]
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # the quadrature route's tail table is a numpy panel rule, and no other
-    # module, nor a scipy package the CLI imports, loads scipy.integrate
+_UNUSED_SCIPY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize")
+
+
+def _run_without_unused_scipy(statements):
+    # runs the statements in a fresh interpreter, then fails if any of
+    # _UNUSED_SCIPY (or a module under it) was loaded
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys; sys.path.insert(0, %r); import fraclap.cli; "
-            "assert 'scipy.integrate' not in sys.modules, sorted(m for m in sys.modules "
-            "if m.startswith('scipy.integrate'))" % str(src))
+    code = ("import sys; sys.path.insert(0, %r); %s; "
+            "loaded = sorted(m for m in sys.modules if m.startswith(%r) "
+            "and m.split('.')[:2] in [p.split('.') for p in %r]); "
+            "assert not loaded, loaded" % (str(src), statements, "scipy.", _UNUSED_SCIPY))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_out_scipy_integrate_interpolate_and_optimize():
+    # the tail table is a numpy panel rule and its spline a numpy solve, the
+    # circle spline a Fourier-space prefilter, and the bubble search a port
+    # of Brent's method; no scipy package the CLI imports loads the three
+    _run_without_unused_scipy("import fraclap.cli")
+
+
+def test_mobius_commands_load_neither_interpolate_nor_optimize(tmp_path):
+    # the two commands that build the circle spline and locate the bubble
+    out = str(tmp_path / "report.json")
+    _run_without_unused_scipy(
+        "from fraclap import cli; "
+        "assert cli.main(['bubble', '--k-max', '2', '--out', %r]) == 0; "
+        "assert cli.main(['pohozaev', '--preset', 'mobius', '--a', '0.9', '--out', %r]) == 0"
+        % (out, out))
+
+
+def test_reports_record_the_library_versions(capsys):
+    import scipy
+    code, out, _ = _run(capsys, ["kernel"])
+    assert code == 0
+    assert _report(out)["meta"]["libraries"] == {"numpy": np.__version__,
+                                                 "scipy": scipy.__version__}
 
 
 def test_non_finite_report_exits_2_and_writes_nothing(tmp_path):

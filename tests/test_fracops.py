@@ -118,7 +118,8 @@ def _far_field_from_tail(f, s):
     val = fracops.quad(L, tau, s, tail.power)[0][:, :, None]
     vals = ((fac[0] * tail.limit_pos + tail.coef_pos * val[0])
             + (fac[1] * tail.limit_neg + tail.coef_neg * val[1]))
-    return fracops._spline_at_sorted(CubicSpline(t_nodes, vals, axis=0), f.grid.nodes())
+    spline = fracops._not_a_knot_spline(t_nodes, fracops._not_a_knot_inverse(t_nodes), vals)
+    return fracops._spline_at_sorted(spline, f.grid.nodes())
 
 
 def _two_n_point_quadrature(f, s, convention):
@@ -400,6 +401,30 @@ def test_piecewise_spline_matches_ppoly():
     far = np.array([-1200.0, -1000.0, 1000.0, 1200.0])
     one = CubicSpline(t_nodes, vals[:, :1], axis=0)
     assert np.allclose(fracops._spline_at_sorted(one, far), one(far), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("s", [0.5, 0.25])
+def test_not_a_knot_fit_matches_scipy(s):
+    # the tail table's nodes at 2^16, and the far-field values of a tail with
+    # distinct limits and coefficients at the two ends, as the route forms them
+    grid = LineGrid(1000.0, 2 ** 16)
+    tab = fracops._tail_table(grid, s, 1.0)
+    limits, coefs = np.array([[0.5 * np.pi, -0.5 * np.pi], [0.0, 1.0]]), np.array([[-1.0, 1.0], [2.0, 3.0]])
+    vals = np.stack([tab.factor[0] * lp + cp * tab.value[0] + tab.factor[1] * ln + cn * tab.value[1]
+                     for (lp, ln), (cp, cn) in zip(limits, coefs)], axis=1)
+    want = CubicSpline(tab.t_nodes, vals, axis=0)
+    got = fracops._not_a_knot_spline(tab.t_nodes, tab.slope_solve, vals)
+    assert np.array_equal(got.x, want.x) and got.c.shape == want.c.shape
+    assert np.array_equal(got.c[3], want.c[3])
+    # each piece as a cubic in (t - x_i) / dx_i: its cubic coefficient is a
+    # difference of slopes over dx^2, which costs both fits some 1e-14 of
+    # its largest value against a long-double fit
+    dx = np.diff(tab.t_nodes)[:, None]
+    scaled = (got.c - want.c) * dx ** np.arange(3, -1, -1)[:, None, None]
+    assert np.max(np.abs(scaled)) <= 4e-15 * np.max(np.abs(vals))
+    x = grid.nodes()
+    far = fracops._spline_at_sorted(got, x) - fracops._spline_at_sorted(want, x)
+    assert np.max(np.abs(far)) <= 2e-15 * np.max(np.abs(vals))
 
 
 @pytest.mark.parametrize("power", [-1.0, -0.5, np.nan])
@@ -784,8 +809,8 @@ def test_line_band_is_capped_for_a_constant_field():
 
 
 def test_line_modules_import_without_scipy_interpolate():
-    # the line interpolant fits its spline with no solve; only the tail
-    # table's non-uniform spline needs scipy.interpolate, imported where used
+    # the line interpolant fits its spline with no solve, and the tail
+    # table's not-a-knot spline is a numpy solve
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; sys.path.insert(0, %r); "
             "import fraclap.fracops, fraclap.stereo, fraclap.pohozaev; "

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from fraclap import halfharmonic, stereo
-from fraclap.geometry import (CircleGrid, LineGrid, field_from_function,
+from fraclap.geometry import (CircleGrid, Field, LineGrid, field_from_function,
                               gauss_legendre, panel_rule, rfft_frequencies,
-                              rfft_multiply)
+                              rfft_multiply, rfft_resize)
 from fraclap.halfharmonic import (_NODES_PER_ANNULUS, PlaneDistribution,
-                                  _bubble_quarter_lap, _circle_evaluator,
+                                  _bounded_brent, _bubble_quarter_lap,
+                                  _circle_evaluator,
                                   _line_mobius_angles, _locate_concentration,
                                   _mobius_angles, bubbling_experiment,
                                   el_residual, energy, gradient_check,
@@ -181,6 +182,49 @@ def test_mobius_compose_preserves_energy():
     line = field_from_function(LineGrid(1.0, 16), lambda x: x)
     with pytest.raises(ValueError):
         mobius_compose(line, 0.5)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_circle_spline_is_scipys_periodic_spline(m):
+    from scipy.interpolate import CubicSpline
+    grid = CircleGrid(n_modes=32)
+    th = grid.nodes()
+    rng = np.random.default_rng(m)
+    u = Field(grid, sum(np.outer(np.cos(k * th + rng.uniform(0.0, 2.0 * np.pi)),
+                                 rng.normal(size=m)) / k for k in range(1, 6)))
+    n_fine = 8 * grid.n_points
+    fine = np.fft.irfft(rfft_resize(u.rfft(), n_fine), n_fine, axis=0)
+    want = CubicSpline(2.0 * np.pi * np.arange(n_fine + 1) / n_fine,
+                       np.vstack([fine, fine[:1]]), axis=0, bc_type="periodic")
+    # the ends of the base period, its nodes, and angles below 0 and past 2 pi,
+    # which scipy wraps by its periodic extrapolation
+    theta = np.concatenate([[0.0, 2.0 * np.pi, -2.0 * np.pi, 4.0 * np.pi],
+                            2.0 * np.pi * np.arange(n_fine) / n_fine,
+                            rng.uniform(-20.0, 0.0, 5000), rng.uniform(2.0 * np.pi, 20.0, 5000),
+                            rng.uniform(0.0, 2.0 * np.pi, 5000)])
+    got = _circle_evaluator(u)
+    assert got(theta).shape == want(theta).shape == (len(theta), m)
+    assert np.max(np.abs(got(theta) - want(theta))) <= 1e-14 * np.max(np.abs(want(theta)))
+    # scipy's periodic solve leaves its node slopes 6e-14 relative from a
+    # long-double solution of the same system, the Fourier route 2e-14
+    d_got, d_want = got.derivative()(theta), want.derivative()(theta)
+    assert np.max(np.abs(d_got - d_want)) <= 1e-13 * np.max(np.abs(d_want))
+    # one angle gives one row, and a (p, q) array a (p, q, m) block
+    assert got(theta[7]).shape == (m,)
+    assert np.array_equal(got(theta[:12].reshape(3, 4)), got(theta[:12]).reshape(3, 4, m))
+
+
+@pytest.mark.parametrize("func,lo,hi,xatol", [
+    (lambda x: (x - 2.0) * x * (x + 2.0) ** 2, -3.0, -1.0, 1e-5),
+    (lambda x: -np.exp(-((x - 0.3) / 0.05) ** 2) - 0.1 * x, -1.0, 2.0, 1e-9),
+    (lambda x: abs(x - 1.0 / 7.0) ** 1.5 + np.cos(3.0 * x), -0.5, 0.9, 1e-7),
+], ids=["polynomial", "gaussian-bump", "kink"])
+def test_bounded_brent_is_scipys_bounded_search(func, lo, hi, xatol):
+    from scipy.optimize import minimize_scalar
+    want = minimize_scalar(func, bounds=(lo, hi), method="bounded",
+                           options={"xatol": xatol})
+    x, nfev = _bounded_brent(func, lo, hi, xatol)
+    assert x == want.x and nfev == want.nfev
 
 
 def _mobius_composition_error(a):
