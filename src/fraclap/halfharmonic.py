@@ -29,7 +29,7 @@ _ARMIJO = 1e-4              # flow sufficient-decrease constant
 _FD_EPS = 1e-5              # difference step of gradient_check
 _MOBIUS_N_MAX = 1 << 22     # node cap of the Moebius refinement
 _NODES_PER_ANNULUS = 24     # Gauss nodes per neck annulus
-_NECK_BLOCK = 32            # evaluation points per block of the neck quadrature
+_NECK_BLOCK = 8             # evaluation points per block of the neck quadrature
 
 
 @dataclass(frozen=True)
@@ -448,8 +448,12 @@ def _bubble_quarter_lap(w_eval, w_inf, center, scale):
         return _QUARTER_CONSTANT * (integral + tail)
 
     def apply(xs):
-        # a block's radii, weights and pairs are (_NECK_BLOCK, 576, m): they
-        # stay in cache, and every point's value is the one it has alone
+        # a block's radii, weights, angles and pairs are (_NECK_BLOCK, 576)
+        # or (_NECK_BLOCK, 576, m), at most 74 KiB: under glibc's default
+        # 128 KiB mmap threshold, so a fresh process reuses heap pages from
+        # block to block instead of faulting in new ones (32 points faulted
+        # 90k pages per `bubble --k-max 7`, 8 points 1.7k); and every
+        # point's value is the one it has alone
         xs = np.asarray(xs, dtype=float)
         return np.concatenate([block(xs[i:i + _NECK_BLOCK])
                                for i in range(0, len(xs), _NECK_BLOCK)])

@@ -347,8 +347,9 @@ def test_neck_quadrature_matches_the_closed_form(k):
 
 
 def test_neck_quadrature_blocks_leave_each_point_alone():
-    # 720 nodes: 22 full blocks and a half one
+    # 717 of the 720 nodes: 89 full blocks and one of 5 points
     _, quarter, xs = _neck(5)
+    xs = xs[:-3]
     rows = np.concatenate([quarter(xs[i:i + 1]) for i in range(len(xs))])
     assert np.array_equal(quarter(xs), rows)
 
