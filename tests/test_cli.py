@@ -429,9 +429,8 @@ def _run_without_unused_scipy(statements):
     # _UNUSED_SCIPY (or a module under it) was loaded
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; sys.path.insert(0, %r); %s; "
-            "loaded = sorted(m for m in sys.modules if m.startswith(%r) "
-            "and m.split('.')[:2] in [p.split('.') for p in %r]); "
-            "assert not loaded, loaded" % (str(src), statements, "scipy.", _UNUSED_SCIPY))
+            "loaded = sorted(m for m in sys.modules if '.'.join(m.split('.')[:2]) in %r); "
+            "assert not loaded, loaded" % (str(src), statements, _UNUSED_SCIPY))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
