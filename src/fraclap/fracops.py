@@ -8,6 +8,7 @@ C(1,s) = 4^s Gamma(1/2+s) / (sqrt(pi) |Gamma(-s)|) so that it matches the
 multiplier route.
 """
 
+import copy
 import math
 import threading
 import warnings
@@ -493,7 +494,7 @@ def line_convolve(f, g):
     return Field(f.grid, rfft_multiply(f, phase[:, None] * g.rfft()) * f.grid.h)
 
 
-_BLOCK = 256  # fine intervals per lazily fitted block of the line spline
+_BLOCK = 256  # fine intervals per fitted block of the spline
 
 # A block's B-spline coefficients come from the field's trigonometric
 # interpolant by Gaussian gridding (Greengard & Lee, SIAM Rev. 46(3), 2004),
@@ -516,9 +517,6 @@ _BLOCK = 256  # fine intervals per lazily fitted block of the line spline
 # exact zero-padded refinement, R = 2 and S = 16 measure relative errors of
 # 2e-16 (a Lorentzian at 2^20 nodes) and 2e-15 (white noise up to the
 # Nyquist frequency, refine 4 to 49); S = 12 lets white noise reach 1e-12.
-# A field that fills its band (white noise) keeps n_band = n. Check 08's
-# Lorentzian keeps n/4 and transforms 2^19 points instead of 2^21, and the
-# bins it drops move its values by 5e-16 of their maximum.
 #
 # A block's fit correlates its samples with one filter column per offset of
 # the fine nodes from the samples, refine n / (2 n_band) of them at even
@@ -551,14 +549,12 @@ def line_interpolant(f, multiplier=None):
     samples, and falls back to the tail model outside the node range. Good
     to ~1e-9 for smooth well-resolved fields.
 
-    The build keeps the band of f's spectrum: the rfft bins 0..n_band/2 of
-    the fewest n_band = n / 2^j nodes that hold every bin above RESOLVED of
-    the largest, with at most _BAND_REFINE fine nodes per band node
-    (_band). The Nyquist mode of a full band refines to the cosine through
-    its samples (the rule of geometry.rfft_resize), so the interpolant
-    reproduces every sample at the field's own nodes; a cut band reproduces
-    them to within the bins it drops, 1e-13 of the maximum or less (5e-16
-    on check 08's Lorentzian).
+    The build keeps the band of f's spectrum (_band). The Nyquist mode of a
+    full band refines to the cosine through its samples (the rule of
+    geometry.rfft_resize), so the interpolant reproduces every sample at
+    the field's own nodes; a cut band reproduces them to within the bins it
+    drops, 1e-13 of the maximum or less (5e-16 on check 08's Lorentzian,
+    which keeps n/4; white noise keeps n).
 
     With a multiplier, the callable evaluates the Fourier multiplier applied
     to f instead, built straight from the band of f's own spectrum times
@@ -570,13 +566,9 @@ def line_interpolant(f, multiplier=None):
     leaving the spectrum. f's tail model is not the tail of its image, so a
     multiplied interpolant has none, and a query outside the grid raises.
 
-    The spline is fitted only where it is evaluated: the first query in a
-    block of fine intervals fits that block, and the interpolant keeps the
-    coefficients for later calls, so the cost follows the queries, not the
-    grid. The build does one transform, to a grid of twice the band's
-    nodes whose factor holds the B-spline prefilter; a block's fit spreads
-    its _BLOCK + 3 B-spline coefficients from that grid with a fixed 32-tap
-    Gaussian filter and solves nothing.
+    The spline (_SplineInterpolant) is fitted block by block where it is
+    queried and kept for later calls, so the cost follows the queries, not
+    the grid; a block's fit solves nothing.
     """
     if not isinstance(f.grid, LineGrid):
         raise TypeError("expected a line field")
@@ -584,11 +576,11 @@ def line_interpolant(f, multiplier=None):
     spec = f.rfft()
     keep = _band(spec, refine) // 2 + 1
     if multiplier is None:
-        return _LineInterpolant(f.grid, spec[:keep], f.tail, refine)
+        return _SplineInterpolant(f.grid, spec[:keep], f.tail, refine)
     band = spec[:keep] * np.reshape(multiplier, (len(multiplier), -1))[:keep]
     # irfft keeps only the real parts of bins 0 and n/2 (kept in a full band)
     band[:: len(spec) - 1] = band[:: len(spec) - 1].real
-    return _LineInterpolant(f.grid, band, None, refine)
+    return _SplineInterpolant(f.grid, band, None, refine)
 
 
 def _band(spec, refine):
@@ -604,27 +596,34 @@ def _band(spec, refine):
     return n_band
 
 
-class _LineInterpolant:
-    """The lazily fitted spline behind `line_interpolant`.
+class _SplineInterpolant:
+    """The periodic cubic spline through the refine n fine samples of a
+    field's trigonometric interpolant, for `line_interpolant` and
+    `halfharmonic._circle_evaluator`, built from `band`, the rfft bins
+    0..n_band/2 of the values on `grid` (shape (n_band/2 + 1, m), n_band
+    dividing n). Interval i, from fine node i to i + 1, is a cubic in the
+    distance from node i, kept in four contiguous (rows, m) tables, highest
+    power first; a query of shape S gathers one row of each and returns
+    S + (m,).
 
-    Built from `band`, the rfft bins 0..n_band/2 of the values to interpolate
-    on `grid` (shape (n_band/2 + 1, m), n_band dividing the grid's n), and
-    the tail model for queries outside the grid, or None to reject them; its
-    grid holds B-spline coefficients.
-
-    Calls may come from several threads; a lock guards the coefficient
-    table while a call fills and reads it.
+    On a line, the tables fill block by block as queries reach them (_fit),
+    under a lock, since calls may come from several threads; `tail` answers
+    queries outside the node range, or None rejects them. On a circle, fine
+    node k sits at angle k h / refine, every block is fitted at build, so
+    row i holds interval i, and a call wraps any real angle's interval
+    modulo refine n.
     """
 
     def __init__(self, grid, band, tail, refine):
         n, n_band = grid.n_points, 2 * (len(band) - 1)
         self._n_fine = refine * n
-        # fine node k sits at -L + h/2 + (k - n_wrap) h/refine: the first
-        # n_wrap = (refine - 1) // 2 of them lie below the field's first node,
-        # where the periodic interpolant continues from beyond L
-        self._n_wrap = (refine - 1) // 2
         self._dx = grid.h / refine
-        self._lo = -grid.half_width + 0.5 * grid.h - self._n_wrap * self._dx
+        self._periodic = isinstance(grid, CircleGrid)
+        # on a line, fine node k sits at -L + h/2 + (k - n_wrap) h/refine: the
+        # first n_wrap = (refine - 1) // 2 of them lie below the field's first
+        # node, where the periodic interpolant continues from beyond L
+        self._n_wrap = 0 if self._periodic else (refine - 1) // 2
+        self._lo = 0.0 if self._periodic else -grid.half_width + 0.5 * grid.h - self._n_wrap * self._dx
         self._hi = self._lo + (self._n_fine - 1) * self._dx
         self._tail = tail
         self._m = band.shape[1]
@@ -650,23 +649,25 @@ class _LineInterpolant:
         d = row - (_SPREAD - 1) - pos
         near = (row >= np.floor(pos)) & (row < np.floor(pos) + 2 * _SPREAD)
         self._filter = np.where(near, np.sqrt(_BETA) * np.exp(-np.pi * _BETA * d * d), 0.0)
-        n_blocks = -(-(self._n_fine - 1) // _BLOCK)
+        # a line evaluates intervals 0..n_fine-2, a circle all n_fine
+        n_blocks = -(-(self._n_fine - (not self._periodic)) // _BLOCK)
         self._slot = np.full(n_blocks, -1, dtype=np.intp)
-        # fitted blocks fill the table's first _n_fitted * _BLOCK rows; its
+        # fitted blocks fill the tables' first _n_fitted * _BLOCK rows; their
         # capacity doubles as blocks arrive, up to the whole grid's
-        self._coef = np.empty((0, 4, self._m))
+        self._coef = tuple(np.empty((4, 0, self._m)))
         self._n_fitted = 0
         self._lock = threading.Lock()
+        if self._periodic:
+            self._fit(np.arange(n_blocks))
 
     def _fit(self, blocks):
         """Fit the blocks among `blocks` that have no coefficients yet.
 
-        Interval i, from fine node i to i + 1, reads the B-spline
-        coefficients c[i - 1 .. i + 2], so a new block spreads the
-        _BLOCK + 3 from the node before it on and turns each 4 into one
-        interval's cubic. Each block reads one segment of the grid, wrapped
-        around its period, from a whole period of fine nodes on. The
-        segments run end to end through one correlation per filter column,
+        Interval i reads the B-spline coefficients c[i - 1 .. i + 2], so a
+        new block spreads the _BLOCK + 3 from the node before it on and turns
+        each 4 into one interval's cubic. Each block reads one segment of the
+        grid, wrapped around its period, from a whole period of fine nodes on.
+        The segments run end to end through one correlation per filter column,
         which forms each coefficient as a dot product of fixed length, so a
         node gets the same value whichever blocks share the call.
         """
@@ -691,33 +692,60 @@ class _LineInterpolant:
         fine = fine.reshape(m, len(new), n_periods * period)
         c = fine[:, np.arange(len(new)), offset + np.arange(_BLOCK + 3)[:, None]]
         c0, c1, c2, c3 = c[:, :-3], c[:, 1:-2], c[:, 2:-1], c[:, 3:]
-        horner = np.stack([(c3 - c0 + 3.0 * (c1 - c2)) / (6.0 * dx ** 3),
-                           (c0 - 2.0 * c1 + c2) / (2.0 * dx * dx),
-                           (c2 - c0) / (2.0 * dx),
-                           (c0 + 4.0 * c1 + c2) / 6.0])
         used, need = self._n_fitted * _BLOCK, (self._n_fitted + len(new)) * _BLOCK
-        if need > len(self._coef):
-            grown = np.empty((min(max(need, 2 * len(self._coef)), len(self._slot) * _BLOCK), 4, m))
-            grown[:used] = self._coef[:used]
-            self._coef = grown
-        self._coef[used:need] = horner.transpose(3, 2, 0, 1).reshape(-1, 4, m)
+        if need > len(self._coef[0]):
+            grown = np.empty((4, min(max(need, 2 * len(self._coef[0])), len(self._slot) * _BLOCK), m))
+            for table, old in zip(grown, self._coef):
+                table[:used] = old[:used]
+            self._coef = tuple(grown)
+        # c is (component, interval, block); a table holds block after block
+        for table, power in zip(self._coef,
+                                ((c3 - c0 + 3.0 * (c1 - c2)) / (6.0 * dx ** 3),
+                                 (c0 - 2.0 * c1 + c2) / (2.0 * dx * dx),
+                                 (c2 - c0) / (2.0 * dx),
+                                 (c0 + 4.0 * c1 + c2) / 6.0)):
+            table[used:need].reshape(len(new), _BLOCK, m)[:] = power.transpose(2, 1, 0)
         self._slot[new] = self._n_fitted + np.arange(len(new))
         self._n_fitted += len(new)
 
-    def __call__(self, pts):
-        pts = np.atleast_1d(np.asarray(pts, dtype=float))
-        res = np.empty((len(pts), self._m))
-        inside = (pts >= self._lo) & (pts <= self._hi)
-        p = pts[inside]
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        if self._periodic:
+            f = np.floor(x / self._dx)
+            i = f.astype(np.intp)
+            i %= self._n_fine
+            return _horner(self._coef, i, (x - f * self._dx)[..., None])
+        res = np.empty(x.shape + (self._m,))
+        inside = (x >= self._lo) & (x <= self._hi)
+        p = x[inside]
         i = np.clip(np.floor((p - self._lo) / self._dx).astype(np.intp), 0, self._n_fine - 2)
         block = i // _BLOCK
         with self._lock:
             self._fit(block)
-            c = self._coef[self._slot[block] * _BLOCK + i % _BLOCK]
-        t = (p - (self._lo + i * self._dx))[:, None]
-        res[inside] = ((c[:, 0] * t + c[:, 1]) * t + c[:, 2]) * t + c[:, 3]
+            rows = self._slot[block] * _BLOCK + i % _BLOCK
+            # later fits write only rows past these, or into a grown copy
+            coef = self._coef
+        res[inside] = _horner(coef, rows, (p - (self._lo + i * self._dx))[:, None])
         if not np.all(inside):
             if self._tail is None:
                 raise ValueError("evaluation outside the grid needs a tail model")
-            res[~inside] = self._tail.eval(pts[~inside])
+            res[~inside] = self._tail.eval(x[~inside])
         return res
+
+    def derivative(self):
+        """The derivative of a circle's spline, on the same intervals and
+        tables: (3a, 2b, c) for a cubic (a, b, c, d)."""
+        if not self._periodic:
+            raise TypeError("only a circle's spline has a derivative")
+        dev = copy.copy(self)
+        dev._coef = tuple(k * table for k, table in zip((3, 2, 1), self._coef))
+        return dev
+
+
+def _horner(tables, rows, t):
+    """Horner in place on one np.take of `rows` per table, highest power first."""
+    out = np.take(tables[0], rows, axis=0)
+    for table in tables[1:]:
+        out *= t
+        out += np.take(table, rows, axis=0)
+    return out

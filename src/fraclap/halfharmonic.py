@@ -18,9 +18,9 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from . import norms, stereo
+from . import fracops, norms, stereo
 from .geometry import (RESOLVED, CircleGrid, Field, gauss_legendre, panel_rule,
-                       rfft_frequencies, rfft_multiply, rfft_resize, tail_ratio)
+                       rfft_frequencies, rfft_multiply, tail_ratio)
 
 _ON_TARGET_TOL = 1e-6       # largest distance of an input from the target
 _STEP_GROW = 1.15           # flow step growth after an accepted step
@@ -284,61 +284,13 @@ def gradient_check(u: Field, dist: PlaneDistribution):
 # Moebius composition and the neck experiment
 
 
-class _CircleSpline:
-    """A periodic piecewise polynomial on the n pieces [j h, (j + 1) h) of
-    [0, 2 pi), h = 2 pi / n, held as Horner tables: one contiguous (n, m)
-    table per power, the highest first, with t = theta - j h.
-
-    A call takes angles of any shape and any real value, wraps the piece
-    index modulo n, and returns shape theta.shape + (m,).
-    """
-
-    def __init__(self, h, tables):
-        self._h = h
-        self._tables = tables
-
-    def __call__(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        f = np.floor(theta / self._h)
-        t = (theta - f * self._h)[..., None]
-        i = f.astype(np.intp)
-        i %= len(self._tables[0])
-        out = np.take(self._tables[0], i, axis=0)
-        for table in self._tables[1:]:
-            out *= t
-            out += np.take(table, i, axis=0)
-        return out
-
-    def derivative(self):
-        """The derivative, on the same pieces: (3a, 2b, c) for a cubic
-        (a, b, c, d)."""
-        degree = len(self._tables) - 1
-        return _CircleSpline(self._h, tuple((degree - k) * table for k, table
-                                            in enumerate(self._tables[:-1])))
-
-
 def _circle_evaluator(u):
-    """Periodic cubic spline through an 8x zero-pad refined copy of the
-    samples.
-
-    Accurate to spline order on the refined grid, so it relies on the
-    spectrum of u having decayed well below Nyquist. The spline's second
-    derivatives M solve the circulant system M_(j-1) + 4 M_j + M_(j+1) =
-    6 (y_(j+1) - 2 y_j + y_(j-1)) / h^2, which is diagonal in Fourier space
-    (Unser, Aldroubi & Eden, IEEE Trans. Signal Process. 41(2), 1993): M is
-    the irfft of the fine spectrum times -(6 / h^2) s / (6 - s), with
-    s = 4 sin^2(pi k / n_fine) = 2 - 2 cos(2 pi k / n_fine).
-    """
-    n_fine = 8 * u.grid.n_points
-    h = 2.0 * np.pi / n_fine
-    spec = rfft_resize(u.rfft(), n_fine)
-    y = np.fft.irfft(spec, n_fine, axis=0)
-    s = 4.0 * np.sin(np.pi / n_fine * np.arange(n_fine // 2 + 1)) ** 2
-    spec *= (-6.0 / (h * h) * s / (6.0 - s))[:, None]
-    m0 = np.fft.irfft(spec, n_fine, axis=0)
-    y1, m1 = np.roll(y, -1, axis=0), np.roll(m0, -1, axis=0)
-    return _CircleSpline(h, ((m1 - m0) / (6.0 * h), 0.5 * m0,
-                             (y1 - y) / h - h / 6.0 * (2.0 * m0 + m1), y))
+    """The periodic cubic spline through an 8x refined copy of u's samples,
+    built from the band of u's spectrum by fracops._SplineInterpolant; it
+    takes any real angle and has a `.derivative()`. Accurate to spline
+    order on the refined grid, so u's spectrum must decay well below Nyquist."""
+    spec = u.rfft()
+    return fracops._SplineInterpolant(u.grid, spec[: fracops._band(spec, 8) // 2 + 1], None, 8)
 
 
 def _mobius_angles(theta, a):

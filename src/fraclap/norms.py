@@ -47,10 +47,10 @@ class Region:
     def annulus(grid, center, r, R):
         if not 0 <= r < R:
             raise ValueError("annulus needs 0 <= r < R")
-        d = np.abs(grid.nodes() - center)
-        if isinstance(grid, CircleGrid):
-            d = np.minimum(d, 2 * np.pi - d)
-        return Region(grid, (d >= r) & (d <= R))
+        d = grid.nodes() - center
+        if isinstance(grid, CircleGrid):  # signed angle to the centre, in [-pi, pi)
+            d = np.mod(d + np.pi, 2 * np.pi) - np.pi
+        return Region(grid, (np.abs(d) >= r) & (np.abs(d) <= R))
 
     def complement(self):
         return Region(self.grid, ~self.mask)

@@ -438,8 +438,8 @@ def _run_without_unused_scipy(statements):
 
 def test_cli_import_leaves_out_scipy_integrate_interpolate_and_optimize():
     # the tail table is a numpy panel rule and its spline a numpy solve, the
-    # circle spline a Fourier-space prefilter, and the bubble search a port
-    # of Brent's method; no scipy package the CLI imports loads the three
+    # circle spline is the line's B-spline build, and the bubble search a
+    # port of Brent's method; no scipy package the CLI imports loads the three
     _run_without_unused_scipy("import fraclap.cli")
 
 

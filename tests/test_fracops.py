@@ -718,10 +718,10 @@ def _full_band(f, multiplier=None):
     """The build of line_interpolant from every rfft bin of f."""
     refine = max(4, int(np.ceil(f.grid.h / 0.008)))
     if multiplier is None:
-        return fracops._LineInterpolant(f.grid, f.rfft(), f.tail, refine)
+        return fracops._SplineInterpolant(f.grid, f.rfft(), f.tail, refine)
     spec = f.rfft() * multiplier[:, None]
     spec[[0, -1]] = spec[[0, -1]].real
-    return fracops._LineInterpolant(f.grid, spec, None, refine)
+    return fracops._SplineInterpolant(f.grid, spec, None, refine)
 
 
 def _check08_case(case):

@@ -8,7 +8,7 @@ from math import gamma
 import numpy as np
 import pytest
 
-from fraclap import halfharmonic, stereo
+from fraclap import fracops, halfharmonic, stereo
 from fraclap.geometry import (CircleGrid, Field, LineGrid, field_from_function,
                               gauss_legendre, panel_rule, rfft_frequencies,
                               rfft_multiply, rfft_resize)
@@ -206,12 +206,55 @@ def test_circle_spline_is_scipys_periodic_spline(m):
     assert got(theta).shape == want(theta).shape == (len(theta), m)
     assert np.max(np.abs(got(theta) - want(theta))) <= 1e-14 * np.max(np.abs(want(theta)))
     # scipy's periodic solve leaves its node slopes 6e-14 relative from a
-    # long-double solution of the same system, the Fourier route 2e-14
+    # long-double solution of the same system
     d_got, d_want = got.derivative()(theta), want.derivative()(theta)
     assert np.max(np.abs(d_got - d_want)) <= 1e-13 * np.max(np.abs(d_want))
-    # one angle gives one row, and a (p, q) array a (p, q, m) block
-    assert got(theta[7]).shape == (m,)
-    assert np.array_equal(got(theta[:12].reshape(3, 4)), got(theta[:12]).reshape(3, 4, m))
+
+
+@pytest.mark.parametrize("geometry", ["circle", "line"])
+def test_spline_query_of_shape_s_returns_s_plus_m(geometry):
+    # one point gives one row, and a (p, q) array a (p, q, m) block, on the
+    # circle and on the line alike
+    m, rng = 3, np.random.default_rng(5)
+    if geometry == "circle":
+        grid = CircleGrid(n_modes=32)
+        ev = _circle_evaluator(Field(grid, np.cos(np.outer(grid.nodes(), [1.0, 2.0, 3.0]))))
+    else:
+        grid = LineGrid(8.0, 256)
+        ev = fracops.line_interpolant(Field(grid, rng.normal(size=(grid.n_points, m))))
+    x = rng.uniform(-7.0, 7.0, 12)
+    assert ev(x).shape == (12, m)
+    assert ev(x[7]).shape == (m,) and np.array_equal(ev(x[7]), ev(x)[7])
+    assert np.array_equal(ev(x.reshape(3, 4)), ev(x).reshape(3, 4, m))
+
+
+@pytest.mark.parametrize("case", ["smooth", "noise"])
+def test_circle_and_line_share_one_spline(case):
+    # one sample array on CircleGrid(n/2) and on LineGrid(pi, n), refined 8
+    # times: the line's nodes are the circle's moved by x0 = -pi + h/2, so
+    # its spline is the circle's moved by x0. The smooth field cuts the
+    # band; noise up to the Nyquist frequency keeps it whole. The noise is
+    # small because the round-off of x - x0 moves a value by its slope, and
+    # unit noise refined 8 times has slopes of several hundred
+    n = 256
+    circle, line = CircleGrid(n // 2), LineGrid(np.pi, n)
+    rng = np.random.default_rng(4)
+    th = circle.nodes()
+    samples = np.stack([np.cos(th) + 0.3 * np.sin(3.0 * th), np.sin(2.0 * th)], axis=1)
+    if case == "noise":
+        samples += 1e-2 * rng.normal(size=(n, 2))
+    spec = Field(line, samples).rfft()
+    keep = fracops._band(spec, 8) // 2 + 1
+    assert (keep < n // 2 + 1) == (case == "smooth")
+    on_circle = _circle_evaluator(Field(circle, samples))
+    on_line = fracops._SplineInterpolant(line, spec[:keep], None, 8)
+    nodes = line.nodes()
+    x0, dx = nodes[0], line.h / 8
+    # the fine nodes, the nodes and scattered points, all in the node range
+    x = np.concatenate([x0 + dx * np.arange(8 * (n - 1) + 1), nodes,
+                        rng.uniform(x0, nodes[-1], 5000)])
+    want = on_circle(x - x0)
+    assert np.max(np.abs(on_line(x) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("func,lo,hi,xatol", [

@@ -30,6 +30,12 @@ def test_region_annulus_validation_and_wrap():
     d = np.minimum(th, 2 * np.pi - th)
     assert wrap.count() == int(np.sum(d <= 0.5))  # both sides of theta = 0
     assert wrap.complement().count() == c.n_points - wrap.count()
+    # a centre and its copies a period away select the same nodes, on both
+    # sides of theta = 0, also for centres outside [0, 2 pi)
+    small = CircleGrid(8)
+    for center, nodes in ((1.0, [1, 2, 3, 4]), (-1.0, [12, 13, 14, 15])):
+        for c_k in (center - 2 * np.pi, center, center + 2 * np.pi):
+            assert np.flatnonzero(Region.annulus(small, c_k, 0.0, 0.9).mask).tolist() == nodes
 
 
 def test_region_mismatch_and_empty():
