@@ -126,9 +126,8 @@ def frac_laplacian_line_quadrature(f, s, convention="paper"):
     out -= local
 
     # beyond-grid part: int over |y| > L of (f(t) - f(y)) |t-y|^(-1-2s) dy.
-    # The f(t) piece is analytic and sits in diag; the f(y) piece uses the
-    # tail model on a coarse set of nodes (it is a smooth function of t) and
-    # is interpolated.
+    # The f(t) piece is analytic and sits in diag; the f(y) piece integrates
+    # the tail model (_tail_far_contribution).
     if f.tail is not None:
         out -= _tail_far_contribution(f, s)
 
@@ -234,62 +233,47 @@ def _pair_weights(grid, s):
 
 
 class _TailTable(NamedTuple):
-    """The field-independent part of the tail correction on its 65 nodes.
+    """The field-independent part of the tail correction over the distance d
+    from a node to an end of the grid, on 65 ascending distances d.
 
-    Row 0 is the right end (y > L), row 1 the left end (y < -L). For a tail
-    limit + coef |y|^-p, the integral over one end at node t is
-    factor * limit + coef * value, where factor = (L -+ t)^(-2s) / (2s) and
-    value = int_L^inf y^-p (y -+ t)^(-1-2s) dy by the 24-node panel rule of
-    `quad`; abserr is its gap to the 12-node rule. slope_solve is the
-    inverse of the nodes' not-a-knot slope system (`_not_a_knot_inverse`).
+    For a tail limit + coef |y|^-p, the integral beyond either end at
+    distance d is e (limit + coef G), with the exact end factor
+    e = d^(-2s) / (2s) and G = value / e -> L^-p as d -> 0, off by d^(2s)
+    (d ln d at s = 1/2). value = int_L^inf y^-p (y - L + d)^(-1-2s) dy by
+    the 24-node panel rule of `quad`, abserr is its gap to the 12-node
+    rule, and c is G's not-a-knot cubic spline on d, in PPoly's layout.
     """
-    t_nodes: np.ndarray
-    factor: np.ndarray
+    d: np.ndarray
     value: np.ndarray
     abserr: np.ndarray
-    slope_solve: np.ndarray
-
-
-class _Spline(NamedTuple):
-    """A piecewise cubic in scipy PPoly's layout: ascending breakpoints x,
-    and coefficients c of shape (4, len(x) - 1, m), highest power first, in
-    powers of (t - x[i]) on piece i."""
-    x: np.ndarray
     c: np.ndarray
 
 
-def _not_a_knot_inverse(x):
-    """The inverse of the slope system of a cubic spline on the nodes x
-    (at least 4), with not-a-knot ends: row i (0 < i < n - 1) is
-    dx_i s_(i-1) + 2 (dx_(i-1) + dx_i) s_i + dx_(i-1) s_(i+1), with
-    dx_i = x_(i+1) - x_i, and the end rows ask for a continuous third
-    derivative at x_1 and x_(n-2). It depends on the nodes alone."""
+def _not_a_knot_spline(x, y):
+    """The not-a-knot cubic spline through (x, y), x ascending with at least
+    4 nodes, as coefficients (4, len(x) - 1) in PPoly's layout. Row i
+    (0 < i < n - 1) of its slope system is dx_i s_(i-1) + 2 (dx_(i-1) + dx_i)
+    s_i + dx_(i-1) s_(i+1), with dx_i = x_(i+1) - x_i, and the end rows ask
+    for a continuous third derivative at x_1 and x_(n-2); the right-hand
+    side and the coefficients are formed as scipy's CubicSpline forms them.
+    """
     n, dx = len(x), np.diff(x)
-    a = np.zeros((n, n))
+    slope = np.diff(y) / dx
+    a, b = np.zeros((n, n)), np.empty(n)
     i = np.arange(1, n - 1)
     a[i, i - 1] = dx[1:]
     a[i, i] = 2.0 * (dx[:-1] + dx[1:])
     a[i, i + 1] = dx[:-1]
-    a[0, :2] = dx[1], x[2] - x[0]
-    a[-1, -2:] = x[-1] - x[-3], dx[-2]
-    return np.linalg.inv(a)
-
-
-def _not_a_knot_spline(x, slope_solve, y):
-    """The not-a-knot cubic spline through (x, y), y of shape (len(x), m),
-    from the inverse of its slope system; the right-hand side and the
-    coefficients are formed as scipy's CubicSpline forms them."""
-    dx = np.diff(x)[:, None]
-    slope = np.diff(y, axis=0) / dx
-    b = np.empty_like(y)
     b[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
     d = x[2] - x[0]
+    a[0, :2] = dx[1], d
     b[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
     d = x[-1] - x[-3]
+    a[-1, -2:] = d, dx[-2]
     b[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    s = slope_solve @ b
+    s = np.linalg.solve(a, b)
     t = (s[:-1] + s[1:] - 2.0 * slope) / dx
-    return _Spline(x, np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]]))
+    return np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
 
 
 def quad(half_width, tau, s, power):
@@ -338,58 +322,62 @@ def quad(half_width, tau, s, power):
 @lru_cache(maxsize=_TAIL_TABLE_ENTRIES)
 def _tail_table(grid, s, power):
     L = grid.half_width
-    # clustered toward the ends, where the correction varies fastest, but
-    # kept strictly inside the node range
-    t_max = L - 0.5 * grid.h
-    t_nodes = t_max * np.sin(np.linspace(-0.5 * np.pi, 0.5 * np.pi, 65))
-    tau = np.stack([t_nodes, -t_nodes])
-    factor = (L - tau) ** (-2.0 * s) / (2.0 * s)
-    value, abserr = quad(L, tau, s, power)
-    table = _TailTable(t_nodes, factor, value, abserr, _not_a_knot_inverse(t_nodes))
+    # Chebyshev-like, clustered toward both ends of the nodes' distances
+    # h/2 .. 2L - h/2 to an end
+    d = L - (L - 0.5 * grid.h) * np.sin(np.linspace(0.5 * np.pi, -0.5 * np.pi, 65))
+    value, abserr = quad(L, L - d, s, power)
+    table = _TailTable(d, value, abserr, _not_a_knot_spline(d, 2.0 * s * d ** (2.0 * s) * value))
     for a in table:
         a.flags.writeable = False
     return table
 
 
-def _spline_at_sorted(spline, x):
-    """A cubic spline (breakpoints and coefficients in PPoly's layout,
-    values of shape (m,)) at ascending x.
+def _spline_at_sorted(breaks, c, x):
+    """A cubic spline, breakpoints and coefficients (4, len(breaks) - 1) in
+    PPoly's layout, at ascending x.
 
     One searchsorted of the inner breakpoints splits x into runs, one per
-    piece, and each run is one Horner pass in place per component, with
-    that piece's scalar coefficients. As in PPoly, a point on a breakpoint
-    takes the piece to its right, and points beyond the ends extrapolate
-    the outer pieces. Returns shape (len(x), m), contiguous per component.
+    piece, and each run is one Horner pass in place with that piece's
+    coefficients. As in PPoly, a point on a breakpoint takes the piece to
+    its right, and points beyond the ends extrapolate the outer pieces.
     """
-    breaks, c = spline.x, spline.c
-    out = np.empty((c.shape[2], len(x)))
+    out = np.empty(len(x))
     cuts = np.concatenate([[0], np.searchsorted(x, breaks[1:-1]), [len(x)]])
-    for i in range(len(breaks) - 1):
-        lo, hi = cuts[i], cuts[i + 1]
-        dx = x[lo:hi] - breaks[i]
-        for seg, (c3, c2, c1, c0) in zip(out[:, lo:hi], c[:, i].T):
-            np.multiply(dx, c3, out=seg)
-            seg += c2
-            seg *= dx
-            seg += c1
-            seg *= dx
-            seg += c0
-    return out.T
+    for lo, hi, start, (c3, c2, c1, c0) in zip(cuts[:-1], cuts[1:], breaks, c.T):
+        dx, seg = x[lo:hi] - start, out[lo:hi]
+        np.multiply(dx, c3, out=seg)
+        seg += c2
+        seg *= dx
+        seg += c1
+        seg *= dx
+        seg += c0
+    return out
 
 
 def _tail_far_contribution(f, s):
-    """int_{|y|>L} tail(y) |t-y|^(-1-2s) dy at every node, interpolated.
+    """int_{|y|>L} tail(y) |t-y|^(-1-2s) dy at every node.
 
-    Smooth in t, so 65 Chebyshev-like nodes and a not-a-knot cubic spline
-    are plenty; the spline is evaluated piece by piece on the sorted nodes.
+    Node i lies d_i = (i + 1/2) h from the left end and d_(n-1-i) from the
+    right one, and either end's integral is e (limit + coef G) at that
+    distance (`_TailTable`). So G is read once off its spline at every d_k,
+    d turns into the exact end factor e in place, and the right end's terms
+    are the left end's formula in reverse node order.
     """
     tail = f.tail
     tab = _tail_table(f.grid, s, tail.power)
-    fac, val = tab.factor[:, :, None], tab.value[:, :, None]
-    vals = ((fac[0] * tail.limit_pos + tail.coef_pos * val[0])
-            + (fac[1] * tail.limit_neg + tail.coef_neg * val[1]))
-    return _spline_at_sorted(_not_a_knot_spline(tab.t_nodes, tab.slope_solve, vals),
-                             f.grid.nodes())
+    e = np.arange(0.5, f.grid.n_points)[:, None]
+    e *= f.grid.h
+    g = _spline_at_sorted(tab.d, tab.c, e[:, 0])[:, None]
+    e **= -2.0 * s
+    e /= 2.0 * s
+    out = g * tail.coef_neg
+    out += tail.limit_neg
+    out *= e
+    right = g * tail.coef_pos
+    right += tail.limit_pos
+    right *= e
+    out += right[::-1]
+    return out
 
 
 def tail_quad_abserr(f, s):
@@ -689,8 +677,9 @@ class _SplineInterpolant:
         for p in range(period):
             out = np.correlate(seg, self._filter[:, p], "valid").reshape(-1, span)
             fine[:, :, p] = out[:, : step * n_periods : step]
-        fine = fine.reshape(m, len(new), n_periods * period)
-        c = fine[:, np.arange(len(new)), offset + np.arange(_BLOCK + 3)[:, None]]
+        # c is (block, interval, component), the tables' order
+        fine = fine.reshape(m, len(new), n_periods * period).transpose(1, 2, 0)
+        c = fine[np.arange(len(new))[:, None], offset[:, None] + np.arange(_BLOCK + 3)]
         c0, c1, c2, c3 = c[:, :-3], c[:, 1:-2], c[:, 2:-1], c[:, 3:]
         used, need = self._n_fitted * _BLOCK, (self._n_fitted + len(new)) * _BLOCK
         if need > len(self._coef[0]):
@@ -698,13 +687,12 @@ class _SplineInterpolant:
             for table, old in zip(grown, self._coef):
                 table[:used] = old[:used]
             self._coef = tuple(grown)
-        # c is (component, interval, block); a table holds block after block
         for table, power in zip(self._coef,
                                 ((c3 - c0 + 3.0 * (c1 - c2)) / (6.0 * dx ** 3),
                                  (c0 - 2.0 * c1 + c2) / (2.0 * dx * dx),
                                  (c2 - c0) / (2.0 * dx),
                                  (c0 + 4.0 * c1 + c2) / 6.0)):
-            table[used:need].reshape(len(new), _BLOCK, m)[:] = power.transpose(2, 1, 0)
+            table[used:need] = power.reshape(-1, m)
         self._slot[new] = self._n_fitted + np.arange(len(new))
         self._n_fitted += len(new)
 

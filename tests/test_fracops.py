@@ -90,6 +90,25 @@ def test_quadrature_converges_at_third_order():
     assert np.all(orders >= 2.9), orders
 
 
+@pytest.mark.parametrize("s,bounds", [(0.5, (1e-13, 1e-10, 1e-8)), (0.25, (2e-11, 2e-9, 1e-7))],
+                         ids=["half", "quarter"])
+def test_quadrature_matches_the_closed_forms_outside_the_centre(s, bounds):
+    # beyond check 03's window |x| <= 10 the far field sets the route's
+    # error: on the three bands of |x| it reads 3.6e-15, 3.0e-12 and 9.1e-10
+    # at s = 1/2, and 1.8e-12, 2.4e-10 and 1.0e-8 at s = 1/4
+    g = LineGrid(1000.0, 2 ** 16)
+    x = g.nodes()
+    out = frac_laplacian_line_quadrature(_lorentzian_field(g), s, convention="normalized")
+    if s == 0.5:
+        exact = (1.0 - x * x) / (1.0 + x * x) ** 2
+    else:  # Gamma(3/2) Re[(1 + ix)^(3/2)] / (1 + x^2)^(3/2)
+        exact = 0.5 * np.sqrt(np.pi) * ((1.0 + 1j * x) ** 1.5).real / (1.0 + x * x) ** 1.5
+    err = np.abs(out.samples[:, 0] - exact)
+    for (lo, hi), bound in zip([(100.0, 900.0), (900.0, 990.0), (990.0, 1000.0)], bounds):
+        band = (np.abs(x) >= lo) & (np.abs(x) < hi)
+        assert np.max(err[band]) <= bound, (lo, hi, np.max(err[band]))
+
+
 def test_spectral_route_converges_at_second_order_in_the_half_width():
     # the spectral route's error on |x| <= 10 is periodization, O(L^-2) for the
     # Lorentzian: at h = 0.05 and L = 125 .. 1000 the errors run from 5.26e-5
@@ -109,17 +128,17 @@ def test_spectral_route_converges_at_second_order_in_the_half_width():
 
 
 def _far_field_from_tail(f, s):
-    # the tail correction with its panel rule run afresh on each call, in the
-    # same operations as the cached table
+    # the tail correction with its panel rule and its fit run afresh on each
+    # call, in the same operations as the cached table
     L, h, tail = f.grid.half_width, f.grid.h, f.tail
-    t_nodes = (L - 0.5 * h) * np.sin(np.linspace(-0.5 * np.pi, 0.5 * np.pi, 65))
-    tau = np.stack([t_nodes, -t_nodes])
-    fac = ((L - tau) ** (-2.0 * s) / (2.0 * s))[:, :, None]
-    val = fracops.quad(L, tau, s, tail.power)[0][:, :, None]
-    vals = ((fac[0] * tail.limit_pos + tail.coef_pos * val[0])
-            + (fac[1] * tail.limit_neg + tail.coef_neg * val[1]))
-    spline = fracops._not_a_knot_spline(t_nodes, fracops._not_a_knot_inverse(t_nodes), vals)
-    return fracops._spline_at_sorted(spline, f.grid.nodes())
+    d = L - (L - 0.5 * h) * np.sin(np.linspace(0.5 * np.pi, -0.5 * np.pi, 65))
+    value = fracops.quad(L, L - d, s, tail.power)[0]
+    c = fracops._not_a_knot_spline(d, 2.0 * s * d ** (2.0 * s) * value)
+    # node i lies (i + 1/2) h from the left end, (n - 1 - i + 1/2) h from the right
+    dist = (np.arange(f.grid.n_points) + 0.5) * h
+    g = fracops._spline_at_sorted(d, c, dist)[:, None]
+    e = (dist ** (-2.0 * s) / (2.0 * s))[:, None]
+    return e * (tail.limit_neg + tail.coef_neg * g) + (e * (tail.limit_pos + tail.coef_pos * g))[::-1]
 
 
 def _two_n_point_quadrature(f, s, convention):
@@ -286,7 +305,7 @@ def test_tail_quad_runs_once_per_grid_order_and_power(monkeypatch):
             frac_laplacian_line_quadrature(g, s)
         return len(calls) - before
 
-    assert used((f, 0.5)) == 1  # one vectorised rule for all 130 integrals
+    assert used((f, 0.5)) == 1  # one vectorised rule for all 65 integrals
     assert used((f, 0.5), (f, 0.5)) == 0
     other_coef = Field(grid, (3.0 / (1.0 + x * x))[:, None], tail=TailModel.even(2.0, 3.0))
     assert used((other_coef, 0.5)) == 0
@@ -338,7 +357,7 @@ def test_tail_table_matches_the_closed_form(half_width, n, s):
     grid = LineGrid(half_width, n)
     for power in (0.5, 0.75, 1.0, 2.0, 3.0):
         tab = fracops._tail_table(grid, s, power)
-        exact = _tail_closed_form(grid, s, power, np.stack([tab.t_nodes, -tab.t_nodes]))
+        exact = _tail_closed_form(grid, s, power, grid.half_width - tab.d)
         assert np.max(np.abs(tab.value / exact - 1.0)) <= 1e-13, power
         # the 12-node rule is the estimate's only source: a few parts in 1e12
         assert np.all(tab.abserr <= 1e-11 * exact), power
@@ -376,54 +395,51 @@ def test_tail_rule_agrees_with_quad_within_its_error_estimate():
         for s in (0.5, 0.25):
             for power in (0.5, 2.0, 3.0):
                 tab = fracops._tail_table(grid, s, power)
-                for side, sign in enumerate((1.0, -1.0)):
-                    for tn, got in zip(tab.t_nodes, tab.value[side]):
-                        want, err = quad(
-                            lambda y: y ** -power * (y - sign * tn) ** (-1.0 - 2.0 * s),
-                            grid.half_width, np.inf, epsabs=1e-13, epsrel=1e-11)
-                        assert abs(got - want) <= err, (grid, s, power, side, tn)
+                for tau, got in zip(grid.half_width - tab.d, tab.value):
+                    want, err = quad(lambda y: y ** -power * (y - tau) ** (-1.0 - 2.0 * s),
+                                     grid.half_width, np.inf, epsabs=1e-13, epsrel=1e-11)
+                    assert abs(got - want) <= err, (grid, s, power, tau)
 
 
 def test_piecewise_spline_matches_ppoly():
-    # the tail table's 65 nodes on a 2^16 grid, two components; the query
-    # holds every grid node, the breakpoint 0.0 and the two outer breakpoints
-    # +-(L - h/2), around which the end nodes make PPoly extrapolate
+    # the tail table's 65 distances on a 2^16 grid; the query holds every
+    # distance (k + 1/2) h the far field reads, the middle breakpoint L and
+    # the two outer breakpoints h/2 and 2L - h/2, around which the end
+    # distances make PPoly extrapolate
     grid = LineGrid(1000.0, 2 ** 16)
-    t_nodes = fracops._tail_table(grid, 0.5, 2.0).t_nodes
-    vals = np.stack([1.0 / (1.0 + t_nodes ** 2), np.cos(t_nodes / 300.0)], axis=1)
-    spline = CubicSpline(t_nodes, vals, axis=0)
-    x = np.sort(np.concatenate([grid.nodes(), [0.0, t_nodes[0], t_nodes[-1]]]))
-    assert np.count_nonzero(x == 0.0) == 1
-    got, want = fracops._spline_at_sorted(spline, x), spline(x)
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-    # a single component, and a query lying beyond both ends
-    far = np.array([-1200.0, -1000.0, 1000.0, 1200.0])
-    one = CubicSpline(t_nodes, vals[:, :1], axis=0)
-    assert np.allclose(fracops._spline_at_sorted(one, far), one(far), rtol=1e-14, atol=0.0)
+    L, d = grid.half_width, fracops._tail_table(grid, 0.5, 2.0).d
+    x = np.sort(np.concatenate([(np.arange(grid.n_points) + 0.5) * grid.h, [L, d[0], d[-1]]]))
+    assert d[32] == L and np.count_nonzero(x == L) == 1
+    # and a query lying beyond both ends
+    far = np.array([-200.0, 0.0, 2.0 * L, 2200.0])
+    for vals in (1.0 / (1.0 + (d - L) ** 2), np.cos(d / 300.0)):
+        spline = CubicSpline(d, vals)
+        got, want = fracops._spline_at_sorted(d, spline.c, x), spline(x)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        assert np.allclose(fracops._spline_at_sorted(d, spline.c, far), spline(far),
+                           rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("s", [0.5, 0.25])
 def test_not_a_knot_fit_matches_scipy(s):
-    # the tail table's nodes at 2^16, and the far-field values of a tail with
-    # distinct limits and coefficients at the two ends, as the route forms them
+    # the tail table's distances at 2^16 and the values G = 2s d^(2s) value
+    # it fits; the table holds this fit
     grid = LineGrid(1000.0, 2 ** 16)
     tab = fracops._tail_table(grid, s, 1.0)
-    limits, coefs = np.array([[0.5 * np.pi, -0.5 * np.pi], [0.0, 1.0]]), np.array([[-1.0, 1.0], [2.0, 3.0]])
-    vals = np.stack([tab.factor[0] * lp + cp * tab.value[0] + tab.factor[1] * ln + cn * tab.value[1]
-                     for (lp, ln), (cp, cn) in zip(limits, coefs)], axis=1)
-    want = CubicSpline(tab.t_nodes, vals, axis=0)
-    got = fracops._not_a_knot_spline(tab.t_nodes, tab.slope_solve, vals)
-    assert np.array_equal(got.x, want.x) and got.c.shape == want.c.shape
-    assert np.array_equal(got.c[3], want.c[3])
-    # each piece as a cubic in (t - x_i) / dx_i: its cubic coefficient is a
+    vals = 2.0 * s * tab.d ** (2.0 * s) * tab.value
+    want = CubicSpline(tab.d, vals)
+    got = fracops._not_a_knot_spline(tab.d, vals)
+    assert np.array_equal(got, tab.c) and got.shape == want.c.shape
+    assert np.array_equal(got[3], want.c[3])
+    # each piece as a cubic in (d - d_i) / dx_i: its cubic coefficient is a
     # difference of slopes over dx^2, which costs both fits some 1e-14 of
     # its largest value against a long-double fit
-    dx = np.diff(tab.t_nodes)[:, None]
-    scaled = (got.c - want.c) * dx ** np.arange(3, -1, -1)[:, None, None]
+    dx = np.diff(tab.d)
+    scaled = (got - want.c) * dx ** np.arange(3, -1, -1)[:, None]
     assert np.max(np.abs(scaled)) <= 4e-15 * np.max(np.abs(vals))
-    x = grid.nodes()
-    far = fracops._spline_at_sorted(got, x) - fracops._spline_at_sorted(want, x)
+    x = (np.arange(grid.n_points) + 0.5) * grid.h
+    far = fracops._spline_at_sorted(tab.d, got, x) - fracops._spline_at_sorted(tab.d, want.c, x)
     assert np.max(np.abs(far)) <= 2e-15 * np.max(np.abs(vals))
 
 
