@@ -602,9 +602,12 @@ def check_counterexample_window() -> CheckResult:
 # 14: Lorentz norms
 
 
+@lru_cache(maxsize=1)
 def inverse_sqrt_annuli(inner, outers):
-    """Norms of |x|^(-1/2) on inner < |x| < R for R in outers (R at most the grid
-    half-width): rows (inner, R, L2, L(2,1), L(2,inf), sqrt(2 log(R/inner)))."""
+    """Norms of |x|^(-1/2) on inner < |x| < R for R in the tuple outers (R at
+    most the grid half-width): rows (inner, R, L2, L(2,1), L(2,inf),
+    sqrt(2 log(R/inner))). The norms subcommand and check 14 share the
+    table at the defaults, so it is built once and kept as tuples."""
     grid = LineGrid(ANNULI["half_width"], 1 << 17)
     f = Field(grid, (np.abs(grid.nodes()) ** -0.5)[:, None])
     rows = []
@@ -613,7 +616,7 @@ def inverse_sqrt_annuli(inner, outers):
         rows.append((inner, big_r, norms.lp_norm(f, 2.0, region),
                      norms.lorentz_21(f, region), norms.lorentz_2inf(f, region),
                      float(np.sqrt(2.0 * np.log(big_r / inner)))))
-    return rows
+    return tuple(rows)
 
 
 def check_lorentz_norms() -> CheckResult:

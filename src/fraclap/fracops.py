@@ -92,38 +92,25 @@ def frac_laplacian_line_quadrature(f, s, convention="paper"):
     For every node t: sum over symmetric offsets r = jh of
     (2 f(t) - f(t+r) - f(t-r)) r^(-1-2s) h, plus a local Taylor term for
     r < h/2 and an analytic correction for the part of the line beyond the
-    grid (tail model required for slow decay). The pair sums
-    sum_j w_j (f(t+jh) + f(t-jh)) are a symmetric Toeplitz product, computed
-    as half a circulant plus half a skew-circulant product of length n: one
-    n-point irfft of the field's cached rfft, and one DCT-III/II and one
-    DST-III/II pair of n/2 points. No transform is longer than n.
-    Valid for s in (0, 1/2].
+    grid (tail model required for slow decay). With f'' the second
+    difference, the Taylor term is one more weight on offset 1, so the route
+    is diag u minus one symmetric Toeplitz product (_pair_weights,
+    _pair_sums) and the far field; an end node takes its neighbour's second
+    difference. Valid for s in (0, 1/2].
     """
     _check_quadrature_input(f, s)
     if convention not in ("paper", "normalized"):
         raise ValueError("convention must be 'paper' or 'normalized'")
     _check_line_boundary(f, "frac_laplacian_line_quadrature",
                          "the far field is treated as zero")
-    h = f.grid.h
     u = f.samples
     circ_mult, skew_mult, diag = _pair_weights(f.grid, s)
-    # out = diag u - pairs, in the pair sums' array; the array of diag u
-    # then holds the local part
     out = _pair_sums(f, circ_mult, skew_mult)
-    local = diag[:, None] * u
-    np.subtract(local, out, out=out)
-
-    # local part: int_0^(h/2) (2f(t) - f(t+r) - f(t-r)) r^(-1-2s) dr
-    # with the integrand ~ -f''(t) r^(1-2s)
-    fpp = local[1:-1]
-    np.multiply(-2.0, u[1:-1], out=fpp)
-    fpp += u[2:]
-    fpp += u[:-2]
-    fpp /= h ** 2
-    local[0] = local[1]
-    local[-1] = local[-2]
-    local *= (0.5 * h) ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
-    out -= local
+    np.subtract(diag[:, None] * u, out, out=out)
+    # node 0 holds kappa (u[0] - u[1]) and wants kappa (2 u[1] - u[0] - u[2])
+    kappa = _taylor_weight(f.grid.h, s)
+    out[0] += kappa * (3.0 * u[1] - 2.0 * u[0] - u[2])
+    out[-1] += kappa * (3.0 * u[-2] - 2.0 * u[-1] - u[-3])
 
     # beyond-grid part: int over |y| > L of (f(t) - f(y)) |t-y|^(-1-2s) dy.
     # The f(t) piece is analytic and sits in diag; the f(y) piece integrates
@@ -132,8 +119,13 @@ def frac_laplacian_line_quadrature(f, s, convention="paper"):
         out -= _tail_far_contribution(f, s)
 
     if convention == "normalized":
-        out = out * singular_constant(s)
+        out *= singular_constant(s)
     return Field(f.grid, out)
+
+
+def _taylor_weight(h, s):
+    """kappa: int_0^(h/2) of the integrand -f''(t) r^(1-2s) is -kappa h^2 f''(t)."""
+    return (0.5 * h) ** (2.0 - 2.0 * s) / ((2.0 - 2.0 * s) * h * h)
 
 
 def _pair_sums(f, circ_mult, skew_mult):
@@ -141,21 +133,19 @@ def _pair_sums(f, circ_mult, skew_mult):
 
     The symmetric Toeplitz matrix of the weights is half the sum of the
     circulant and the skew-circulant matrices of the same first row. The
-    circulant half multiplies f's n-point rfft by circ_mult. The
-    skew-circulant matrix of a real symmetric kernel is diagonalised by
-    cosine and sine transforms of n/2 points (Martucci 1994): u, folded about
-    node 0 into a_j = (u_j - u_(n-j)) / 2 for j < n/2 and
-    b_j = (u_j + u_(n-j)) / 2 for 0 < j <= n/2, goes through a DCT-III/II
-    pair and a DST-III/II pair scaled by skew_mult, whose results interleave
-    back onto the n nodes.
+    circulant half is rfft_multiply(f, circ_mult), so an exactly even or odd
+    f runs it on n/2 points. The skew-circulant matrix of a real symmetric
+    kernel is diagonalised by cosine and sine transforms of n/2 points
+    (Martucci 1994): u, folded about node 0 into a_j = (u_j - u_(n-j)) / 2
+    for j < n/2 and b_j = (u_j + u_(n-j)) / 2 for 0 < j <= n/2, goes through
+    a DCT-III/II pair and a DST-III/II pair scaled by skew_mult, whose
+    results interleave back onto the n nodes. No transform is longer than n.
     """
     import scipy.fft
 
-    n, half = f.grid.n_points, f.grid.n_points // 2
+    half = f.grid.n_points // 2
     u = f.samples
-    spec = f.rfft() * circ_mult[:, None]
-    pairs = np.fft.irfft(spec, n, axis=0)
-    del spec
+    pairs = rfft_multiply(f, circ_mult)
     # 2a and 2b: the fold's 1/2, and the skew half's 1/2 and 1/n, are in
     # skew_mult
     a, b = np.empty((half, f.m)), np.empty((half, f.m))
@@ -193,12 +183,13 @@ _TAIL_TABLE_ENTRIES = 32
 def _pair_weights(grid, s):
     """The pair-sum multipliers and the diagonal of the quadrature route.
 
-    With w_k = (k h)^(-1-2s) h for 0 < k < n, w_0 = w_n = 0 and N = n/2:
-    circ_mult = rfft(p).real / 2 with p_k = w_k + w_(n-k) (N+1 values),
-    skew_mult = dct(q, type=3) / (4n) with q_k = w_k - w_(n-k) for k < N
-    (N values), and diag (n values), each node's total in-range weight plus
-    the analytic ((L-x)^(-2s) + (L+x)^(-2s)) / (2s) of the part of the line
-    beyond the grid.
+    With w_k = (k h)^(-1-2s) h for 0 < k < n plus the r < h/2 term kappa
+    (_taylor_weight) on w_1, w_0 = w_n = 0 and N = n/2: circ_mult =
+    rfft(p).real / 2 with p_k = w_k + w_(n-k) (N+1 values), skew_mult =
+    dct(q, type=3) / (4n) with q_k = w_k - w_(n-k) for k < N (N values), and
+    diag (n values), each node's total in-range weight, kappa twice inside
+    and once at an end, plus the analytic ((L-x)^(-2s) + (L+x)^(-2s)) / (2s)
+    of the part of the line beyond the grid.
     """
     import scipy.fft
 
@@ -211,6 +202,7 @@ def _pair_weights(grid, s):
     np.multiply(np.arange(1, n), h, out=w[1:n])
     w[1:n] **= -1.0 - 2.0 * s
     w[1:n] *= h
+    w[1] += _taylor_weight(h, s)
     p = np.fft.rfft(w[:n] + w[n:0:-1])
     np.multiply(0.5, p.real, out=circ_mult)
     q = scipy.fft.dct(w[:half] - w[n:half:-1], type=3, overwrite_x=True)

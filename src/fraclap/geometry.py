@@ -246,7 +246,7 @@ def odd_part(f):
     return Field(f.grid, 0.5 * (f.samples - _reflect(f)), t)
 
 
-def line_integral(f, tail_corrected=True):
+def line_integral(f):
     """Integral over the real line, midpoint rule plus the analytic tail.
 
     With a tail model limit + coef |x|^(-p), the |x| > L remainder is
@@ -255,7 +255,7 @@ def line_integral(f, tail_corrected=True):
     if not isinstance(f.grid, LineGrid):
         raise TypeError("line_integral needs a line field")
     total = f.grid.h * f.samples.sum(axis=0)
-    if tail_corrected and f.tail is not None:
+    if f.tail is not None:
         t = f.tail
         if np.any(t.limit_pos != 0) or np.any(t.limit_neg != 0):
             raise ValueError("tail with nonzero limit is not integrable")

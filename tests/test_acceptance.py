@@ -43,6 +43,14 @@ def test_03_line_closed_form():
     _assert_passes("03-line-closed-form")
 
 
+def test_03_quadrature_error_is_the_routes_third_order_error():
+    # the normalized route's error on |x| <= 10 is its third-order
+    # discretization error on check 03's grid, 9.007e-6; a lost or a gained
+    # order leaves the band
+    quadrature = _result("03-line-closed-form").details["quadrature_max"]
+    assert 8.9e-6 <= quadrature <= 9.1e-6, quadrature
+
+
 @pytest.mark.xfail(strict=True, reason="the coded reference kernels are -2 "
                    "times the actual inverse quarter-Laplacian transforms; "
                    "the companion test pins the ratio")

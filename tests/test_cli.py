@@ -226,6 +226,15 @@ def test_norms_indicator(capsys):
     assert abs(res["l21"] - np.sqrt(3.0)) < 0.07  # sqrt(h) edge effect
 
 
+def test_norms_builds_the_annulus_table_once(capsys):
+    # at the defaults the subcommand's table and check 14's are the same
+    acceptance.inverse_sqrt_annuli.cache_clear()
+    code, _, _ = _run(capsys, ["norms"])
+    assert code == 0
+    info = acceptance.inverse_sqrt_annuli.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_flow_default_recipe(capsys):
     code, out, _ = _run(capsys, ["flow", "--n-modes", "64",
                                  "--perturbation", "0.05", "--tol", "1e-5"])

@@ -178,11 +178,15 @@ def _uncached_quadrature(f, s, convention):
     u = f.samples
     w = np.zeros(n + 1)
     w[1:n] = (np.arange(1, n) * h) ** (-1.0 - 2.0 * s) * h
+    # the r < h/2 Taylor term is one more weight on offset 1
+    kappa = (0.5 * h) ** (2.0 - 2.0 * s) / ((2.0 - 2.0 * s) * h * h)
+    w[1] += kappa
     circ_mult = 0.5 * np.fft.rfft(w[:n] + w[n:0:-1]).real
     skew_mult = 0.25 / n * scipy.fft.dct(w[:half] - w[n:half:-1], type=3)
     ends = ((np.arange(n) + 0.5) * h) ** (-2.0 * s) / (2.0 * s) + np.cumsum(w)[:n]
     diag = ends[::-1] + ends
-    circ = np.fft.irfft(np.fft.rfft(u, axis=0) * circ_mult[:, None], n, axis=0)
+    # a fresh field, so that f's own rfft stays as the route leaves it
+    circ = rfft_multiply(Field(f.grid, u), circ_mult)
     a = np.concatenate([2.0 * u[:1], u[1:half] - u[:half:-1]])
     b = np.concatenate([u[1:half] + u[:half:-1], 2.0 * u[half:half + 1]])
     a = scipy.fft.dct(scipy.fft.dct(a, type=3, axis=0) * skew_mult[:, None], type=2, axis=0)
@@ -192,11 +196,9 @@ def _uncached_quadrature(f, s, convention):
                                 circ[half:half + 1] + b[-1:],
                                 circ[half + 1:] + b[-2::-1] - a[:0:-1]])
     out = diag[:, None] * u - pair_sums
-    fpp = np.empty_like(u)
-    fpp[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) / h ** 2
-    fpp[0] = fpp[1]
-    fpp[-1] = fpp[-2]
-    out -= fpp * ((0.5 * h) ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s))
+    # an end node takes its neighbour's second difference
+    out[0] += kappa * (3.0 * u[1] - 2.0 * u[0] - u[2])
+    out[-1] += kappa * (3.0 * u[-2] - 2.0 * u[-1] - u[-3])
     if f.tail is not None:
         out -= _far_field_from_tail(f, s)
     if convention == "normalized":
@@ -253,11 +255,23 @@ def test_pair_sums_are_the_dense_toeplitz_product(n, s):
     circ_mult, skew_mult, _ = fracops._pair_weights(grid, s)
     w = np.zeros(n)
     w[1:] = (np.arange(1, n) * grid.h) ** (-1.0 - 2.0 * s) * grid.h
+    # the r < h/2 Taylor term's weight rides on offset 1
+    w[1] += (0.5 * grid.h) ** (2.0 - 2.0 * s) / ((2.0 - 2.0 * s) * grid.h ** 2)
     toeplitz = w[np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])]
     want = toeplitz @ f.samples
     scale = np.max(np.abs(toeplitz.sum(axis=1)[:, None] * f.samples))
     got = fracops._pair_sums(f, circ_mult, skew_mult)
     assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+
+def test_quadrature_leaves_an_even_or_odd_fields_rfft_uncomputed():
+    # the circulant half is rfft_multiply's, which runs an exactly even or
+    # odd field on n/2 points without its rfft
+    fields = _route_fields(LineGrid(80.0, 2 ** 12))
+    for f in fields.values():
+        frac_laplacian_line_quadrature(f, 0.5)
+    assert fields["even_a"]._rfft is None and fields["odd"]._rfft is None
+    assert fields["m2"]._rfft is not None
 
 
 @pytest.mark.parametrize("s", [0.5, 0.25])
