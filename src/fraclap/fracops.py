@@ -16,6 +16,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gamma as _gamma
 
 from .geometry import (RESOLVED, CircleGrid, Field, LineGrid, gauss_legendre,
@@ -617,15 +618,14 @@ class _SplineInterpolant:
         if n_band == n:  # a full band's bin n/2 splits between +-n/2
             spec[n // 2] *= 0.5
         self._grid = np.fft.irfft(spec, size, axis=0).T
-        # fine nodes fall at _period offsets from the samples, repeating every
-        # _period nodes (_step samples): the node a _period + p past the first
-        # node sits at sample _step a + pos[p]. Column p of the filter weighs
-        # the samples from _step a - _SPREAD + 1 on, zero but for the
-        # 2 _SPREAD nearest the node
-        common = np.gcd(_OVERSAMPLE, refine_band)
-        self._period, self._step = refine_band // common, _OVERSAMPLE // common
-        pos = _OVERSAMPLE * np.arange(self._period) / refine_band
-        row = np.arange(2 * _SPREAD + self._step - 1)[:, None]
+        # the fine nodes repeat their offsets from the samples every
+        # _period = refine_band nodes (_OVERSAMPLE samples): the node
+        # a _period + p past the first node sits at sample _OVERSAMPLE a + pos[p].
+        # Row r of filter column p weighs sample _OVERSAMPLE a - _SPREAD + 1 + r,
+        # zero but for the 2 _SPREAD nearest the node
+        self._period = refine_band
+        pos = _OVERSAMPLE * np.arange(refine_band) / refine_band
+        row = np.arange(2 * _SPREAD + _OVERSAMPLE - 1)[:, None]
         d = row - (_SPREAD - 1) - pos
         near = (row >= np.floor(pos)) & (row < np.floor(pos) + 2 * _SPREAD)
         self._filter = np.where(near, np.sqrt(_BETA) * np.exp(-np.pi * _BETA * d * d), 0.0)
@@ -647,28 +647,22 @@ class _SplineInterpolant:
         new block spreads the _BLOCK + 3 from the node before it on and turns
         each 4 into one interval's cubic. Each block reads one segment of the
         grid, wrapped around its period, from a whole period of fine nodes on.
-        The segments run end to end through one correlation per filter column,
-        which forms each coefficient as a dot product of fixed length, so a
-        node gets the same value whichever blocks share the call.
+        Its fine values are one polyphase product: the segment's windows of
+        the filter's length, one every _OVERSAMPLE samples, times the filter
+        columns. Each coefficient is a dot product of fixed length, so a node
+        gets the same value whichever blocks share the call.
         """
         new = np.flatnonzero((np.bincount(blocks, minlength=len(self._slot)) > 0) & (self._slot < 0))
         if len(new) == 0:
             return
-        period, step, m, dx = self._period, self._step, self._m, self._dx
+        period, m, dx = self._period, self._m, self._dx
         first, offset = np.divmod(new * _BLOCK - 1 - self._n_wrap, period)
         n_periods = -(-(period + _BLOCK + 2) // period)
         rows = len(self._filter)
-        span = step * (n_periods - 1) + rows
-        # rows - 1 zeros after the last segment give the correlation one
-        # output per segment sample; those past a segment's n_periods are unused
-        count = m * len(new) * span
-        seg = np.zeros(count + rows - 1)
-        np.take(self._grid, step * first[:, None] - (_SPREAD - 1) + np.arange(span), axis=1,
-                mode="wrap", out=seg[:count].reshape(m, len(new), span))
-        fine = np.empty((m * len(new), n_periods, period))
-        for p in range(period):
-            out = np.correlate(seg, self._filter[:, p], "valid").reshape(-1, span)
-            fine[:, :, p] = out[:, : step * n_periods : step]
+        span = _OVERSAMPLE * (n_periods - 1) + rows
+        seg = np.take(self._grid, _OVERSAMPLE * first[:, None] - (_SPREAD - 1) + np.arange(span),
+                      axis=1, mode="wrap").reshape(-1, span)
+        fine = sliding_window_view(seg, rows, axis=1)[:, ::_OVERSAMPLE] @ self._filter
         # c is (block, interval, component), the tables' order
         fine = fine.reshape(m, len(new), n_periods * period).transpose(1, 2, 0)
         c = fine[np.arange(len(new))[:, None], offset[:, None] + np.arange(_BLOCK + 3)]

@@ -462,6 +462,18 @@ def test_mobius_commands_load_neither_interpolate_nor_optimize(tmp_path):
         % (out, out))
 
 
+def test_selftest_loads_neither_interpolate_nor_optimize(tmp_path):
+    # every check of the selftest, through the CLI; its report keeps check
+    # 15's M+ and M- exactly even and odd and its collocation matrix injective
+    out = tmp_path / "selftest.json"
+    _run_without_unused_scipy("from fraclap import cli; "
+                              "assert cli.main(['selftest', '--out', %r]) == 0" % str(out))
+    check = next(c for c in _report(out.read_text())["results"]["checks"]
+                 if c["check"] == "15-moment-operators")
+    assert check["details"]["parity"] == 0.0
+    assert check["details"]["sigma_min"] > 0.0
+
+
 def test_reports_record_the_library_versions(capsys):
     import scipy
     code, out, _ = _run(capsys, ["kernel"])
