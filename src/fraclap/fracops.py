@@ -499,12 +499,14 @@ _BLOCK = 256  # fine intervals per fitted block of the spline
 # 2e-16 (a Lorentzian at 2^20 nodes) and 2e-15 (white noise up to the
 # Nyquist frequency, refine 4 to 49); S = 12 lets white noise reach 1e-12.
 #
-# A block's fit correlates its samples with one filter column per offset of
-# the fine nodes from the samples, refine n / (2 n_band) of them at even
-# refine, and each column costs about 2 _SPREAD outputs beyond the block's
-# own. So the band keeps at most _BAND_REFINE fine nodes per band node:
-# fitting every block of a 2^16-node field took 43 ms at the full band
-# (2 columns), 45 ms at 8 columns and 62 ms at 32.
+# A block's fit multiplies the grid's windows by the filter's columns, one
+# per offset of the fine nodes from the samples (refine n / n_band of them,
+# a period), so it computes whole periods of fine nodes, at least two. The
+# band keeps at most _BAND_REFINE fine nodes per band node, since a period
+# past _BLOCK would more than double a block's work; at 16 a block computes
+# 288 fine values for its 259. Fitting every block of a 2^16-node field
+# (m = 2, refine 4) took 28-37 ms at the full band (4 columns), 27-30 ms at
+# 16 columns and 27-28 ms at 64 (2-core VM, best of 25).
 _OVERSAMPLE = 2
 _SPREAD = 16
 _BETA = (_OVERSAMPLE - 0.5) / (_OVERSAMPLE * _SPREAD)
@@ -619,10 +621,11 @@ class _SplineInterpolant:
             spec[n // 2] *= 0.5
         self._grid = np.fft.irfft(spec, size, axis=0).T
         # the fine nodes repeat their offsets from the samples every
-        # _period = refine_band nodes (_OVERSAMPLE samples): the node
-        # a _period + p past the first node sits at sample _OVERSAMPLE a + pos[p].
-        # Row r of filter column p weighs sample _OVERSAMPLE a - _SPREAD + 1 + r,
-        # zero but for the 2 _SPREAD nearest the node
+        # _period = refine_band nodes, _OVERSAMPLE samples: node a _period + p
+        # sits at sample _OVERSAMPLE a + pos[p]. Column p of the filter weighs
+        # the window of samples from _OVERSAMPLE a - _SPREAD + 1 on, zero but
+        # for the 2 _SPREAD nearest that node, so one window times the filter
+        # gives a whole period of fine values
         self._period = refine_band
         pos = _OVERSAMPLE * np.arange(refine_band) / refine_band
         row = np.arange(2 * _SPREAD + _OVERSAMPLE - 1)[:, None]

@@ -665,8 +665,9 @@ def test_line_interpolant_matches_global_spline(half_width, refine):
         inside = (pts >= lo) & (pts <= hi)
         assert np.max(np.abs(got[inside] - spline(pts[inside]))) <= tol
         assert np.array_equal(got[~inside], tail.eval(pts[~inside]))
-    # a fresh interpolant fits only the blocks of its first 100 points, and
-    # gives the same bits as u, whose blocks were fitted with all the others
+    # a fresh interpolant fits only the blocks its first 100 points reach and
+    # gives the same bits as u, which fitted them in earlier calls alongside
+    # other blocks
     assert np.array_equal(line_interpolant(f)(scattered[:100]), u(scattered)[:100])
 
 
@@ -885,9 +886,10 @@ def test_line_interpolant_shared_between_threads():
 
 def test_line_interpolant_memory_follows_queries():
     # a 2^20 build plus stereo-style queries; a global 4M-node spline would
-    # hold several hundred MB of coefficients and sort keys. The build keeps
-    # one grid of 2^21 values (17 MB); an array of all 4M fine values
-    # (34 MB) next to it would break the bound
+    # hold several hundred MB of coefficients and sort keys. The Lorentzian
+    # keeps the band n/4, so the build keeps one grid of 2^19 values (4 MB)
+    # next to the field's rfft (8 MB), and the call peaks at 18.0 MB traced;
+    # an array of all 4M fine values (34 MB) on top would break the bound
     g = LineGrid(10000.0, 1 << 20)
     f = _lorentzian_field(g)
     th = CircleGrid(2048).nodes()
