@@ -499,14 +499,14 @@ _BLOCK = 256  # fine intervals per fitted block of the spline
 # 2e-16 (a Lorentzian at 2^20 nodes) and 2e-15 (white noise up to the
 # Nyquist frequency, refine 4 to 49); S = 12 lets white noise reach 1e-12.
 #
-# A block's fit multiplies the grid's windows by the filter's columns, one
-# per offset of the fine nodes from the samples (refine n / n_band of them,
-# a period), so it computes whole periods of fine nodes, at least two. The
-# band keeps at most _BAND_REFINE fine nodes per band node, since a period
-# past _BLOCK would more than double a block's work; at 16 a block computes
-# 288 fine values for its 259. Fitting every block of a 2^16-node field
-# (m = 2, refine 4) took 28-37 ms at the full band (4 columns), 27-30 ms at
-# 16 columns and 27-28 ms at 64 (2-core VM, best of 25).
+# A block is _BLOCK fine intervals rounded up to whole periods of the fine
+# nodes' offsets from the samples (refine n / n_band nodes a period), and its
+# table of each power is one product of its windows and refine_band filter
+# columns. The band keeps at most _BAND_REFINE fine nodes per band node: a
+# period past _BLOCK would make every block one whole period, and the filter
+# 4 refine_band columns wide. Building a 2^16-node field's spline and fitting
+# every block (m = 2, refine 4) took 23-24 ms at the full band (4 columns a
+# power) and 9-10 ms at 16 or 64 columns (2-core VM, best of 15).
 _OVERSAMPLE = 2
 _SPREAD = 16
 _BETA = (_OVERSAMPLE - 0.5) / (_OVERSAMPLE * _SPREAD)
@@ -585,9 +585,9 @@ class _SplineInterpolant:
     `halfharmonic._circle_evaluator`, built from `band`, the rfft bins
     0..n_band/2 of the values on `grid` (shape (n_band/2 + 1, m), n_band
     dividing n). Interval i, from fine node i to i + 1, is a cubic in the
-    distance from node i, kept in four contiguous (rows, m) tables, highest
-    power first; a query of shape S gathers one row of each and returns
-    S + (m,).
+    distance from node i, kept in one (4, rows, m) array of four contiguous
+    tables, highest power first; a query of shape S gathers one row of each
+    and returns S + (m,).
 
     On a line, the tables fill block by block as queries reach them (_fit),
     under a lock, since calls may come from several threads; `tail` answers
@@ -621,23 +621,34 @@ class _SplineInterpolant:
             spec[n // 2] *= 0.5
         self._grid = np.fft.irfft(spec, size, axis=0).T
         # the fine nodes repeat their offsets from the samples every
-        # _period = refine_band nodes, _OVERSAMPLE samples: node a _period + p
-        # sits at sample _OVERSAMPLE a + pos[p]. Column p of the filter weighs
-        # the window of samples from _OVERSAMPLE a - _SPREAD + 1 on, zero but
-        # for the 2 _SPREAD nearest that node, so one window times the filter
-        # gives a whole period of fine values
-        self._period = refine_band
-        pos = _OVERSAMPLE * np.arange(refine_band) / refine_band
-        row = np.arange(2 * _SPREAD + _OVERSAMPLE - 1)[:, None]
-        d = row - (_SPREAD - 1) - pos
-        near = (row >= np.floor(pos)) & (row < np.floor(pos) + 2 * _SPREAD)
-        self._filter = np.where(near, np.sqrt(_BETA) * np.exp(-np.pi * _BETA * d * d), 0.0)
+        # refine_band nodes (a period) and _OVERSAMPLE samples, and a block is
+        # a whole number of periods, so it starts on a band node. Interval
+        # a refine_band + p of a block is a combination of the B-spline
+        # coefficients of its nodes p - 1 .. p + 2, which sit
+        # _OVERSAMPLE (p + j - 1 - n_wrap) / refine_band samples past band
+        # node a (j = 0..3), up to a period beyond it on either side; the
+        # window of samples from _first past that node on holds the 2 _SPREAD
+        # nearest each of them. Column p of power k weighs the window with the
+        # four coefficients' Gaussian weights times row k of the B-spline-to-
+        # power matrix (Unser, Aldroubi & Eden 1993), so one window times the
+        # filter gives a period of one power's table
+        self._block = refine_band * -(-_BLOCK // refine_band)
+        pos = _OVERSAMPLE * (np.arange(4)[:, None] + np.arange(refine_band) - 1 - self._n_wrap) / refine_band
+        self._first = math.floor(pos.min()) - _SPREAD + 1
+        row = self._first + np.arange(math.floor(pos.max()) + _SPREAD + 1 - self._first)[:, None, None]
+        d = row - pos
+        near = (row > np.floor(pos) - _SPREAD) & (row <= np.floor(pos) + _SPREAD)
+        weights = np.where(near, np.sqrt(_BETA) * np.exp(-np.pi * _BETA * d * d), 0.0)
+        dx = self._dx
+        to_power = (np.array([[-1, 3, -3, 1], [1, -2, 1, 0], [-1, 0, 1, 0], [1, 4, 1, 0]])
+                    / np.array([[6.0 * dx ** 3], [2.0 * dx * dx], [2.0 * dx], [6.0]]))
+        self._filter = np.einsum("kj,rjp->krp", to_power, weights, order="C")
         # a line evaluates intervals 0..n_fine-2, a circle all n_fine
-        n_blocks = -(-(self._n_fine - (not self._periodic)) // _BLOCK)
+        n_blocks = -(-(self._n_fine - (not self._periodic)) // self._block)
         self._slot = np.full(n_blocks, -1, dtype=np.intp)
-        # fitted blocks fill the tables' first _n_fitted * _BLOCK rows; their
+        # fitted blocks fill the tables' first _n_fitted * _block rows; their
         # capacity doubles as blocks arrive, up to the whole grid's
-        self._coef = tuple(np.empty((4, 0, self._m)))
+        self._coef = np.empty((4, 0, self._m))
         self._n_fitted = 0
         self._lock = threading.Lock()
         if self._periodic:
@@ -646,42 +657,30 @@ class _SplineInterpolant:
     def _fit(self, blocks):
         """Fit the blocks among `blocks` that have no coefficients yet.
 
-        Interval i reads the B-spline coefficients c[i - 1 .. i + 2], so a
-        new block spreads the _BLOCK + 3 from the node before it on and turns
-        each 4 into one interval's cubic. Each block reads one segment of the
-        grid, wrapped around its period, from a whole period of fine nodes on.
-        Its fine values are one polyphase product: the segment's windows of
-        the filter's length, one every _OVERSAMPLE samples, times the filter
-        columns. Each coefficient is a dot product of fixed length, so a node
-        gets the same value whichever blocks share the call.
+        Each block reads one segment of the grid, wrapped around the grid's
+        period, from its first band node's window on. Each power's rows are one
+        polyphase product: the segment's windows of the filter's length, one
+        every _OVERSAMPLE samples, times that power's filter columns, written
+        straight into the table. Each coefficient is a dot product of fixed
+        length, so an interval gets the same cubic whichever blocks share the
+        call.
         """
         new = np.flatnonzero((np.bincount(blocks, minlength=len(self._slot)) > 0) & (self._slot < 0))
         if len(new) == 0:
             return
-        period, m, dx = self._period, self._m, self._dx
-        first, offset = np.divmod(new * _BLOCK - 1 - self._n_wrap, period)
-        n_periods = -(-(period + _BLOCK + 2) // period)
-        rows = len(self._filter)
-        span = _OVERSAMPLE * (n_periods - 1) + rows
-        seg = np.take(self._grid, _OVERSAMPLE * first[:, None] - (_SPREAD - 1) + np.arange(span),
-                      axis=1, mode="wrap").reshape(-1, span)
-        fine = sliding_window_view(seg, rows, axis=1)[:, ::_OVERSAMPLE] @ self._filter
-        # c is (block, interval, component), the tables' order
-        fine = fine.reshape(m, len(new), n_periods * period).transpose(1, 2, 0)
-        c = fine[np.arange(len(new))[:, None], offset[:, None] + np.arange(_BLOCK + 3)]
-        c0, c1, c2, c3 = c[:, :-3], c[:, 1:-2], c[:, 2:-1], c[:, 3:]
-        used, need = self._n_fitted * _BLOCK, (self._n_fitted + len(new)) * _BLOCK
-        if need > len(self._coef[0]):
-            grown = np.empty((4, min(max(need, 2 * len(self._coef[0])), len(self._slot) * _BLOCK), m))
-            for table, old in zip(grown, self._coef):
-                table[:used] = old[:used]
-            self._coef = tuple(grown)
-        for table, power in zip(self._coef,
-                                ((c3 - c0 + 3.0 * (c1 - c2)) / (6.0 * dx ** 3),
-                                 (c0 - 2.0 * c1 + c2) / (2.0 * dx * dx),
-                                 (c2 - c0) / (2.0 * dx),
-                                 (c0 + 4.0 * c1 + c2) / 6.0)):
-            table[used:need] = power.reshape(-1, m)
+        block, (rows, period) = self._block, self._filter.shape[1:]
+        span = _OVERSAMPLE * (block // period - 1) + rows
+        seg = np.take(self._grid, _OVERSAMPLE * (block // period) * new[:, None] + self._first + np.arange(span),
+                      axis=1, mode="wrap")
+        win = sliding_window_view(seg, rows, axis=2)[:, :, ::_OVERSAMPLE]
+        used, need = self._n_fitted * block, (self._n_fitted + len(new)) * block
+        if need > self._coef.shape[1]:
+            grown = np.empty((4, min(max(need, 2 * self._coef.shape[1]), len(self._slot) * block), self._m))
+            grown[:, :used] = self._coef[:, :used]
+            self._coef = grown
+        for filt, table in zip(self._filter, self._coef):
+            # the new rows as (component, block, window, interval)
+            np.matmul(win, filt, out=table[used:need].reshape(len(new), -1, period, self._m).transpose(3, 0, 1, 2))
         self._slot[new] = self._n_fitted + np.arange(len(new))
         self._n_fitted += len(new)
 
@@ -696,10 +695,10 @@ class _SplineInterpolant:
         inside = (x >= self._lo) & (x <= self._hi)
         p = x[inside]
         i = np.clip(np.floor((p - self._lo) / self._dx).astype(np.intp), 0, self._n_fine - 2)
-        block = i // _BLOCK
+        block = i // self._block
         with self._lock:
             self._fit(block)
-            rows = self._slot[block] * _BLOCK + i % _BLOCK
+            rows = self._slot[block] * self._block + i % self._block
             # later fits write only rows past these, or into a grown copy
             coef = self._coef
         res[inside] = _horner(coef, rows, (p - (self._lo + i * self._dx))[:, None])

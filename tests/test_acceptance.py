@@ -267,6 +267,13 @@ def test_pohozaev_line_cli_matches_check_05(capsys):
     assert res["max_relative_error"] == _result("05-pohozaev-line").value
 
 
+def test_stereo_cli_matches_check_08(capsys):
+    details = _result("08-stereo-transfer").details
+    assert _cli_results(capsys, "stereo")["max_abs_error"] == details["closed_form_max"]
+    res = _cli_results(capsys, "stereo", "--case", "random", "--seed", "11")
+    assert res["max_abs_residual"] == details["random_two_route_max"]
+
+
 def test_bubble_cli_matches_check_12a(capsys):
     sups = [e["dyadic_sup"] for e in _cli_results(capsys, "bubble")["entries"]]
     assert sups == list(_result("12a-bubbling-monotone").details.values())

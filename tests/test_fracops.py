@@ -757,6 +757,14 @@ def _full_band(f, multiplier=None):
     return fracops._SplineInterpolant(f.grid, spec, None, refine)
 
 
+def _seed_11_profile(x):
+    """Check 08's random field at x, five Lorentzians drawn with seed 11, and
+    the sum of their weights."""
+    rng = np.random.default_rng(11)
+    coef, centers = rng.normal(size=5), rng.uniform(-3.0, 3.0, size=5)
+    return sum(c / (1.0 + (x - a) ** 2) for c, a in zip(coef, centers)), float(np.sum(coef))
+
+
 def _check08_case(case):
     """(field, points) of check 08: its Lorentzian or its seed-11 field on
     2^20 nodes, and the projected angles both routes are compared at."""
@@ -764,11 +772,8 @@ def _check08_case(case):
     if case == "lorentzian":
         f = _lorentzian_field(grid)
     else:
-        x = grid.nodes()
-        rng = np.random.default_rng(11)
-        coef, centers = rng.normal(size=5), rng.uniform(-3.0, 3.0, size=5)
-        vals = sum(c / (1.0 + (x - a) ** 2) for c, a in zip(coef, centers))
-        f = Field(grid, vals[:, None], tail=TailModel.even(2.0, float(np.sum(coef))))
+        vals, mass = _seed_11_profile(grid.nodes())
+        f = Field(grid, vals[:, None], tail=TailModel.even(2.0, mass))
     th = CircleGrid(2048).nodes()
     keep = np.abs(np.mod(th + np.pi, 2.0 * np.pi) - np.pi + np.pi / 2.0) >= 0.2
     return f, np.cos(th[keep]) / (1.0 + np.sin(th[keep]))
@@ -884,26 +889,45 @@ def test_line_interpolant_shared_between_threads():
         sys.setswitchinterval(interval)
 
 
-def test_line_interpolant_memory_follows_queries():
-    # a 2^20 build plus stereo-style queries; a global 4M-node spline would
+@pytest.mark.parametrize("case", ["lorentzian", "seed-11"])
+def test_line_interpolant_memory_follows_queries(case):
+    # a 2^20 build plus check 08's queries; a global 4M-node spline would
     # hold several hundred MB of coefficients and sort keys. The Lorentzian
     # keeps the band n/4, so the build keeps one grid of 2^19 values (4 MB)
     # next to the field's rfft (8 MB), and the call peaks at 18.0 MB traced;
-    # an array of all 4M fine values (34 MB) on top would break the bound
-    g = LineGrid(10000.0, 1 << 20)
-    f = _lorentzian_field(g)
-    th = CircleGrid(2048).nodes()
-    speed = 1.0 + np.sin(th)
-    pts = np.cos(th[speed > 1e-12]) / speed[speed > 1e-12]
+    # the seed-11 field keeps n/2, a grid of 2^20 values, and peaks at
+    # 27.4 MB. An array of all 4M fine values (34 MB) on top would break the
+    # bound
+    f, pts = _check08_case(case)
     tracemalloc.start()
     try:
-        u = line_interpolant(f)
-        vals = u(pts)
+        vals = line_interpolant(f)(pts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.max(np.abs(vals[:, 0] - 1.0 / (1.0 + pts ** 2))) < 1e-9
+    exact = 1.0 / (1.0 + pts ** 2) if case == "lorentzian" else _seed_11_profile(pts)[0]
+    assert np.max(np.abs(vals[:, 0] - exact)) < 1e-9
     assert peak < 50e6
+
+
+def test_line_spline_fit_makes_no_full_size_temporary():
+    # fitting every block of a 2^16-node, two-component white-noise field at
+    # refine 4: the four tables (16.8 MB), the deconvolved grid (2 MB), its
+    # zero-padded spectrum (2 MB) and the blocks' segments (2.6 MB) peak at
+    # 21.8 MB traced; one more array of all 2^18 fine values per component,
+    # or of one power, would add 4.2 MB or more
+    g = LineGrid(1000.0, 1 << 16)
+    f = Field(g, np.random.default_rng(2).normal(size=(g.n_points, 2)))
+    f.rfft()
+    tracemalloc.start()
+    try:
+        u = line_interpolant(f)
+        u(np.linspace(u._lo, u._hi, 4096))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u._n_fine == 4 * g.n_points and np.all(u._slot >= 0)
+    assert peak < 30e6
 
 
 def test_inverse_quarter_memory_on_an_even_field():
