@@ -504,9 +504,9 @@ _BLOCK = 256  # fine intervals per fitted block of the spline
 # table of each power is one product of its windows and refine_band filter
 # columns. The band keeps at most _BAND_REFINE fine nodes per band node: a
 # period past _BLOCK would make every block one whole period, and the filter
-# 4 refine_band columns wide. Building a 2^16-node field's spline and fitting
-# every block (m = 2, refine 4) took 23-24 ms at the full band (4 columns a
-# power) and 9-10 ms at 16 or 64 columns (2-core VM, best of 15).
+# 4 refine_band columns wide. Fitting every block of a 2^16-node field
+# (m = 2, refine 4) took 18.5-19.5 ms at the full band (4 columns a power)
+# and 8-9 ms at 16 or 64 columns (2-core VM, best of 15).
 _OVERSAMPLE = 2
 _SPREAD = 16
 _BETA = (_OVERSAMPLE - 0.5) / (_OVERSAMPLE * _SPREAD)

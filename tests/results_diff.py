@@ -56,15 +56,16 @@ def command_lines(tree):
             match = re.match(r"\s*fraclap\s+(.*--out ci-out/\S+.*)$", line)
             if match:
                 argvs.append(shlex.split(match.group(1)))
-    distinct = []
-    for argv in argvs:
-        if argv not in distinct:
-            distinct.append(argv)
-    return distinct
+    return [list(argv) for argv in dict.fromkeys(map(tuple, argvs))]
 
 
 def _option(argv, name):
     return argv[argv.index(name) + 1] if name in argv else None
+
+
+def _read(path):
+    with open(path, newline="") as fh:
+        return fh.read()
 
 
 def collect(argvs):
@@ -79,9 +80,9 @@ def collect(argvs):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = cli.main(list(argv))
         path, table = _option(argv, "--out"), _option(argv, "--csv")
-        text = open(path).read() if path and rc != 2 else out.getvalue()
+        text = _read(path) if path and rc != 2 else out.getvalue()
         report = json.loads(text) if text.strip() else {}
-        rows = list(csv.reader(open(table))) if table and rc != 2 else None
+        rows = list(csv.reader(io.StringIO(_read(table)))) if table and rc != 2 else None
         meta = {k: v for k, v in report.get("meta", {}).items() if k not in _VOLATILE_META}
         # stderr holds the diagnostic of a rejected line, or the selftest's timings
         records[" ".join(argv)] = {"rc": rc, "error": err.getvalue() if rc == 2 else None,
@@ -131,10 +132,9 @@ def diff_lines(before, after):
         pairs = [("rc", a["rc"], b["rc"]), ("error", a["error"], b["error"])]
         pairs += [("meta." + k, a["meta"].get(k), b["meta"].get(k))
                   for k in sorted(set(a["meta"]) | set(b["meta"]))]
-        for part in ("results", "csv"):
-            old, new = dict(_leaves(a[part])), dict(_leaves(b[part]))
-            pairs += [(part + k if part == "csv" else k, old.get(k), new.get(k))
-                      for k in sorted(set(old) | set(new))]
+        for part, prefix in (("results", ""), ("csv", "csv")):
+            old, new = dict(_leaves(a[part], prefix)), dict(_leaves(b[part], prefix))
+            pairs += [(k, old.get(k), new.get(k)) for k in sorted(set(old) | set(new))]
         for key, old, new in pairs:
             if old == new:
                 continue

@@ -912,10 +912,9 @@ def test_line_interpolant_memory_follows_queries(case):
 
 def test_line_spline_fit_makes_no_full_size_temporary():
     # fitting every block of a 2^16-node, two-component white-noise field at
-    # refine 4: the four tables (16.8 MB), the deconvolved grid (2 MB), its
-    # zero-padded spectrum (2 MB) and the blocks' segments (2.6 MB) peak at
-    # 21.8 MB traced; one more array of all 2^18 fine values per component,
-    # or of one power, would add 4.2 MB or more
+    # refine 4: the four tables (16.8 MB), the deconvolved grid (2.1 MB) and
+    # the blocks' segments (2.6 MB) peak at 21.8 MB traced; a temporary of
+    # all 2^18 fine values per power (4.2 MB each) would break the bound
     g = LineGrid(1000.0, 1 << 16)
     f = Field(g, np.random.default_rng(2).normal(size=(g.n_points, 2)))
     f.rfft()
