@@ -206,19 +206,31 @@ def check_line_closed_form() -> CheckResult:
 
 @lru_cache(maxsize=1)
 def _inverse_quarter_pair():
-    # 04a and 04b share the pair; the masks copy, so no 2^21 array is cached
+    # 04a and 04b share the pair. One 2^21 density is alive at a time: it is
+    # formed in place, handed to its Field without a copy, and only the
+    # window of its transform is kept (the mask copies), so no 2^21 array is
+    # cached
     grid = LineGrid(2000.0, 1 << 21)
     x = grid.nodes()
-    f_even = Field(grid, ((x * x - 1.0) / (1.0 + x * x) ** 2)[:, None],
-                   tail=TailModel.even(2.0, 1.0))
-    f_odd = Field(grid, (2.0 * x / (1.0 + x * x) ** 2)[:, None],
-                  tail=TailModel.odd(3.0, 2.0))
-    out_even = fracops.inverse_quarter_laplacian(f_even).samples[:, 0]
-    out_odd = fracops.inverse_quarter_laplacian(f_odd).samples[:, 0]
     window = np.abs(x) <= 10.0
+
+    def windowed_transform(num, tail):
+        d = x * x
+        d += 1.0
+        d *= d
+        num /= d
+        del d
+        f = Field._adopt(grid, num, tail)
+        return fracops.inverse_quarter_laplacian(f).samples[window, 0]
+
+    num = x * x
+    num -= 1.0
+    out_even = windowed_transform(num, TailModel.even(2.0, 1.0))
+    del num
+    out_odd = windowed_transform(2.0 * x, TailModel.odd(3.0, 2.0))
     k_even = pohozaev.m_kernel_plus(x[window])
     k_odd = pohozaev.m_kernel_minus(x[window])
-    pair = (out_even[window], out_odd[window], k_even, k_odd)
+    pair = (out_even, out_odd, k_even, k_odd)
     for a in pair:
         a.flags.writeable = False
     return pair

@@ -59,7 +59,7 @@ def frac_laplacian_circle(f, s):
     """Multiplier |n|^(2s) on the Fourier modes; the mean maps to zero."""
     if not isinstance(f.grid, CircleGrid):
         raise TypeError("expected a circle field")
-    return Field(f.grid, rfft_multiply(f, rfft_frequencies(f.grid) ** (2.0 * s)))
+    return Field._adopt(f.grid, rfft_multiply(f, rfft_frequencies(f.grid) ** (2.0 * s)))
 
 
 def frac_laplacian_line_spectral(f, s):
@@ -72,7 +72,7 @@ def frac_laplacian_line_spectral(f, s):
         raise TypeError("expected a line field")
     _check_line_boundary(f, "frac_laplacian_line_spectral",
                          "periodization error may be significant")
-    return Field(f.grid, rfft_multiply(f, rfft_frequencies(f.grid) ** (2.0 * s)))
+    return Field._adopt(f.grid, rfft_multiply(f, rfft_frequencies(f.grid) ** (2.0 * s)))
 
 
 def _check_quadrature_input(f, s):
@@ -121,7 +121,7 @@ def frac_laplacian_line_quadrature(f, s, convention="paper"):
 
     if convention == "normalized":
         out *= singular_constant(s)
-    return Field(f.grid, out)
+    return Field._adopt(f.grid, out)
 
 
 def _taylor_weight(h, s):
@@ -392,7 +392,7 @@ def tail_quad_abserr(f, s):
 def riesz_transform(f):
     """Order-zero multiplier -i sign(frequency); the mean and the Nyquist
     mode map to zero."""
-    return Field(f.grid, rfft_multiply(f, -1j * np.sign(rfft_frequencies(f.grid))))
+    return Field._adopt(f.grid, rfft_multiply(f, -1j * np.sign(rfft_frequencies(f.grid))))
 
 
 def inverse_quarter_laplacian(f):
@@ -409,7 +409,7 @@ def inverse_quarter_laplacian(f):
     with np.errstate(divide="ignore"):
         mult = freq ** (-0.5)
     mult[0] = 0.0
-    return Field(f.grid, rfft_multiply(f, mult))
+    return Field._adopt(f.grid, rfft_multiply(f, mult))
 
 
 def poisson_kernel_line(t, x):
@@ -472,7 +472,7 @@ def line_convolve(f, g):
         raise ValueError("fields live on different grids")
     x0 = f.grid.nodes()[0]
     phase = np.exp(-1j * rfft_frequencies(f.grid) * x0)
-    return Field(f.grid, rfft_multiply(f, phase[:, None] * g.rfft()) * f.grid.h)
+    return Field._adopt(f.grid, rfft_multiply(f, phase[:, None] * g.rfft()) * f.grid.h)
 
 
 _BLOCK = 256  # fine intervals per fitted block of the spline

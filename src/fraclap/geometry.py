@@ -144,9 +144,13 @@ class TailModel:
 class Field:
     """Sampled m-component field on a grid. Samples shape (n_points, m).
 
-    Immutable by convention: operations return new Fields. The spectrum is the
-    plain FFT of the samples along axis 0, computed on each call; rfft is its
-    real-input half, computed on first use, then cached read-only.
+    Immutable by convention: operations return new Fields. The samples are
+    read-only. A Field copies the array its caller gives it; library
+    operators hand over the fresh float array they have just computed
+    (Field._adopt), which nothing else holds, without a copy. The spectrum
+    is the plain FFT of the samples along axis 0, computed on each call;
+    rfft is its real-input half, computed on first use, then cached
+    read-only.
     A derived field carries a tail model only where its maker knows the
     model holds for the new samples: arithmetic (+ and - with a Field or a
     scalar, * by a scalar) returns a Field with no tail model, since it moves
@@ -155,7 +159,18 @@ class Field:
     """
 
     def __init__(self, grid, samples, tail=None):
-        samples = np.array(samples, dtype=float)  # private copy
+        self._set_samples(grid, np.array(samples, dtype=float), tail)  # private copy
+
+    @classmethod
+    def _adopt(cls, grid, samples, tail=None):
+        """A Field that keeps `samples` itself: a float array its maker has
+        just computed and holds no other reference to. Same rules as
+        __init__, no copy."""
+        f = cls.__new__(cls)
+        f._set_samples(grid, samples, tail)
+        return f
+
+    def _set_samples(self, grid, samples, tail):
         if samples.ndim == 1:
             samples = samples[:, None]
         if samples.shape[0] != grid.n_points:

@@ -115,6 +115,16 @@ def test_counterexample_csv_table(tmp_path, capsys):
     assert len(rows) == 3  # header + the two feasible pairs
 
 
+def test_counterexample_sweep_csv_at_its_defaults(tmp_path, capsys):
+    csv_path = tmp_path / "sweep.csv"
+    code, _, _ = _run(capsys, ["counterexample", "sweep", "--csv", str(csv_path)])
+    assert code == 0
+    with open(csv_path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header[:3] == ["n", "R", "c_n_numeric"] and header[-1] == "system_residual"
+    assert len(rows) == 8 and all(len(row) == len(header) for row in rows)
+
+
 def test_counterexample_all_degenerate_is_config_error(tmp_path, capsys):
     out_path = tmp_path / "r.json"
     code, out, err = _run(capsys, ["counterexample", "sweep", "--n", "4",

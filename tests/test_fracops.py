@@ -931,10 +931,11 @@ def test_line_spline_fit_makes_no_full_size_temporary():
 
 def test_inverse_quarter_memory_on_an_even_field():
     # check 04's even density on 2^21 points (16 MB) takes the half-size
-    # DCT route: output 16 MB, its private copy in the Field 16 MB, and
-    # half-length multiplier and spectrum, about 44 MB. The bound sits below
-    # the rfft route, which also keeps a 16 MB spectrum on the input (61 MB).
-    # The frequency table is shared per grid, so it is built before tracing
+    # DCT route: the output (16 MB), which the Field adopts without a copy,
+    # and the half-length multiplier and spectrum, about 34 MB. A private
+    # copy of the output in the Field (44 MB) or the rfft route, which also
+    # keeps a 16 MB spectrum on the input, would break the bound. The
+    # frequency table is shared per grid, so it is built before tracing
     grid = LineGrid(2000.0, 1 << 21)
     x = grid.nodes()
     f = Field(grid, (x * x - 1.0) / (1.0 + x * x) ** 2, tail=TailModel.even(2.0, 1.0))
@@ -946,9 +947,11 @@ def test_inverse_quarter_memory_on_an_even_field():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 50e6
+    assert peak < 38e6
     assert f._rfft is None
     assert np.array_equal(out.samples, out.samples[::-1])
+    assert not out.samples.flags.writeable
+    assert not np.shares_memory(out.samples, f.samples)
 
 
 @given(k=st.integers(1, 10), s=st.sampled_from([0.25, 0.5]))

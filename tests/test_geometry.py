@@ -117,6 +117,32 @@ def test_field_validation():
         f.samples[0] = 2.0  # fields are read-only
 
 
+def test_field_copies_the_callers_array():
+    g = LineGrid(1.0, 16)
+    arr = np.ones((16, 1))
+    f = Field(g, arr)
+    arr[0] = 2.0
+    assert np.array_equal(f.samples, np.ones((16, 1)))
+    assert not np.shares_memory(f.samples, arr)
+    assert arr.flags.writeable
+
+
+def test_field_adopt_keeps_the_rules_of_init():
+    # library operators hand their fresh outputs to Field._adopt, which keeps
+    # the array itself but checks it as __init__ does
+    g = LineGrid(1.0, 16)
+    with pytest.raises(ValueError):
+        Field._adopt(g, np.zeros(8))
+    with pytest.raises(ValueError):
+        Field._adopt(g, np.full(16, np.nan))
+    arr, tail = np.arange(16.0), TailModel.even(2.0, 1.0)
+    f = Field._adopt(g, arr, tail)
+    assert f.samples.shape == (16, 1) and np.shares_memory(f.samples, arr)
+    assert f.tail is tail and f._rfft is None
+    with pytest.raises(ValueError):
+        f.samples[0] = 2.0
+
+
 def test_field_rfft_cached_read_only():
     f = field_from_function(CircleGrid(8), lambda t: np.stack([np.cos(t), np.sin(2 * t)]))
     spec = f.rfft()
